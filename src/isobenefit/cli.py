@@ -17,11 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+
+import numpy as np
 
 from .errors import IsobenefitError, NoInteriorMinimumError, ZeroMeanError
 from .field import evaluate_field, evaluate_field_parts, kernel_benefit
-from .gravity import BreakPoint, huff_probabilities, numeric_breakpoint, reilly_breakpoint
-from .indicators import SummaryStats, UniformityResult, pgg_field, summary, uniformity
+from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
+from .indicators import UniformityResult, pgg_field, summary, uniformity
 from .io import (
     atomic_write_text,
     load_scene,
@@ -119,34 +122,14 @@ def _amenity_by_id(scene: Scene, ident: str, flag: str):
 # ---------------------------------------------------------- serialization
 
 
-def _uniformity_dict(result: UniformityResult) -> dict:
-    return {
-        "u": result.u,
-        "mean": result.mean,
-        "stddev": result.stddev,
-        "count": result.count,
-        "negative_mean": result.negative_mean,
-    }
-
-
-def _summary_dict(stats: SummaryStats) -> dict:
-    return {
-        "total": stats.total,
-        "mean": stats.mean,
-        "min": stats.min,
-        "max": stats.max,
-        "count": stats.count,
-    }
-
-
-def _breakpoint_dict(bp: BreakPoint) -> dict:
-    doc = {
-        "position": [bp.position[0], bp.position[1]],
-        "distance_from_1": bp.distance_from_1,
-        "distance_from_2": bp.distance_from_2,
-    }
-    if bp.benefit_at_point is not None:
-        doc["benefit_at_point"] = bp.benefit_at_point
+def _as_report(result) -> dict | None:
+    """A result dataclass as a JSON object: its fields in declaration order,
+    minus any that are None, plus ``negative_mean`` for uniformity results."""
+    if result is None:
+        return None
+    doc = {key: value for key, value in asdict(result).items() if value is not None}
+    if isinstance(result, UniformityResult):
+        doc["negative_mean"] = result.negative_mean
     return doc
 
 
@@ -183,17 +166,23 @@ def _cmd_field(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scene_field(args: argparse.Namespace, evaluate):
+    """``evaluate`` (a field function) on --scene/--grid, for the commands
+    that take either those or --raster."""
+    if args.scene is None:
+        raise IsobenefitError(f"{args.command} needs --scene (with --grid) or --raster")
+    if args.grid is None:
+        raise IsobenefitError("--grid is required when computing the field from --scene")
+    scene = load_scene(args.scene)
+    kernel = Kernel(args.kernel, args.efficiency)
+    return evaluate(scene, kernel, args.grid, profile=args.profile)
+
+
 def _cmd_isolines(args: argparse.Namespace) -> int:
     if args.raster is not None:
         raster = read_raster(args.raster)
     else:
-        if args.scene is None:
-            raise IsobenefitError("isolines needs --scene (with --grid) or --raster")
-        if args.grid is None:
-            raise IsobenefitError("--grid is required when computing the field from --scene")
-        scene = load_scene(args.scene)
-        kernel = Kernel(args.kernel, args.efficiency)
-        raster = evaluate_field(scene, kernel, args.grid, profile=args.profile)
+        raster = _scene_field(args, evaluate_field)
     if (args.levels is None) == (args.nlevels is None):
         raise IsobenefitError("pass exactly one of --levels or --nlevels")
     contours = extract_isolines(raster, levels=args.levels, nlevels=args.nlevels)
@@ -226,17 +215,11 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
         _print_uniformity("all", result)
         report = {
             "source": {"raster": args.raster},
-            "uniformity": {"all": _uniformity_dict(result)},
-            "summary": _summary_dict(stats),
+            "uniformity": {"all": _as_report(result)},
+            "summary": _as_report(stats),
         }
     else:
-        if args.scene is None:
-            raise IsobenefitError("uniformity needs --scene (with --grid) or --raster")
-        if args.grid is None:
-            raise IsobenefitError("--grid is required when computing the field from --scene")
-        scene = load_scene(args.scene)
-        kernel = Kernel(args.kernel, args.efficiency)
-        parts = evaluate_field_parts(scene, kernel, args.grid, profile=args.profile)
+        parts = _scene_field(args, evaluate_field_parts)
         result = uniformity(parts.total)
         pos = _uniformity_or_none(parts.positive)
         neg = _uniformity_or_none(parts.negative)
@@ -249,17 +232,14 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
                 "scene": args.scene,
                 "profile": args.profile,
                 "kernel": {"family": args.kernel, "efficiency": args.efficiency},
-                "grid": {
-                    "origin_x": args.grid.origin_x, "origin_y": args.grid.origin_y,
-                    "cell_size": args.grid.cell_size, "ncols": args.grid.ncols,
-                    "nrows": args.grid.nrows},
+                "grid": _as_report(args.grid),
             },
             "uniformity": {
-                "all": _uniformity_dict(result),
-                "positive": _uniformity_dict(pos) if pos is not None else None,
-                "negative": _uniformity_dict(neg) if neg is not None else None,
+                "all": _as_report(result),
+                "positive": _as_report(pos),
+                "negative": _as_report(neg),
             },
-            "summary": _summary_dict(stats),
+            "summary": _as_report(stats),
         }
     print(f"total = {stats.total!r}  mean = {stats.mean!r}  "
           f"min = {stats.min!r}  max = {stats.max!r}  cells = {stats.count}")
@@ -280,7 +260,7 @@ def _cmd_breakpoint(args: argparse.Namespace) -> int:
         "distance": distance,
         "kernel": {"family": args.kernel, "efficiency": args.efficiency},
         "with_context": bool(args.with_context),
-        "reilly": _breakpoint_dict(reilly),
+        "reilly": _as_report(reilly),
     }
     print(f"pair {amenity1.id!r} .. {amenity2.id!r}, distance {distance!r}")
     print(f"reilly:  {reilly.distance_from_1!r} from {amenity1.id!r}, "
@@ -293,7 +273,7 @@ def _cmd_breakpoint(args: argparse.Namespace) -> int:
         report["numeric"] = {"error": "NoInteriorMinimum", "message": str(exc)}
         print(f"numeric: no interior minimum ({exc})")
     else:
-        report["numeric"] = _breakpoint_dict(numeric)
+        report["numeric"] = _as_report(numeric)
         print(f"numeric: {numeric.distance_from_1!r} from {amenity1.id!r}, "
               f"{numeric.distance_from_2!r} from {amenity2.id!r}, "
               f"benefit {numeric.benefit_at_point!r}")
@@ -333,7 +313,7 @@ def _cmd_pgg(args: argparse.Namespace) -> int:
     _write_report(args.report, {
         "person": args.person,
         "majority": args.majority if args.majority is not None else scene.majority,
-        "summary": _summary_dict(stats),
+        "summary": _as_report(stats),
         "gain_cells": gains,
         "loss_cells": losses,
         "indifferent_cells": stats.count - gains - losses,
@@ -347,14 +327,11 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise IsobenefitError(f"--samples must be >= 2, got {args.samples}")
     kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
-    step = args.dmax / (args.samples - 1)
+    distances = np.arange(args.samples) * (args.dmax / (args.samples - 1))
+    columns = [distances.tolist()] + [
+        kernel_benefit(args.attractiveness, distances, kern).tolist() for kern in kernels]
     header = ["d"] + [f"E={e!r}" for e in args.efficiencies]
-    lines = [",".join(header)]
-    for k in range(args.samples):
-        d = k * step
-        row = [repr(d)] + [repr(kernel_benefit(args.attractiveness, d, kern))
-                           for kern in kernels]
-        lines.append(",".join(row))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({args.samples} rows, {len(kernels)} curves)")
     return 0
@@ -369,13 +346,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                 profile=args.profile)
         stats = summary(raster)
         result = _uniformity_or_none(raster)
-        row: dict = {"efficiency": e, "summary": _summary_dict(stats)}
-        if result is None:
-            row["uniformity"] = None
-            u_text = "undefined"
-        else:
-            row["uniformity"] = _uniformity_dict(result)
-            u_text = repr(result.u)
+        row = {"efficiency": e, "summary": _as_report(stats),
+               "uniformity": _as_report(result)}
+        u_text = "undefined" if result is None else repr(result.u)
         rows.append(row)
         print(f"{e!r}\t{u_text}\t{stats.total!r}\t{stats.mean!r}\t"
               f"{stats.min!r}\t{stats.max!r}")

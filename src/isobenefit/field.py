@@ -15,9 +15,12 @@ decay semantics. For the rational family a larger E means *slower* decay
 exponential families a larger E means *faster* decay. Both conventions are
 kept exactly as stated above; do not port an E value across families.
 
-Amenity contributions are accumulated in amenity-index order in double
-precision, so identical inputs give bit-identical rasters regardless of how
-the grid is partitioned.
+One accumulator serves every caller: it adds the amenities' contributions
+in index order, in double precision, over the broadcast of the sample
+coordinates (a grid's x row against its y column, or point coordinates).
+Each sample sees the same additions in the same order however samples are
+grouped, so identical inputs give bit-identical values for any grid
+partition and for points queried one by one or as arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeDistanceError
-from .scene import Amenity, GridSpec, Kernel, Raster, Scene, resolve_profile
+from .scene import GridSpec, Kernel, Raster, Scene, resolve_profile
 
 __all__ = [
     "PointBenefit",
@@ -41,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointBenefit:
-    """Benefit at one point, with the amenity/disamenity split.
+    """Benefit at a point (or array of points), with the amenity/disamenity split.
 
     ``positive_part`` sums contributions of amenities with attractiveness
     > 0, ``negative_part`` those with attractiveness < 0. ``total`` is the
@@ -88,25 +91,44 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     return out
 
 
-def point_benefit(amenities, kernel: Kernel, x: float, y: float) -> PointBenefit:
-    """Total benefit at (x, y): the sum of kernel_benefit over all amenities,
-    split into positive (attractiveness > 0) and negative parts."""
-    total = 0.0
-    pos = 0.0
-    neg = 0.0
+def _benefit_sums(amenities, kernel: Kernel, x, y, split: bool):
+    """Sum of every amenity's contribution at the points (x, y), where x and
+    y broadcast together. With ``split`` also returns the sums over the
+    amenities with attractiveness > 0 and < 0; otherwise those are None."""
+    total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    pos = np.zeros_like(total) if split else None
+    neg = np.zeros_like(total) if split else None
     for am in amenities:
-        d = float(np.hypot(x - am.x, y - am.y))
-        b = float(_kernel_values(float(am.attractiveness), d, kernel))
-        total += b
-        if am.attractiveness > 0:
-            pos += b
-        elif am.attractiveness < 0:
-            neg += b
+        a = float(am.attractiveness)
+        contrib = _kernel_values(a, np.hypot(x - am.x, y - am.y), kernel)
+        total += contrib
+        if split and a > 0:
+            pos += contrib
+        elif split and a < 0:
+            neg += contrib
+    return total, pos, neg
+
+
+def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
+    """Total benefit at (x, y): the sum of kernel_benefit over all amenities,
+    split into positive (attractiveness > 0) and negative parts.
+
+    ``x`` and ``y`` may be scalars, giving float fields, or arrays that
+    broadcast together, giving fields of that shape whose elements equal
+    the scalar queries bit for bit.
+    """
+    total, pos, neg = _benefit_sums(amenities, kernel, x, y, split=True)
+    if total.ndim == 0:
+        return PointBenefit(total=float(total), positive_part=float(pos),
+                            negative_part=float(neg))
     return PointBenefit(total=total, positive_part=pos, negative_part=neg)
 
 
-def _distance_grid(am: Amenity, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return np.hypot(xs[np.newaxis, :] - am.x, ys[:, np.newaxis] - am.y)
+def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
+               profile: str | None, split: bool):
+    amenities, kern = resolve_profile(scene, kernel, profile)
+    return _benefit_sums(amenities, kern, grid.x_coords()[np.newaxis, :],
+                         grid.y_coords()[:, np.newaxis], split)
 
 
 def evaluate_field(
@@ -121,13 +143,8 @@ def evaluate_field(
     with the profile's attractiveness overrides and personal E applied.
     Every amenity contributes to every cell; there is no cutoff radius.
     """
-    amenities, kern = resolve_profile(scene, kernel, profile)
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    total = np.zeros((grid.nrows, grid.ncols), dtype=float)
-    for am in amenities:
-        total += _kernel_values(float(am.attractiveness), _distance_grid(am, xs, ys), kern)
-    return Raster(grid, total.reshape(-1))
+    total, _, _ = _grid_sums(scene, kernel, grid, profile, split=False)
+    return Raster(grid, total)
 
 
 def evaluate_field_parts(
@@ -139,22 +156,6 @@ def evaluate_field_parts(
     """Like :func:`evaluate_field` but also returns the positive-only and
     negative-only companion rasters (inert amenities contribute to neither).
     """
-    amenities, kern = resolve_profile(scene, kernel, profile)
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    shape = (grid.nrows, grid.ncols)
-    total = np.zeros(shape, dtype=float)
-    pos = np.zeros(shape, dtype=float)
-    neg = np.zeros(shape, dtype=float)
-    for am in amenities:
-        contrib = _kernel_values(float(am.attractiveness), _distance_grid(am, xs, ys), kern)
-        total += contrib
-        if am.attractiveness > 0:
-            pos += contrib
-        elif am.attractiveness < 0:
-            neg += contrib
-    return FieldParts(
-        total=Raster(grid, total.reshape(-1)),
-        positive=Raster(grid, pos.reshape(-1)),
-        negative=Raster(grid, neg.reshape(-1)),
-    )
+    total, pos, neg = _grid_sums(scene, kernel, grid, profile, split=True)
+    return FieldParts(total=Raster(grid, total), positive=Raster(grid, pos),
+                      negative=Raster(grid, neg))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     CoincidentAmenitiesError,
     EmptyChoiceSetError,
@@ -84,7 +86,7 @@ def huff_probabilities(
     if len(amenities) == 0:
         raise EmptyChoiceSetError("huff probabilities need at least one amenity")
     ox, oy = float(origin[0]), float(origin[1])
-    weights: list[float] = []
+    distances: list[float] = []
     for am in amenities:
         if not am.attractiveness > 0:
             raise NonPositiveAttractivenessError(
@@ -96,10 +98,15 @@ def huff_probabilities(
             raise OriginOnAmenityError(
                 f"origin {origin!r} coincides with amenity {am.id!r}"
             )
-        if distance_exponent == 1.0:
-            weights.append(am.attractiveness / d)
-        else:
-            weights.append(am.attractiveness / d ** distance_exponent)
+        distances.append(d)
+    weights = [am.attractiveness / d ** distance_exponent
+               for am, d in zip(amenities, distances)]
+    if not math.isfinite(sum(weights)):
+        # A/d overflowed at a tiny distance; measuring every distance in
+        # units of the nearest one leaves the shares unchanged
+        near = min(distances)
+        weights = [am.attractiveness / (d / near) ** distance_exponent
+                   for am, d in zip(amenities, distances)]
     total = sum(weights)
     return HuffResult(probabilities={
         am.id: w / total for am, w in zip(amenities, weights)
@@ -194,20 +201,19 @@ def numeric_breakpoint(
     d = _pair_geometry(amenity1, amenity2)
     contributors = tuple(scene_context) if scene_context is not None else (amenity1, amenity2)
 
-    def profile(t: float) -> float:
+    def profile(t):
         x, y = _point_between(amenity1, amenity2, t)
         return point_benefit(contributors, kernel, x, y).total
 
-    ts = [k / (resolution + 1) for k in range(resolution + 2)]
-    values = [profile(t) for t in ts]
-    k_min = min(range(len(values)), key=values.__getitem__)
-    if k_min == 0 or k_min == len(values) - 1:
+    ts = np.arange(resolution + 2) / (resolution + 1)
+    k_min = int(np.argmin(profile(ts)))  # first of equal minima
+    if k_min == 0 or k_min == len(ts) - 1:
         raise NoInteriorMinimumError(
             "benefit along the segment is lowest at an amenity, not between "
             "them; no interior breaking point"
         )
 
-    t_star = _golden_section_min(profile, ts[k_min - 1], ts[k_min + 1], tol=1e-7)
+    t_star = _golden_section_min(profile, *ts[[k_min - 1, k_min + 1]].tolist(), tol=1e-7)
     return BreakPoint(
         position=_point_between(amenity1, amenity2, t_star),
         distance_from_1=t_star * d,

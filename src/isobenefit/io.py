@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from typing import Iterable
+
+import numpy as np
 
 from .errors import SceneFormatError
 from .isolines import ContourLine, ContourSet
@@ -199,6 +202,32 @@ def write_raster_csv(raster: Raster, path: str) -> None:
     atomic_write_text(path, raster_csv_text(raster))
 
 
+def _grid_from_header(path: str, *args) -> GridSpec:
+    try:
+        return GridSpec(*args)
+    except ValueError as exc:
+        raise _format_error(path, f"bad grid header: {exc}") from None
+
+
+def _parse_cells(cells: list[str], path: str, line: int) -> np.ndarray:
+    """Float values of one line's cells; a cell that is not a finite number
+    is a format error naming the line. An array, so that the Python floats
+    of only one line are alive at a time."""
+    try:
+        values = list(map(float, cells))
+        if all(map(math.isfinite, values)):
+            return np.array(values)
+    except ValueError:
+        pass
+    for cell in cells:  # name the first culprit
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            pass
+        raise _format_error(path, f"bad value {cell.strip()!r}", line)
+
+
 def read_raster_csv(path: str) -> Raster:
     with open(path, encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle]
@@ -212,22 +241,17 @@ def read_raster_csv(path: str) -> Raster:
         origin_x, origin_y, cell_size = (float(h) for h in header[2:])
     except ValueError as exc:
         raise _format_error(path, f"bad header value: {exc}", 1) from None
-    data = [line for line in lines[1:] if line.strip()]
+    data = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(data) != nrows:
         raise _format_error(path, f"expected {nrows} data rows, got {len(data)}")
-    grid = GridSpec(origin_x, origin_y, cell_size, ncols, nrows)
-    values = [0.0] * grid.size
-    for top_offset, line in enumerate(data):
-        j = nrows - 1 - top_offset
+    grid = _grid_from_header(path, origin_x, origin_y, cell_size, ncols, nrows)
+    rows = []
+    for n, line in data:
         cells = line.split(",")
         if len(cells) != ncols:
-            raise _format_error(path, f"expected {ncols} values, got {len(cells)}", top_offset + 2)
-        for i, cell in enumerate(cells):
-            try:
-                values[j * ncols + i] = float(cell)
-            except ValueError:
-                raise _format_error(path, f"bad value {cell.strip()!r}", top_offset + 2) from None
-    return Raster(grid, values)
+            raise _format_error(path, f"expected {ncols} values, got {len(cells)}", n)
+        rows.append(_parse_cells(cells, path, n))
+    return Raster(grid, np.array(rows[::-1]))  # the file lists the top row first
 
 
 def raster_asc_text(raster: Raster) -> str:
@@ -253,18 +277,22 @@ def write_raster_asc(raster: Raster, path: str) -> None:
 
 def read_raster_asc(path: str) -> Raster:
     with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+        lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
     header: dict[str, float] = {}
     k = 0
     while k < len(lines):
-        parts = lines[k].split()
-        if len(parts) != 2 or parts[0].upper() not in (
+        n, line = lines[k]
+        parts = line.split()
+        key = parts[0].upper()
+        if len(parts) != 2 or key not in (
                 "NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE", "NODATA_VALUE"):
             break
         try:
-            header[parts[0].upper()] = float(parts[1])
+            header[key] = float(parts[1])
         except ValueError:
-            raise _format_error(path, f"bad header value in {lines[k]!r}", k + 1) from None
+            raise _format_error(path, f"bad header value in {line!r}", n) from None
+        if key in ("NCOLS", "NROWS") and not header[key].is_integer():
+            raise _format_error(path, f"{key} must be a whole number, got {parts[1]!r}", n)
         k += 1
     for key in ("NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE"):
         if key not in header:
@@ -272,31 +300,16 @@ def read_raster_asc(path: str) -> Raster:
     ncols, nrows = int(header["NCOLS"]), int(header["NROWS"])
     cell_size = header["CELLSIZE"]
     nodata = header.get("NODATA_VALUE")
-    grid = GridSpec(
-        origin_x=header["XLLCORNER"] + cell_size / 2.0,
-        origin_y=header["YLLCORNER"] + cell_size / 2.0,
-        cell_size=cell_size,
-        ncols=ncols,
-        nrows=nrows,
-    )
-    flat: list[float] = []
-    for n, line in enumerate(lines[k:], start=k + 1):
-        for cell in line.split():
-            try:
-                flat.append(float(cell))
-            except ValueError:
-                raise _format_error(path, f"bad value {cell!r}", n) from None
-    if len(flat) != grid.size:
-        raise _format_error(path, f"expected {grid.size} values, got {len(flat)}")
-    if nodata is not None and any(v == nodata for v in flat):
+    grid = _grid_from_header(path, header["XLLCORNER"] + cell_size / 2.0,
+                             header["YLLCORNER"] + cell_size / 2.0, cell_size, ncols, nrows)
+    chunks = [_parse_cells(line.split(), path, n) for n, line in lines[k:]]
+    flat = np.concatenate(chunks) if chunks else np.empty(0)
+    if flat.size != grid.size:
+        raise _format_error(path, f"expected {grid.size} values, got {flat.size}")
+    values = flat.reshape(nrows, ncols)[::-1]  # the file lists the top row first
+    if nodata is not None and (values == nodata).any():
         raise _format_error(
             path, "grid contains NODATA cells; benefit rasters must be complete")
-    values = [0.0] * grid.size
-    pos = 0
-    for j in range(nrows - 1, -1, -1):
-        for i in range(ncols):
-            values[j * ncols + i] = flat[pos]
-            pos += 1
     return Raster(grid, values)
 
 

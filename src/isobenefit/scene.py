@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -20,6 +21,12 @@ import numpy as np
 from .errors import SceneValidationError, UnknownProfileError, Violation
 
 KERNEL_FAMILIES = ("rational", "gaussian", "exponential")
+
+
+def _finite_number(value: object, positive: bool = False) -> bool:
+    """True for a finite real number (> 0 if ``positive``); bools excluded."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > 0 or not positive))
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class Kernel:
                 f"expected one of {', '.join(KERNEL_FAMILIES)}"
             )
         e = self.efficiency
-        if not (isinstance(e, (int, float)) and math.isfinite(e) and e > 0):
+        if not _finite_number(e, positive=True):
             raise ValueError(f"kernel efficiency must be finite and > 0, got {e!r}")
 
 
@@ -73,11 +80,11 @@ class GridSpec:
     nrows: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+        if not _finite_number(self.cell_size, positive=True):
             raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size!r}")
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
-        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+        if not (_finite_number(self.origin_x) and _finite_number(self.origin_y)):
             raise ValueError("grid origin must be finite")
 
     @property
@@ -164,7 +171,7 @@ class Scene:
 
 def _check_finite(code: str, subject: str, what: str, value: object,
                   out: list[Violation]) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not _finite_number(value):
         out.append(Violation(code, subject, f"{what} is not a finite number: {value!r}"))
 
 
@@ -192,12 +199,10 @@ def validate_scene(scene: Scene) -> Scene:
         _check_finite("NonFiniteValue", subject, "y", am.y, violations)
 
     for name, prof in scene.profiles.items():
-        if prof.efficiency is not None:
-            e = prof.efficiency
-            if not (isinstance(e, (int, float)) and math.isfinite(e) and e > 0):
-                violations.append(Violation(
-                    "NonPositiveEfficiency", name,
-                    f"profile efficiency must be finite and > 0, got {e!r}"))
+        if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):
+            violations.append(Violation(
+                "NonPositiveEfficiency", name,
+                f"profile efficiency must be finite and > 0, got {prof.efficiency!r}"))
         for target, value in prof.overrides.items():
             if target not in seen:
                 violations.append(Violation(

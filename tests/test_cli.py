@@ -9,6 +9,7 @@ from isobenefit import (
     Kernel,
     evaluate_field,
     extract_isolines,
+    kernel_benefit,
     load_scene,
     read_contours_geojson,
     read_raster,
@@ -179,6 +180,28 @@ def test_uniformity_all_zero_raster_fails(tmp_path, capsys):
     assert "mean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("nan.csv", "# 2,2,0.0,0.0,1.0\n1.0,2.0\n\n3.0,nan\n", ":4:"),
+    ("inf.asc", "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+                "1.0 -inf\n", ":6:"),
+    ("frac.asc", "NCOLS 2.7\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+                 "1.0 2.0\n", ":1:"),
+    ("cell.csv", "# 2,1,0.0,0.0,-1.0\n1.0,2.0\n", ": bad grid header"),
+])
+def test_bad_raster_file_is_a_named_error(tmp_path, capsys, name, text, where):
+    raster_path = tmp_path / name
+    raster_path.write_text(text)
+    assert run("uniformity", "--raster", raster_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{raster_path}{where}" in err
+
+
+def test_source_flags_error_is_shared(tmp_path, capsys):
+    for command in ("isolines", "uniformity"):
+        assert run(command, "--out", tmp_path / "x") == 1
+        assert f"error: {command} needs --scene (with --grid) or --raster" in capsys.readouterr().err
+
+
 def test_uniformity_scene_report_has_parts(tmp_path, capsys):
     scene_path = tmp_path / "mixed.json"
     scene_path.write_text(json.dumps({
@@ -334,6 +357,20 @@ def test_curve_columns_start_at_a_and_order_by_e(tmp_path):
     for col in (1, 2, 3):
         values = [row[col] for row in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+def test_curve_rows_equal_per_distance_kernel_calls(tmp_path, family):
+    out = tmp_path / "curves.csv"
+    assert run("curve", "--kernel", family, "--attractiveness", "2.5",
+               "--efficiencies", "0.3,1.7", "--dmax", "7.3", "--samples", "41",
+               "--out", out) == 0
+    kernels = [Kernel(family, 0.3), Kernel(family, 1.7)]
+    step = 7.3 / 40
+    want = ["d,E=0.3,E=1.7"] + [
+        ",".join([repr(k * step)] + [repr(kernel_benefit(2.5, k * step, kern)) for kern in kernels])
+        for k in range(41)]
+    assert out.read_text().splitlines() == want
 
 
 def test_curve_gaussian_flips_the_e_ordering(tmp_path):

@@ -239,3 +239,50 @@ def test_parts_fields_decompose_total():
                        rtol=1e-12, atol=0)
     assert (parts.positive.values > 0).all()
     assert (parts.negative.values < 0).all()
+
+
+# -- one accumulator: array queries and partitions
+
+
+MIXED = (
+    Amenity("a", -1.3, 0.4, 2.0),
+    Amenity("b", 2.0, 1.0, -0.7),
+    Amenity("z", 0.5, 0.5, 0.0),
+    Amenity("c", 0.1, -2.2, 1.1),
+)
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+def test_point_benefit_on_arrays_equals_scalar_calls_bitwise(family):
+    kernel = Kernel(family, 0.8)
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-3.0, 3.0, 12)
+    ys = rng.uniform(-3.0, 3.0, 12)
+    for x, y in ((xs, ys), (xs.reshape(3, 4), ys.reshape(3, 4)),
+                 (xs[np.newaxis, :5], ys[:4, np.newaxis])):
+        got = point_benefit(MIXED, kernel, x, y)
+        bx, by = np.broadcast_arrays(x, y)
+        assert got.total.shape == bx.shape
+        for field in ("total", "positive_part", "negative_part"):
+            want = [getattr(point_benefit(MIXED, kernel, float(px), float(py)), field)
+                    for px, py in zip(bx.ravel(), by.ravel())]
+            assert getattr(got, field).ravel().tobytes() == np.array(want).tobytes()
+
+
+def test_scalar_point_benefit_returns_floats():
+    got = point_benefit(MIXED, Kernel("rational", 1.0), 0.25, -0.5)
+    assert all(type(v) is float for v in (got.total, got.positive_part, got.negative_part))
+
+
+@settings(max_examples=25, deadline=None)
+@given(families, st.lists(st.integers(1, 10), min_size=1, max_size=4))
+def test_any_row_partition_of_the_field_is_byte_identical(family, cuts):
+    # A dyadic cell size keeps every sub-grid's cell centres exactly equal
+    # to the full grid's, so only the partition itself varies.
+    scene = Scene(amenities=MIXED)
+    kernel = Kernel(family, 0.9)
+    full = evaluate_field(scene, kernel, GridSpec(-2.0, -2.0, 0.25, 9, 11)).as_grid()
+    bounds = [0] + sorted(set(cuts)) + [11]
+    for j0, j1 in zip(bounds, bounds[1:]):
+        part = evaluate_field(scene, kernel, GridSpec(-2.0, -2.0 + j0 * 0.25, 0.25, 9, j1 - j0))
+        assert part.as_grid().tobytes() == full[j0:j1].tobytes()

@@ -230,3 +230,31 @@ def test_numeric_agrees_with_dense_sampling(a1, a2, d):
         + a2 / (1.0 + (1.0 - ts) * d / kernel.efficiency)
     dense_t = float(ts[int(np.argmin(profile))])
     assert bp.distance_from_1 / d == pytest.approx(dense_t, abs=1e-4)
+
+
+def test_coarse_samples_come_from_one_array_query(monkeypatch):
+    import isobenefit.gravity as gravity
+
+    shapes = []
+
+    def counting(amenities, kernel, x, y):
+        shapes.append(np.shape(x))
+        return point_benefit(amenities, kernel, x, y)
+
+    monkeypatch.setattr(gravity, "point_benefit", counting)
+    a = Amenity("a", 0.0, 0.0, 3.0)
+    b = Amenity("b", 5.0, 1.0, 2.0)
+    bp = numeric_breakpoint(a, b, Kernel("exponential", 1.0), resolution=101)
+    assert shapes[0] == (103,)
+    assert all(shape == () for shape in shapes[1:])  # golden-section probes
+    assert all(type(v) is float for v in (*bp.position, bp.distance_from_1,
+                                           bp.distance_from_2, bp.benefit_at_point))
+
+
+def test_subnormal_distance_does_not_overflow_the_weights():
+    # 1 / 5e-324 overflows to inf; the shares must still come out finite
+    near = Amenity("near", 0.0, 5e-324, 1.0)
+    far = Amenity("far", 0.0, 1.0, 2.0)
+    assert dict(huff_probabilities((0.0, 0.0), [near]).probabilities) == {"near": 1.0}
+    probs = huff_probabilities((0.0, 0.0), [near, far]).probabilities
+    assert probs["near"] == 1.0 and probs["far"] == 0.0

@@ -197,3 +197,15 @@ def test_scene_containers_are_immutable():
         scene.profiles["b"] = Profile("b")
     with pytest.raises(dataclasses.FrozenInstanceError):
         scene.majority = "a"
+
+
+def test_bool_is_not_a_number():
+    with pytest.raises(ValueError):
+        Kernel("rational", True)
+    with pytest.raises(ValueError):
+        GridSpec(0.0, 0.0, True, 2, 2)
+    scene = Scene(amenities=(Amenity("a", 0, 0, True),),
+                  profiles={"p": Profile("p", efficiency=False)})
+    with pytest.raises(SceneValidationError) as excinfo:
+        validate_scene(scene)
+    assert codes(excinfo) == {("NonFiniteValue", "a"), ("NonPositiveEfficiency", "p")}
