@@ -20,6 +20,7 @@ from .errors import (
     EmptyChoiceSetError,
     EmptyRasterError,
     GridTooSmallError,
+    InvalidValueError,
     IsobenefitError,
     NegativeDistanceError,
     NoFiniteRangeError,
@@ -127,6 +128,7 @@ __all__ = [
     "read_contours_geojson",
     # errors
     "IsobenefitError",
+    "InvalidValueError",
     "Violation",
     "SceneValidationError",
     "UnknownProfileError",

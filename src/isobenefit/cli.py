@@ -15,7 +15,6 @@ offending file or flag), 2 on bad command-line syntax.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -25,12 +24,14 @@ from .errors import IsobenefitError, NoInteriorMinimumError, ZeroMeanError
 from .field import evaluate_field, evaluate_field_parts, kernel_benefit
 from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
 from .indicators import UniformityResult, pgg_field, summary, uniformity
-from .io import (
+from .io import (  # noqa: F401  (perfbench/tracing.py wraps cli.atomic_write_text)
     atomic_write_text,
     load_scene,
     read_raster,
     write_contours_geojson,
+    write_json,
     write_raster,
+    write_rows,
 )
 from .isolines import extract_isolines
 from .scene import KERNEL_FAMILIES, GridSpec, Kernel, Scene
@@ -106,12 +107,6 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
                         help="preference profile to apply (default: baseline)")
 
 
-def _raster_format(out: str, explicit: str | None) -> str:
-    if explicit is not None:
-        return explicit
-    return "asc" if out.lower().endswith(".asc") else "csv"
-
-
 def _amenity_by_id(scene: Scene, ident: str, flag: str):
     for am in scene.amenities:
         if am.id == ident:
@@ -135,7 +130,7 @@ def _as_report(result) -> dict | None:
 
 def _write_report(path: str | None, report: dict) -> None:
     if path is not None:
-        atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+        write_json(path, report)
 
 
 def _parts_paths(out: str) -> tuple[str, str]:
@@ -151,17 +146,16 @@ def _parts_paths(out: str) -> tuple[str, str]:
 def _cmd_field(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
     kernel = Kernel(args.kernel, args.efficiency)
-    fmt = _raster_format(args.out, args.format)
     if args.parts:
         parts = evaluate_field_parts(scene, kernel, args.grid, profile=args.profile)
-        write_raster(parts.total, args.out, fmt)
+        write_raster(parts.total, args.out)
         pos_path, neg_path = _parts_paths(args.out)
-        write_raster(parts.positive, pos_path, fmt)
-        write_raster(parts.negative, neg_path, fmt)
+        write_raster(parts.positive, pos_path)
+        write_raster(parts.negative, neg_path)
         print(f"wrote {args.out}, {pos_path}, {neg_path}")
     else:
         raster = evaluate_field(scene, kernel, args.grid, profile=args.profile)
-        write_raster(raster, args.out, fmt)
+        write_raster(raster, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -300,8 +294,7 @@ def _cmd_pgg(args: argparse.Namespace) -> int:
     kernel = Kernel(args.kernel, args.efficiency)
     raster = pgg_field(scene, kernel, args.grid, person=args.person,
                        majority=args.majority)
-    fmt = _raster_format(args.out, args.format)
-    write_raster(raster, args.out, fmt)
+    write_raster(raster, args.out)
     stats = summary(raster)
     gains = int((raster.values > 0).sum())
     losses = int((raster.values < 0).sum())
@@ -328,11 +321,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise IsobenefitError(f"--samples must be >= 2, got {args.samples}")
     kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
     distances = np.arange(args.samples) * (args.dmax / (args.samples - 1))
-    columns = [distances.tolist()] + [
-        kernel_benefit(args.attractiveness, distances, kern).tolist() for kern in kernels]
-    header = ["d"] + [f"E={e!r}" for e in args.efficiencies]
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    curves = [kernel_benefit(args.attractiveness, distances, kern) for kern in kernels]
+    header = ",".join(["d"] + [f"E={e!r}" for e in args.efficiencies])
+    write_rows(args.out, [header], np.column_stack([distances, *curves]))
     print(f"wrote {args.out} ({args.samples} rows, {len(kernels)} curves)")
     return 0
 
@@ -376,9 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p)
     _add_grid_flag(p)
     _add_profile_flag(p)
-    p.add_argument("--out", required=True, metavar="PATH", help="output raster file")
-    p.add_argument("--format", choices=("csv", "asc"), default=None,
-                   help="raster format (default: by extension)")
+    p.add_argument("--out", required=True, metavar="PATH",
+                   help="output raster file (.asc: ESRI ASCII, else CSV)")
     p.add_argument("--parts", action="store_true",
                    help="also write _positive/_negative companion rasters")
     p.set_defaults(func=_cmd_field)
@@ -436,9 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="profile whose gains to map")
     p.add_argument("--majority", default=None, metavar="NAME",
                    help="majority profile (default: the scene's, else baseline)")
-    p.add_argument("--out", required=True, metavar="PATH", help="output raster file")
-    p.add_argument("--format", choices=("csv", "asc"), default=None,
-                   help="raster format (default: by extension)")
+    p.add_argument("--out", required=True, metavar="PATH",
+                   help="output raster file (.asc: ESRI ASCII, else CSV)")
     p.add_argument("--report", default=None, metavar="PATH", help="JSON summary file")
     p.set_defaults(func=_cmd_pgg)
 
@@ -497,10 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_minus_values(raw))
     try:
         return args.func(args)
-    except IsobenefitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IsobenefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

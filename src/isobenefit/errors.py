@@ -42,6 +42,12 @@ class SceneValidationError(IsobenefitError):
         )
 
 
+class InvalidValueError(IsobenefitError, ValueError):
+    """A value is out of range or not finite: a bad argument (kernel
+    efficiency, grid, contour levels, ...), or a result that cannot be
+    represented (an overflowed raster, a non-finite number bound for JSON)."""
+
+
 class UnknownProfileError(IsobenefitError):
     """A profile name does not exist in the scene."""
 

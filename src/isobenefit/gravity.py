@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     CoincidentAmenitiesError,
     EmptyChoiceSetError,
+    InvalidValueError,
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
@@ -86,6 +87,11 @@ def huff_probabilities(
     if len(amenities) == 0:
         raise EmptyChoiceSetError("huff probabilities need at least one amenity")
     ox, oy = float(origin[0]), float(origin[1])
+    g = float(distance_exponent)
+    if not (math.isfinite(ox) and math.isfinite(oy)):
+        raise InvalidValueError(f"origin must be finite, got {origin!r}")
+    if not math.isfinite(g):
+        raise InvalidValueError(f"distance exponent must be finite, got {distance_exponent!r}")
     distances: list[float] = []
     for am in amenities:
         if not am.attractiveness > 0:
@@ -99,14 +105,21 @@ def huff_probabilities(
                 f"origin {origin!r} coincides with amenity {am.id!r}"
             )
         distances.append(d)
-    weights = [am.attractiveness / d ** distance_exponent
-               for am, d in zip(amenities, distances)]
-    if not math.isfinite(sum(weights)):
-        # A/d overflowed at a tiny distance; measuring every distance in
-        # units of the nearest one leaves the shares unchanged
-        near = min(distances)
-        weights = [am.attractiveness / (d / near) ** distance_exponent
-                   for am, d in zip(amenities, distances)]
+    try:
+        weights = [am.attractiveness / d ** g for am, d in zip(amenities, distances)]
+        if not 0.0 < sum(weights) < math.inf:
+            raise OverflowError("every weight underflowed, or their sum overflowed")
+    except (ZeroDivisionError, OverflowError):
+        # d ** g or A / d ** g left the float range at an extreme distance:
+        # take the weights in log form, shifted so that the largest is 1
+        logs = [math.log(am.attractiveness) - g * math.log(d)
+                for am, d in zip(amenities, distances)]
+        top = max(logs)
+        if not math.isfinite(top):
+            raise InvalidValueError(
+                f"Huff weights overflow even in log form (distance exponent {g!r})"
+            ) from None
+        weights = [math.exp(v - top) for v in logs]
     total = sum(weights)
     return HuffResult(probabilities={
         am.id: w / total for am, w in zip(amenities, weights)
@@ -197,7 +210,7 @@ def numeric_breakpoint(
     amenities contribute.
     """
     if resolution < 3:
-        raise ValueError(f"resolution must be >= 3, got {resolution}")
+        raise InvalidValueError(f"resolution must be >= 3, got {resolution}")
     d = _pair_geometry(amenity1, amenity2)
     contributors = tuple(scene_context) if scene_context is not None else (amenity1, amenity2)
 

@@ -3,7 +3,9 @@
 All writers are atomic (write to a temp file, then rename into place), so a
 failing run never leaves a partial output file behind. Floats are written
 in shortest round-trip form, which makes every format lossless for double
-precision and byte-for-byte deterministic.
+precision and byte-for-byte deterministic. Float tables (raster rows,
+decay curves) go through :func:`write_rows`, JSON documents (reports,
+contours) through :func:`write_json`, which refuses non-finite numbers.
 
 Formats:
 
@@ -12,9 +14,11 @@ Formats:
 * Scene CSV: header ``id,x,y,A`` then one amenity per row (no profiles).
 * Raster CSV: first line ``# ncols,nrows,origin_x,origin_y,cell_size``,
   then nrows comma-separated data lines, top row first.
-* ESRI ASCII grid (.asc): the usual six-line header; since grid origins are
-  cell centers, XLLCORNER sits half a cell below/left of the origin. The
-  NODATA value is declared but never emitted, and rejected on read.
+* ESRI ASCII grid: any raster path ending in ``.asc`` (any case), on write
+  as on read; every other raster path is raster CSV. The usual six-line
+  header; since grid origins are cell centers, XLLCORNER sits half a cell
+  below/left of the origin. The NODATA value is declared but never emitted,
+  and rejected on read.
 * Contours: GeoJSON FeatureCollection of LineStrings with ``level`` and
   ``closed`` properties; closed rings repeat their first coordinate in the
   GeoJSON only. Coordinates are scene-local planar x,y (see ``crs_note``).
@@ -31,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import SceneFormatError
+from .errors import InvalidValueError, SceneFormatError
 from .isolines import ContourLine, ContourSet
 from .scene import Amenity, GridSpec, Profile, Raster, Scene, validate_scene
 
@@ -46,6 +50,8 @@ __all__ = [
     "contours_to_geojson",
     "write_contours_geojson",
     "read_contours_geojson",
+    "write_rows",
+    "write_json",
     "atomic_write_text",
 ]
 
@@ -58,7 +64,10 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically: temp file in the same directory,
     then rename over the target. Unix newlines regardless of platform."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:  # name the target, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
@@ -69,6 +78,27 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_rows(path: str, header_lines: Iterable[str], table: np.ndarray,
+               sep: str = ",") -> None:
+    """Write the header lines, then one line per row of the 2-D float
+    ``table``: its values in shortest round-trip form, joined by ``sep``."""
+    lines = list(header_lines)
+    # one row at a time, so that only one row's Python floats are alive
+    lines.extend(sep.join(map(repr, row.tolist())) for row in table)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_json(path: str, doc: object) -> None:
+    """Write ``doc`` as indented JSON; a non-finite number is an error,
+    since JSON has no spelling for it."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise InvalidValueError(
+            f"{path}: JSON cannot hold a non-finite number (did a sum overflow?)") from None
+    atomic_write_text(path, text + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -187,19 +217,12 @@ def load_scene(path: str) -> Scene:
 # ---------------------------------------------------------------- rasters
 
 
-def raster_csv_text(raster: Raster) -> str:
-    grid = raster.grid
-    lines = ["# {},{},{},{},{}".format(
-        grid.ncols, grid.nrows, _fmt(grid.origin_x), _fmt(grid.origin_y),
-        _fmt(grid.cell_size))]
-    as_grid = raster.as_grid()
-    for j in range(grid.nrows - 1, -1, -1):  # top row first
-        lines.append(",".join(_fmt(v) for v in as_grid[j]))
-    return "\n".join(lines) + "\n"
-
-
 def write_raster_csv(raster: Raster, path: str) -> None:
-    atomic_write_text(path, raster_csv_text(raster))
+    grid = raster.grid
+    header = "# {},{},{},{},{}".format(
+        grid.ncols, grid.nrows, _fmt(grid.origin_x), _fmt(grid.origin_y),
+        _fmt(grid.cell_size))
+    write_rows(path, [header], raster.as_grid()[::-1])  # top row first
 
 
 def _grid_from_header(path: str, *args) -> GridSpec:
@@ -254,10 +277,10 @@ def read_raster_csv(path: str) -> Raster:
     return Raster(grid, np.array(rows[::-1]))  # the file lists the top row first
 
 
-def raster_asc_text(raster: Raster) -> str:
+def write_raster_asc(raster: Raster, path: str) -> None:
     grid = raster.grid
     half = grid.cell_size / 2.0
-    lines = [
+    header = [
         f"NCOLS {grid.ncols}",
         f"NROWS {grid.nrows}",
         f"XLLCORNER {_fmt(grid.origin_x - half)}",
@@ -265,14 +288,7 @@ def raster_asc_text(raster: Raster) -> str:
         f"CELLSIZE {_fmt(grid.cell_size)}",
         f"NODATA_VALUE {_fmt(ASC_NODATA)}",
     ]
-    as_grid = raster.as_grid()
-    for j in range(grid.nrows - 1, -1, -1):
-        lines.append(" ".join(_fmt(v) for v in as_grid[j]))
-    return "\n".join(lines) + "\n"
-
-
-def write_raster_asc(raster: Raster, path: str) -> None:
-    atomic_write_text(path, raster_asc_text(raster))
+    write_rows(path, header, raster.as_grid()[::-1], sep=" ")
 
 
 def read_raster_asc(path: str) -> Raster:
@@ -313,21 +329,18 @@ def read_raster_asc(path: str) -> Raster:
     return Raster(grid, values)
 
 
-def write_raster(raster: Raster, path: str, fmt: str = "csv") -> None:
-    """Write a raster as ``csv`` or ``asc``."""
-    if fmt == "csv":
-        write_raster_csv(raster, path)
-    elif fmt == "asc":
-        write_raster_asc(raster, path)
-    else:
-        raise ValueError(f"unknown raster format {fmt!r}; expected csv or asc")
+def _is_asc(path: str) -> bool:
+    return path.lower().endswith(".asc")
+
+
+def write_raster(raster: Raster, path: str) -> None:
+    """Write a raster, picking the format from the extension (.asc vs CSV)."""
+    (write_raster_asc if _is_asc(path) else write_raster_csv)(raster, path)
 
 
 def read_raster(path: str) -> Raster:
     """Read a raster, picking the format from the extension (.asc vs CSV)."""
-    if path.lower().endswith(".asc"):
-        return read_raster_asc(path)
-    return read_raster_csv(path)
+    return (read_raster_asc if _is_asc(path) else read_raster_csv)(path)
 
 
 # ---------------------------------------------------------------- contours
@@ -353,8 +366,7 @@ def contours_to_geojson(contours: ContourSet) -> dict:
 
 
 def write_contours_geojson(contours: ContourSet, path: str) -> None:
-    text = json.dumps(contours_to_geojson(contours), indent=2)
-    atomic_write_text(path, text + "\n")
+    write_json(path, contours_to_geojson(contours))
 
 
 def read_contours_geojson(path: str) -> ContourSet:
@@ -374,7 +386,11 @@ def read_contours_geojson(path: str) -> ContourSet:
         properties = feature.get("properties") or {}
         level = _require_number(properties.get("level"), f"feature #{k} level", path)
         closed = bool(properties.get("closed", False))
-        points = [(float(x), float(y)) for x, y in geometry["coordinates"]]
+        try:
+            points = [(float(x), float(y)) for x, y in geometry.get("coordinates")]
+        except (TypeError, ValueError):
+            raise _format_error(
+                path, f"feature #{k}: coordinates must be [x, y] number pairs") from None
         if closed and len(points) > 1 and points[0] == points[-1]:
             points.pop()  # undo the GeoJSON ring closure
         lines.append(ContourLine(level=level, points=tuple(points), closed=closed))

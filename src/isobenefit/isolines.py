@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, NoFiniteRangeError
+from .errors import GridTooSmallError, InvalidValueError, NoFiniteRangeError
 from .scene import Raster
 
 __all__ = ["ContourLine", "ContourSet", "extract_isolines"]
@@ -204,10 +204,10 @@ def extract_isolines(
     vmax = float(V.max())
 
     if (levels is None) == (nlevels is None):
-        raise ValueError("pass exactly one of levels= or nlevels=")
+        raise InvalidValueError("pass exactly one of levels= or nlevels=")
     if nlevels is not None:
         if nlevels < 1:
-            raise ValueError(f"nlevels must be >= 1, got {nlevels}")
+            raise InvalidValueError(f"nlevels must be >= 1, got {nlevels}")
         if vmin == vmax:
             raise NoFiniteRangeError(
                 f"raster is constant at {vmin}; evenly spaced levels are undefined"
@@ -216,7 +216,7 @@ def extract_isolines(
     else:
         level_list = [float(v) for v in levels]
         if not all(np.isfinite(level_list)):
-            raise ValueError(f"levels must be finite, got {level_list}")
+            raise InvalidValueError(f"levels must be finite, got {level_list}")
         if vmin == vmax and any(lv == vmin for lv in level_list):
             warnings.warn(
                 f"raster is constant at {vmin}; a plateau has no contour line",

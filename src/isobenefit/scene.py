@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SceneValidationError, UnknownProfileError, Violation
+from .errors import InvalidValueError, SceneValidationError, UnknownProfileError, Violation
 
 KERNEL_FAMILIES = ("rational", "gaussian", "exponential")
 
@@ -58,13 +58,13 @@ class Kernel:
 
     def __post_init__(self) -> None:
         if self.family not in KERNEL_FAMILIES:
-            raise ValueError(
+            raise InvalidValueError(
                 f"unknown kernel family {self.family!r}; "
                 f"expected one of {', '.join(KERNEL_FAMILIES)}"
             )
         e = self.efficiency
         if not _finite_number(e, positive=True):
-            raise ValueError(f"kernel efficiency must be finite and > 0, got {e!r}")
+            raise InvalidValueError(f"kernel efficiency must be finite and > 0, got {e!r}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not _finite_number(self.cell_size, positive=True):
-            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size!r}")
+            raise InvalidValueError(f"cell_size must be finite and > 0, got {self.cell_size!r}")
         if self.ncols < 1 or self.nrows < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+            raise InvalidValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         if not (_finite_number(self.origin_x) and _finite_number(self.origin_y)):
-            raise ValueError("grid origin must be finite")
+            raise InvalidValueError("grid origin must be finite")
 
     @property
     def size(self) -> int:
@@ -120,12 +120,12 @@ class Raster:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size != self.grid.size:
-            raise ValueError(
+            raise InvalidValueError(
                 f"raster has {v.size} values but grid is "
                 f"{self.grid.ncols}x{self.grid.nrows} = {self.grid.size} cells"
             )
         if not np.isfinite(v).all():
-            raise ValueError("raster values must all be finite")
+            raise InvalidValueError("raster values must all be finite")
         v = v.copy()  # decouple from the caller's buffer before freezing
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

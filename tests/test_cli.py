@@ -74,10 +74,17 @@ def test_field_peak_cell_equals_attractiveness(tmp_path, one_amenity):
 def test_field_asc_format_matches_grid(tmp_path, one_amenity):
     out = tmp_path / "field.asc"
     assert run("field", "--scene", one_amenity, "--grid", "-2,-2,1,5,4",
-               "--out", out, "--format", "asc") == 0
+               "--out", out) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "NCOLS 5"
     assert lines[1] == "NROWS 4"
+
+
+def test_field_format_flag_is_gone(tmp_path, one_amenity):
+    with pytest.raises(SystemExit) as excinfo:
+        run("field", "--scene", one_amenity, "--grid", "-2,-2,1,5,4",
+            "--out", tmp_path / "field.csv", "--format", "asc")
+    assert excinfo.value.code == 2
 
 
 def test_field_profile_matches_library(tmp_path, profiled):
@@ -305,6 +312,24 @@ def test_huff_origin_on_amenity_fails(pair, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent, shares", [
+    ("2", {"near": 1.0, "far": 0.0}),    # 1e-200 ** 2 underflows to 0
+    ("-2", {"near": 0.0, "far": 1.0}),   # 1e-200 ** -2 overflows
+])
+def test_huff_extreme_distance_exponent(tmp_path, exponent, shares):
+    scene_path = tmp_path / "tiny.json"
+    scene_path.write_text(json.dumps({
+        "amenities": [
+            {"id": "near", "x": 0, "y": 1e-200, "A": 1},
+            {"id": "far", "x": 0, "y": 1, "A": 1},
+        ],
+    }))
+    report = tmp_path / "huff.json"
+    assert run("huff", "--scene", scene_path, "--origin", "0,0",
+               "--distance-exponent", exponent, "--out", report) == 0
+    assert json.loads(report.read_text())["probabilities"] == shares
+
+
 # -- pgg
 
 
@@ -410,6 +435,52 @@ def test_sweep_reports_one_row_per_e(tmp_path, profiled, capsys):
 
 
 # -- plumbing
+
+
+@pytest.mark.parametrize("argv", [
+    "field --scene SCENE --efficiency 0 --grid 0,0,1,3,3 --out f.csv",
+    "field --scene SCENE --efficiency -1 --grid 0,0,1,3,3 --out f.csv",
+    "field --scene SCENE --efficiency nan --grid 0,0,1,3,3 --out f.csv",
+    "uniformity --scene SCENE --efficiency 0 --grid 0,0,1,3,3",
+    "pgg --scene SCENE --efficiency 0 --grid 0,0,1,3,3 --person alice --out g.csv",
+    "breakpoint --scene SCENE --efficiency nan --pair park,shop",
+    "breakpoint --scene SCENE --resolution 2 --pair park,shop",
+    "sweep --scene SCENE --efficiencies 0 --grid 0,0,1,3,3",
+    "curve --efficiencies 0 --out c.csv",
+    "isolines --scene SCENE --grid 0,0,1,3,3 --nlevels 0 --out l.geojson",
+    "isolines --scene SCENE --grid 0,0,1,3,3 --levels nan --out l.geojson",
+    "field --scene HUGE --grid 0,0,1,2,2 --out f.csv",  # the field overflows
+])
+def test_bad_argument_is_a_named_error(tmp_path, monkeypatch, capsys, profiled, argv):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "amenities": [
+            {"id": "a", "x": 0, "y": 0, "A": 1e308},
+            {"id": "b", "x": 0, "y": 0, "A": 1e308},
+        ],
+    }))
+    monkeypatch.chdir(tmp_path)
+    paths = {"SCENE": str(profiled), "HUGE": str(huge)}
+    assert run(*(paths.get(token, token) for token in argv.split())) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "profiled.json"]
+
+
+def test_non_finite_report_is_a_named_error(tmp_path, capsys):
+    raster_path = tmp_path / "huge.csv"
+    raster_path.write_text("# 2,1,0.0,0.0,1.0\n1e308,1e308\n")
+    report = tmp_path / "u.json"
+    assert run("uniformity", "--raster", raster_path, "--out", report) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(report) in err
+    assert not report.exists()
+
+
+def test_missing_output_directory_names_the_target(tmp_path, capsys, one_amenity):
+    out = tmp_path / "missing" / "field.csv"
+    assert run("field", "--scene", one_amenity, "--grid", "0,0,1,2,2", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp-" not in err
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isobenefit import (
     Amenity,
     CoincidentAmenitiesError,
     EmptyChoiceSetError,
+    InvalidValueError,
     Kernel,
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
@@ -71,13 +72,19 @@ coordinate = st.floats(-50, 50)
                 min_size=1, max_size=10),
        coordinate, coordinate)
 @settings(max_examples=150)
+@example(entries=[(0.0, 1.0, 1.0), (0.0, 2.225073858507e-311, 1.0)], ox=0.0, oy=0.0)
 def test_probabilities_sum_to_one(entries, ox, oy):
     amenities = [Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(entries)]
-    if any(math.hypot(ox - am.x, oy - am.y) == 0.0 for am in amenities):
+    distances = [math.hypot(ox - am.x, oy - am.y) for am in amenities]
+    if 0.0 in distances:
         return
     probs = huff_probabilities((ox, oy), amenities).probabilities
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(p > 0 for p in probs.values())
+    # a share may truly underflow below 5e-324, but never the largest one
+    assert all(p >= 0 for p in probs.values())
+    best = max(zip(amenities, distances),
+               key=lambda pair: math.log(pair[0].attractiveness) - math.log(pair[1]))
+    assert probs[best[0].id] > 0
 
 
 @given(st.floats(0.1, 10), st.floats(0.1, 10), st.floats(0.25, 4))
@@ -257,4 +264,34 @@ def test_subnormal_distance_does_not_overflow_the_weights():
     far = Amenity("far", 0.0, 1.0, 2.0)
     assert dict(huff_probabilities((0.0, 0.0), [near]).probabilities) == {"near": 1.0}
     probs = huff_probabilities((0.0, 0.0), [near, far]).probabilities
-    assert probs["near"] == 1.0 and probs["far"] == 0.0
+    # the far share, 2 * 5e-324, is itself subnormal but representable
+    assert probs["near"] == 1.0 and probs["far"] == 1e-323
+
+
+@pytest.mark.parametrize("near, far, exponent, near_share", [
+    ((1e-200, 1.0), (1.0, 1.0), 2.0, 1.0),       # d ** 2 underflows to 0
+    ((1e-200, 1.0), (1.0, 1.0), -2.0, 0.0),      # d ** -2 overflows
+    ((1.0, 1.0), (1e200, 1.0), 2.0, 1.0),        # the far d ** 2 overflows
+    ((1e-308, 1.0), (1.0, 1e308), 1.0, 0.5),     # the sum of weights overflows
+    ((1e300, 1e-30), (1.5e300, 1e-30), 1.0, 0.6),  # every weight underflows
+])
+def test_extreme_distances_fall_back_to_log_weights(near, far, exponent, near_share):
+    amenities = [Amenity("near", 0.0, *near), Amenity("far", 0.0, *far)]
+    probs = huff_probabilities((0.0, 0.0), amenities,
+                               distance_exponent=exponent).probabilities
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-15)
+    assert probs["near"] == pytest.approx(near_share, abs=1e-12)
+
+
+def test_plain_weights_keep_their_bits():
+    amenities = [Amenity("a", 1.0, 2.0, 3.0), Amenity("b", -4.0, 0.5, 1.5)]
+    weights = [3.0 / math.hypot(1.0, 2.0) ** 2.0, 1.5 / math.hypot(-4.0, 0.5) ** 2.0]
+    probs = huff_probabilities((0.0, 0.0), amenities, distance_exponent=2.0).probabilities
+    assert list(probs.values()) == [w / sum(weights) for w in weights]
+
+
+@pytest.mark.parametrize("origin, exponent", [
+    ((math.nan, 0.0), 1.0), ((0.0, math.inf), 1.0), ((0.0, 0.0), math.nan)])
+def test_non_finite_huff_arguments_rejected(origin, exponent):
+    with pytest.raises(InvalidValueError):
+        huff_probabilities(origin, [Amenity("a", 1.0, 1.0, 1.0)], distance_exponent=exponent)

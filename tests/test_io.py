@@ -1,8 +1,12 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isobenefit import (
     Amenity,
@@ -18,9 +22,11 @@ from isobenefit import (
     read_raster_asc,
     read_raster_csv,
     write_contours_geojson,
+    write_raster,
     write_raster_asc,
     write_raster_csv,
 )
+from isobenefit.io import write_rows
 
 
 def write(path, text):
@@ -192,6 +198,40 @@ def test_read_raster_picks_format_by_extension(tmp_path):
     assert np.array_equal(read_raster(csv_path).values, read_raster(asc_path).values)
 
 
+@pytest.mark.parametrize("name", ["r.csv", "r.asc", "r.ASC", "r.txt"])
+def test_write_raster_round_trips_by_extension(tmp_path, name):
+    original = sample_raster()
+    path = str(tmp_path / name)
+    write_raster(original, path)
+    back = read_raster(path)
+    assert back.grid == original.grid
+    assert np.array_equal(back.values, original.values)
+    is_asc = name.lower().endswith(".asc")
+    assert (tmp_path / name).read_text().startswith("NCOLS" if is_asc else "#")
+
+
+def test_write_raster_has_no_format_parameter():
+    assert list(inspect.signature(write_raster).parameters) == ["raster", "path"]
+
+
+# -- float tables
+
+special_floats = st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    1.0, -3.0, 1e16, 0.1])
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | special_floats),
+       st.sampled_from([",", " "]))
+def test_write_rows_matches_per_cell_repr(tmp_path_factory, table, sep):
+    path = tmp_path_factory.mktemp("rows") / "t.txt"
+    write_rows(str(path), ["head 1", "head 2"], table, sep=sep)
+    want = ["head 1", "head 2"] + [sep.join(repr(float(v)) for v in row) for row in table]
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
 # -- contour GeoJSON
 
 
@@ -236,6 +276,19 @@ def test_geojson_preserves_lineless_levels(tmp_path):
     original = ContourSet(levels=(7.0,), lines=())
     write_contours_geojson(original, path)
     assert read_contours_geojson(path) == original
+
+
+def test_geojson_short_coordinate_names_the_feature(tmp_path):
+    path = write(tmp_path / "short.geojson", json.dumps({
+        "type": "FeatureCollection",
+        "features": [{
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[0.0, 1.0], [2.0]]},
+            "properties": {"level": 1.0, "closed": False},
+        }],
+    }))
+    with pytest.raises(SceneFormatError, match=r"short\.geojson: feature #0"):
+        read_contours_geojson(path)
 
 
 def test_atomic_write_replaces_existing_content(tmp_path):

@@ -1,11 +1,18 @@
-"""The benchmark's tracer wraps package names by module attribute; every
-name it wraps must exist, or traced benchmark rounds fail."""
+"""Checks that tie the package to files outside it: the benchmark's tracer
+wraps package names by module attribute, so every name it wraps must exist,
+or traced benchmark rounds fail; and every CLI example in the README must
+still parse."""
 
 import importlib
 import importlib.util
 import pathlib
+import re
+import shlex
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from isobenefit import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_traced_name_resolves():
@@ -16,3 +23,14 @@ def test_every_traced_name_resolves():
     for module_name, attr, _span, _measure in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             f"{module_name}.{attr}"
+
+
+def test_readme_cli_examples_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    examples = [line for block in blocks for line in block.splitlines()
+                if line.startswith("isobenefit ")]
+    assert len(examples) >= 10
+    parser = cli._build_parser()
+    for line in examples:
+        args = parser.parse_args(cli._join_minus_values(shlex.split(line)[1:]))
+        assert args.func is not None, line
