@@ -29,6 +29,7 @@ from .errors import (
     OriginOnAmenityError,
     SceneFormatError,
     SceneValidationError,
+    SumOverflowError,
     UnknownProfileError,
     Violation,
     ZeroMeanError,
@@ -69,6 +70,7 @@ from .io import (
 from .isolines import ContourLine, ContourSet, extract_isolines
 from .scene import (
     KERNEL_FAMILIES,
+    MAX_GRID_CELLS,
     Amenity,
     GridSpec,
     Kernel,
@@ -85,6 +87,7 @@ __all__ = [
     "__version__",
     # scene
     "KERNEL_FAMILIES",
+    "MAX_GRID_CELLS",
     "Amenity",
     "Kernel",
     "GridSpec",
@@ -129,6 +132,7 @@ __all__ = [
     # errors
     "IsobenefitError",
     "InvalidValueError",
+    "SumOverflowError",
     "Violation",
     "SceneValidationError",
     "UnknownProfileError",

@@ -20,7 +20,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import IsobenefitError, NoInteriorMinimumError, ZeroMeanError
+from .errors import (
+    InvalidValueError,
+    IsobenefitError,
+    NoInteriorMinimumError,
+    SumOverflowError,
+    ZeroMeanError,
+)
 from .field import evaluate_field, evaluate_field_parts, kernel_benefit
 from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
 from .indicators import UniformityResult, pgg_field, summary, uniformity
@@ -42,17 +48,24 @@ __all__ = ["main"]
 # ------------------------------------------------------------- flag parsing
 
 
-def _grid_arg(text: str) -> GridSpec:
+def _grid_arg(text: str) -> tuple:
+    """The five numbers of --grid; :func:`_grid_spec` checks their values."""
     parts = text.split(",")
     if len(parts) != 5:
         raise argparse.ArgumentTypeError(
             f"expected x0,y0,cell,ncols,nrows, got {text!r}")
     try:
-        return GridSpec(
-            origin_x=float(parts[0]), origin_y=float(parts[1]),
-            cell_size=float(parts[2]), ncols=int(parts[3]), nrows=int(parts[4]))
+        return (float(parts[0]), float(parts[1]), float(parts[2]),
+                int(parts[3]), int(parts[4]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _grid_spec(numbers: tuple) -> GridSpec:
+    try:
+        return GridSpec(*numbers)
+    except InvalidValueError as exc:
+        raise InvalidValueError(f"--grid: {exc}") from None
 
 
 def _floats_arg(text: str) -> list[float]:
@@ -485,7 +498,13 @@ def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_minus_values(raw))
     try:
+        if getattr(args, "grid", None) is not None:
+            args.grid = _grid_spec(args.grid)
         return args.func(args)
+    except SumOverflowError as exc:
+        source = getattr(args, "raster", None) or getattr(args, "scene", None)
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        return 1
     except (IsobenefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

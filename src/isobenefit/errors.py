@@ -48,6 +48,11 @@ class InvalidValueError(IsobenefitError, ValueError):
     represented (an overflowed raster, a non-finite number bound for JSON)."""
 
 
+class SumOverflowError(InvalidValueError):
+    """A sum of benefits left the float range: a field's sum over its
+    amenities, or a raster's total, mean or standard deviation."""
+
+
 class UnknownProfileError(IsobenefitError):
     """A profile name does not exist in the scene."""
 

@@ -18,9 +18,24 @@ kept exactly as stated above; do not port an E value across families.
 One accumulator serves every caller: it adds the amenities' contributions
 in index order, in double precision, over the broadcast of the sample
 coordinates (a grid's x row against its y column, or point coordinates).
+
+Per amenity it forms the offsets dx = x - x_i and dy = y - y_i (on a grid
+still a 1-D row and column) and the squared distance dx*dx + dy*dy in the
+broadcast shape, and evaluates the kernel from that: the rational and
+exponential forms take its square root, the gaussian uses it as it is. The
+squared form is used only when every sample and amenity coordinate has
+magnitude <= 2**499 and 2**-400 <= E <= 2**400: there the square cannot
+overflow, and a distance whose square underflows is too small to move any
+kernel by an ulp. Outside that range the call falls back to np.hypot
+distances. The choice is made once per call from its inputs, so every
+sample of one call sees the same arithmetic.
+
 Each sample sees the same additions in the same order however samples are
 grouped, so identical inputs give bit-identical values for any grid
-partition and for points queried one by one or as arrays.
+partition and for points queried one by one or as arrays (as long as the
+partitions or points all fall on the same side of the range guard). The
+squared form differs from exact hypot distances by at most an ulp or two
+per term, well inside the 1e-12 relative tolerance of the kernel forms.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDistanceError
+from .errors import NegativeDistanceError, SumOverflowError
 from .scene import GridSpec, Kernel, Raster, Scene, resolve_profile
 
 __all__ = [
@@ -75,6 +90,30 @@ def _kernel_values(attractiveness: float, d, kernel: Kernel):
     return attractiveness * np.exp(-kernel.efficiency * d)
 
 
+def _kernel_values_squared(attractiveness: float, d2, kernel: Kernel):
+    # d2: squared distances, from inside the range guard of _squared_form_applies
+    if kernel.family == "rational":
+        return attractiveness / (1.0 + np.sqrt(d2) / kernel.efficiency)
+    if kernel.family == "gaussian":
+        return attractiveness * np.exp(-kernel.efficiency * d2)
+    return attractiveness * np.exp(-kernel.efficiency * np.sqrt(d2))
+
+
+# Range guard of the squared form (see the module docstring).
+_SQUARED_MAX_COORDINATE = 2.0 ** 499
+_SQUARED_MIN_EFFICIENCY = 2.0 ** -400
+_SQUARED_MAX_EFFICIENCY = 2.0 ** 400
+
+
+def _squared_form_applies(amenities, kernel: Kernel, x, y) -> bool:
+    # every test is written as "<=" so that a NaN coordinate takes the hypot form
+    limit = _SQUARED_MAX_COORDINATE
+    return (_SQUARED_MIN_EFFICIENCY <= kernel.efficiency <= _SQUARED_MAX_EFFICIENCY
+            and np.max(np.abs(x), initial=0.0) <= limit
+            and np.max(np.abs(y), initial=0.0) <= limit
+            and all(abs(am.x) <= limit and abs(am.y) <= limit for am in amenities))
+
+
 def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     """Benefit from a single amenity at the given distance(s).
 
@@ -98,14 +137,22 @@ def _benefit_sums(amenities, kernel: Kernel, x, y, split: bool):
     total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
     pos = np.zeros_like(total) if split else None
     neg = np.zeros_like(total) if split else None
-    for am in amenities:
-        a = float(am.attractiveness)
-        contrib = _kernel_values(a, np.hypot(x - am.x, y - am.y), kernel)
-        total += contrib
-        if split and a > 0:
-            pos += contrib
-        elif split and a < 0:
-            neg += contrib
+    squared = _squared_form_applies(amenities, kernel, x, y)
+    # an overflowing sum is reported by the caller, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for am in amenities:
+            a = float(am.attractiveness)
+            dx = x - am.x
+            dy = y - am.y
+            if squared:
+                contrib = _kernel_values_squared(a, dx * dx + dy * dy, kernel)
+            else:
+                contrib = _kernel_values(a, np.hypot(dx, dy), kernel)
+            total += contrib
+            if split and a > 0:
+                pos += contrib
+            elif split and a < 0:
+                neg += contrib
     return total, pos, neg
 
 
@@ -127,8 +174,13 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
 def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     amenities, kern = resolve_profile(scene, kernel, profile)
-    return _benefit_sums(amenities, kern, grid.x_coords()[np.newaxis, :],
+    sums = _benefit_sums(amenities, kern, grid.x_coords()[np.newaxis, :],
                          grid.y_coords()[:, np.newaxis], split)
+    if not all(np.isfinite(s).all() for s in sums if s is not None):
+        raise SumOverflowError(
+            f"the benefit sum over {len(amenities)} amenities overflowed the "
+            f"float range on a {grid.ncols}x{grid.nrows} grid")
+    return sums
 
 
 def evaluate_field(

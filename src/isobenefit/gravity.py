@@ -28,6 +28,7 @@ from .errors import (
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
+    SumOverflowError,
 )
 from .field import point_benefit
 from .scene import Amenity, Kernel
@@ -219,7 +220,12 @@ def numeric_breakpoint(
         return point_benefit(contributors, kernel, x, y).total
 
     ts = np.arange(resolution + 2) / (resolution + 1)
-    k_min = int(np.argmin(profile(ts)))  # first of equal minima
+    coarse = profile(ts)
+    k_min = int(np.argmin(coarse))  # first of equal minima (or the first NaN)
+    if not math.isfinite(coarse[k_min]):
+        raise SumOverflowError(
+            f"the benefit sum over {len(contributors)} amenities overflowed the "
+            f"float range along the segment")
     if k_min == 0 or k_min == len(ts) - 1:
         raise NoInteriorMinimumError(
             "benefit along the segment is lowest at an amenity, not between "

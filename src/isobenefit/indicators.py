@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRasterError, ZeroMeanError
+from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
 from .field import evaluate_field
-from .scene import GridSpec, Kernel, Raster, Scene
+from .scene import GridSpec, Kernel, Raster, Scene, resolve_profile
 
 __all__ = [
     "SummaryStats",
@@ -65,6 +65,14 @@ def _values(raster) -> np.ndarray:
     return np.asarray(raster, dtype=float).reshape(-1)
 
 
+def _finite(name: str, value: float, count: int) -> float:
+    if not np.isfinite(value):
+        raise SumOverflowError(
+            f"the {name} of {count} cells is {value!r}: the cell values leave "
+            f"the float range when summed")
+    return value
+
+
 def uniformity(raster) -> UniformityResult:
     """Uniformity coefficient of a raster (or bare value array).
 
@@ -72,23 +80,26 @@ def uniformity(raster) -> UniformityResult:
     positive/negative companion rasters from
     :func:`isobenefit.field.evaluate_field_parts`.
 
-    Raises :class:`EmptyRasterError` on zero cells and
+    Raises :class:`EmptyRasterError` on zero cells,
     :class:`ZeroMeanError` when the mean benefit is exactly 0 (the
-    coefficient of variation is undefined there, e.g. an all-zero raster).
+    coefficient of variation is undefined there, e.g. an all-zero raster),
+    and :class:`SumOverflowError` when the mean or the standard deviation
+    is not finite.
     """
     v = _values(raster)
     m = v.size
     if m == 0:
         raise EmptyRasterError("uniformity needs at least one cell")
-    mean = float(np.mean(v))
-    if mean == 0.0:
-        raise ZeroMeanError("mean benefit is 0; uniformity coefficient undefined")
-    if v.min() == v.max():
-        # A constant raster has zero deviation by definition; bypass the
-        # float mean so U comes out exactly 1.
-        sd = 0.0
-    else:
-        sd = float(np.std(v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _finite("mean", float(np.mean(v)), m)
+        if mean == 0.0:
+            raise ZeroMeanError("mean benefit is 0; uniformity coefficient undefined")
+        if v.min() == v.max():
+            # A constant raster has zero deviation by definition; bypass the
+            # float mean so U comes out exactly 1.
+            sd = 0.0
+        else:
+            sd = _finite("standard deviation", float(np.std(v)), m)
     return UniformityResult(u=1.0 - sd / mean, mean=mean, stddev=sd, count=m)
 
 
@@ -96,12 +107,14 @@ def summary(raster) -> SummaryStats:
     """Exact total/mean/min/max over all cells.
 
     The mean is total/count clamped into [min, max]; the clamp only ever
-    absorbs last-ulp rounding of the division.
+    absorbs last-ulp rounding of the division. A total that is not finite
+    raises :class:`SumOverflowError`.
     """
     v = _values(raster)
     if v.size == 0:
         raise EmptyRasterError("summary needs at least one cell")
-    total = float(np.sum(v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _finite("total", float(np.sum(v)), v.size)
     vmin = float(v.min())
     vmax = float(v.max())
     mean = min(max(total / v.size, vmin), vmax)
@@ -123,9 +136,25 @@ def pgg_field(
     negative cells the reverse. ``majority=None`` falls back to the scene's
     designated majority profile, or to the unmodified baseline when none is
     designated. ``person=None`` likewise means the baseline.
+
+    When both resolved profiles have the same kernel (no personal E, or
+    equal ones), an amenity both weight alike adds the same term to both
+    fields, so only the amenities whose attractiveness differs are summed:
+    the cost is O(changed) instead of O(all amenities), identical profiles
+    give exactly 0, and the result agrees with the difference of the two
+    full fields within 1e-12 of their magnitude. With different E every
+    amenity counts and both full fields are evaluated. Either way swapping
+    the person and the majority negates the raster exactly.
     """
     if majority is None:
         majority = scene.majority
-    person_field = evaluate_field(scene, kernel, grid, profile=person)
-    majority_field = evaluate_field(scene, kernel, grid, profile=majority)
+    mine, my_kernel = resolve_profile(scene, kernel, person)
+    theirs, their_kernel = resolve_profile(scene, kernel, majority)
+    if my_kernel == their_kernel:
+        changed = [k for k, (a, b) in enumerate(zip(mine, theirs))
+                   if a.attractiveness != b.attractiveness]
+        mine = tuple(mine[k] for k in changed)
+        theirs = tuple(theirs[k] for k in changed)
+    person_field = evaluate_field(Scene(mine), my_kernel, grid)
+    majority_field = evaluate_field(Scene(theirs), their_kernel, grid)
     return Raster(grid, person_field.values - majority_field.values)

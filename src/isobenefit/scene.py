@@ -22,6 +22,10 @@ from .errors import InvalidValueError, SceneValidationError, UnknownProfileError
 
 KERNEL_FAMILIES = ("rational", "gaussian", "exponential")
 
+# Largest GridSpec accepted (8192 x 8192 cells): one float raster of this
+# size takes 512 MiB, and a field evaluation holds a few of them at once.
+MAX_GRID_CELLS = 2 ** 26
+
 
 def _finite_number(value: object, positive: bool = False) -> bool:
     """True for a finite real number (> 0 if ``positive``); bools excluded."""
@@ -84,6 +88,10 @@ class GridSpec:
             raise InvalidValueError(f"cell_size must be finite and > 0, got {self.cell_size!r}")
         if self.ncols < 1 or self.nrows < 1:
             raise InvalidValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+        if self.ncols * self.nrows > MAX_GRID_CELLS:
+            raise InvalidValueError(
+                f"grid of {self.ncols}x{self.nrows} = {self.ncols * self.nrows} cells "
+                f"exceeds the limit of {MAX_GRID_CELLS} cells")
         if not (_finite_number(self.origin_x) and _finite_number(self.origin_y)):
             raise InvalidValueError("grid origin must be finite")
 

@@ -15,6 +15,7 @@ from isobenefit import (
     read_raster,
     read_raster_csv,
 )
+from isobenefit import cli
 from isobenefit.cli import main
 
 
@@ -118,6 +119,40 @@ def test_bad_grid_flag_is_a_usage_error(one_amenity, tmp_path):
         run("field", "--scene", one_amenity, "--grid", "1,2,3", "--out",
             tmp_path / "x.csv")
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0,0,1,100000,100000", "exceeds the limit of 67108864 cells"),
+    ("0,0,0,2,2", "cell_size must be finite and > 0"),
+])
+def test_bad_grid_value_is_a_named_error(tmp_path, monkeypatch, capsys, grid, message):
+    # the grid is refused before the scene is even read, so nothing is evaluated
+    def refuse(path):
+        raise AssertionError("the scene must not be loaded")
+
+    monkeypatch.setattr(cli, "load_scene", refuse)
+    out = tmp_path / "x.csv"
+    assert run("field", "--scene", tmp_path / "s.json", "--grid", grid, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: ") and message in err
+    assert not out.exists()
+
+
+def test_overflowing_field_names_the_scene(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"amenities": [
+        {"id": "a", "x": 0, "y": 0, "A": 1e308},
+        {"id": "b", "x": 0, "y": 0, "A": 1e308},
+    ]}))
+    for argv in (["field", "--out", tmp_path / "f.csv"],
+                 ["field", "--parts", "--out", tmp_path / "f.csv"],
+                 ["uniformity"],
+                 ["sweep", "--efficiencies", "1,2"]):
+        assert run(*argv, "--scene", huge, "--grid", "0,0,1,2,2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {huge}: the benefit sum over 2 amenities overflowed")
+        assert "RuntimeWarning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
 
 # -- isolines
@@ -467,12 +502,15 @@ def test_bad_argument_is_a_named_error(tmp_path, monkeypatch, capsys, profiled, 
 
 
 def test_non_finite_report_is_a_named_error(tmp_path, capsys):
+    # the indicators refuse the overflowing mean before any report is written
     raster_path = tmp_path / "huge.csv"
     raster_path.write_text("# 2,1,0.0,0.0,1.0\n1e308,1e308\n")
     report = tmp_path / "u.json"
     assert run("uniformity", "--raster", raster_path, "--out", report) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(report) in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {raster_path}: ")
+    assert "Infinity" not in captured.out + captured.err
+    assert "RuntimeWarning" not in captured.err
     assert not report.exists()
 
 

@@ -269,6 +269,11 @@ def test_point_benefit_on_arrays_equals_scalar_calls_bitwise(family):
             assert getattr(got, field).ravel().tobytes() == np.array(want).tobytes()
 
 
+def test_point_benefit_on_empty_arrays_is_empty():
+    got = point_benefit(MIXED, Kernel("rational", 1.0), np.zeros(0), np.zeros((3, 0)))
+    assert got.total.shape == got.positive_part.shape == (3, 0)
+
+
 def test_scalar_point_benefit_returns_floats():
     got = point_benefit(MIXED, Kernel("rational", 1.0), 0.25, -0.5)
     assert all(type(v) is float for v in (got.total, got.positive_part, got.negative_part))
@@ -286,3 +291,73 @@ def test_any_row_partition_of_the_field_is_byte_identical(family, cuts):
     for j0, j1 in zip(bounds, bounds[1:]):
         part = evaluate_field(scene, kernel, GridSpec(-2.0, -2.0 + j0 * 0.25, 0.25, 9, j1 - j0))
         assert part.as_grid().tobytes() == full[j0:j1].tobytes()
+
+
+# -- squared offsets and their range guard
+
+
+def independent_benefit(amenities, family, efficiency, x, y):
+    """math.hypot distances and an exactly rounded math.fsum; also returns
+    the sum of the absolute terms, the scale of the 1e-12 tolerance."""
+    terms = []
+    for am in amenities:
+        d = math.hypot(x - am.x, y - am.y)
+        if family == "rational":
+            terms.append(am.attractiveness / (1.0 + d / efficiency))
+        elif family == "gaussian":
+            terms.append(am.attractiveness * math.exp(-efficiency * d * d))
+        else:
+            terms.append(am.attractiveness * math.exp(-efficiency * d))
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+def assert_matches_independent(amenities, family, efficiency, xs, ys):
+    got = point_benefit(amenities, Kernel(family, efficiency),
+                        np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)).total
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        want, scale = independent_benefit(amenities, family, efficiency, x, y)
+        scalar = point_benefit(amenities, Kernel(family, efficiency), x, y).total
+        for value in (got[k], scalar):
+            assert abs(value - want) <= 1e-12 * scale, (x, y, value, want)
+
+
+def corner_case(c):
+    """Four amenities at (+-c, +-c), sampled at three corners and the origin."""
+    signed = ((1, 1, 2.0), (-1, 1, 1.0), (1, -1, -0.5), (-1, -1, 3.0))
+    amenities = tuple(Amenity(f"a{k}", sx * c, sy * c, a)
+                      for k, (sx, sy, a) in enumerate(signed))
+    return amenities, 1.0, [(c, c), (-c, c), (0.0, 0.0), (-c, -c)]
+
+
+# (amenities, efficiency, sample points): the first three are points where
+# squaring without the guard is wrong (the square of 1e200 overflows; the
+# squares of 1e-200 and 5e-170 underflow while E is large or tiny enough for
+# the distance to matter; in the rational, rational and exponential families
+# the unguarded form gives 0.0, 2.0 and 2.0 instead of 2e-200, 2e-50 and
+# 2*exp(-0.5)), the rest put coordinates on either side of 2**499
+EXTREME_CASES = {
+    "far": ((Amenity("a", 1e200, 0.0, 2.0),), 1.0, [(0.0, 0.0)]),
+    "near-tiny-e": ((Amenity("a", 1e-200, 0.0, 2.0),), 1e-250, [(0.0, 0.0)]),
+    "near-huge-e": ((Amenity("a", 3e-170, 4e-170, 2.0),), 1e169, [(0.0, 0.0)]),
+    "2**499": corner_case(2.0 ** 499),
+    "2**501": corner_case(2.0 ** 501),
+}
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_extreme_ranges_match_the_independent_form(family, case):
+    amenities, efficiency, points = EXTREME_CASES[case]
+    xs, ys = zip(*points)
+    assert_matches_independent(amenities, family, efficiency, xs, ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-5, 5)),
+                min_size=1, max_size=12),
+       families, st.floats(0.01, 30),
+       st.lists(st.tuples(st.floats(-60, 60), st.floats(-60, 60)), min_size=1, max_size=6))
+def test_squared_form_matches_the_independent_form(entries, family, efficiency, points):
+    amenities = tuple(Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(entries))
+    xs, ys = zip(*points)
+    assert_matches_independent(amenities, family, efficiency, xs, ys)

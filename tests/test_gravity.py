@@ -14,6 +14,7 @@ from isobenefit import (
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
+    SumOverflowError,
     huff_probabilities,
     numeric_breakpoint,
     point_benefit,
@@ -191,6 +192,15 @@ def test_monotone_profile_has_no_breakpoint():
     weak = Amenity("weak", 1.0, 0.0, 1.0)
     with pytest.raises(NoInteriorMinimumError):
         numeric_breakpoint(strong, weak, Kernel("rational", 1.0))
+
+
+def test_overflowing_profile_is_a_named_error():
+    # every sample of the profile is inf; argmin alone would report "no
+    # interior minimum", a wrong answer
+    pair = (Amenity("a", 0.0, 0.0, 1.7e308), Amenity("b", 1.0, 0.0, 1.7e308))
+    context = pair + (Amenity("c", 0.5, 0.1, 1.7e308),)
+    with pytest.raises(SumOverflowError, match="over 3 amenities overflowed"):
+        numeric_breakpoint(*pair, Kernel("gaussian", 0.01), scene_context=context)
 
 
 def test_numeric_rejects_degenerate_input():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isobenefit import indicators
 from isobenefit import (
     Amenity,
     EmptyRasterError,
@@ -13,6 +14,7 @@ from isobenefit import (
     Profile,
     Raster,
     Scene,
+    SumOverflowError,
     ZeroMeanError,
     evaluate_field,
     pgg_field,
@@ -87,6 +89,16 @@ def test_summary_mean_between_min_and_max(values):
     assert stats.min <= stats.mean <= stats.max
 
 
+def test_overflowing_indicators_are_named_errors():
+    with pytest.raises(SumOverflowError, match="total of 2 cells is inf"):
+        summary([1e308, 1e308])
+    # an overflowing mean; a finite mean whose squared deviations overflow
+    for values in ([1e308, 1e308], [1e200, -1e200, 1e200, 3.0]):
+        with pytest.raises(SumOverflowError) as excinfo:
+            uniformity(values)
+        assert isinstance(excinfo.value, ValueError)
+
+
 # -- preference gap gain
 
 
@@ -136,3 +148,56 @@ def test_explicit_majority_overrides_scene_default():
     scene = pgg_scene()
     against_alice = pgg_field(scene, KERNEL, GRID, person="alice", majority="alice")
     assert (against_alice.values == 0.0).all()
+
+
+def wide_pgg_scene():
+    """Six amenities; the alice and bob profiles both change two of them,
+    and bob also sets its own E. "median" is the baseline and the scene's
+    majority."""
+    amenities = tuple(Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(
+        [(0.0, 0.0, 3.0), (2.0, 1.0, 1.0), (-1.5, 2.5, -0.8),
+         (3.3, -2.1, 2.2), (-2.7, -0.4, 1.6), (0.9, 3.1, -1.1)]))
+    overrides = {"a1": 2.5, "a4": 0.25}
+    return Scene(amenities=amenities, majority="median", profiles={
+        "alice": Profile("alice", overrides=overrides),
+        "bob": Profile("bob", efficiency=1.7, overrides=overrides),
+        "median": Profile("median"),
+    })
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+def test_shared_e_pgg_matches_the_two_full_field_difference(family):
+    scene, kernel = wide_pgg_scene(), Kernel(family, 0.8)
+    gap = pgg_field(scene, kernel, GRID, person="alice")
+    mine = evaluate_field(scene, kernel, GRID, profile="alice").values
+    theirs = evaluate_field(scene, kernel, GRID, profile="median").values
+    scale = np.abs(mine) + np.abs(theirs)
+    assert (np.abs(gap.values - (mine - theirs)) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("person", ["alice", "bob"])
+def test_pgg_is_byte_antisymmetric_and_zero_against_itself(person):
+    scene = wide_pgg_scene()
+    forward = pgg_field(scene, KERNEL, GRID, person=person, majority="median")
+    backward = pgg_field(scene, KERNEL, GRID, person="median", majority=person)
+    assert (forward.values != 0.0).all()
+    assert forward.values.tobytes() == (-backward.values).tobytes()
+    same = pgg_field(scene, KERNEL, GRID, person=person, majority=person)
+    assert same.values.tobytes() == np.zeros(GRID.size).tobytes()
+
+
+def test_shared_e_pgg_sums_only_the_changed_amenities(monkeypatch):
+    calls = []
+
+    def recording(scene, kernel, grid, profile=None):
+        calls.append(([am.id for am in scene.amenities], kernel, profile))
+        return evaluate_field(scene, kernel, grid, profile)
+
+    monkeypatch.setattr(indicators, "evaluate_field", recording)
+    scene = wide_pgg_scene()
+    pgg_field(scene, KERNEL, GRID, person="alice")
+    assert calls == [(["a1", "a4"], KERNEL, None)] * 2
+    calls.clear()
+    pgg_field(scene, KERNEL, GRID, person="bob")
+    everyone = [f"a{k}" for k in range(6)]
+    assert calls == [(everyone, Kernel("rational", 1.7), None), (everyone, KERNEL, None)]

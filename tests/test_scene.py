@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isobenefit import (
+    MAX_GRID_CELLS,
     Amenity,
     GridSpec,
+    InvalidValueError,
     Kernel,
     Profile,
     Raster,
@@ -150,6 +152,16 @@ def test_gridspec_rejects_bad_shape_and_cell():
         GridSpec(0.0, 0.0, 0.0, 4, 4)
     with pytest.raises(ValueError):
         GridSpec(0.0, 0.0, 1.0, 0, 4)
+
+
+def test_gridspec_caps_the_cell_count():
+    # constructing a GridSpec allocates nothing, so the cap is safe to probe
+    side = int(math.isqrt(MAX_GRID_CELLS))
+    assert MAX_GRID_CELLS == 2 ** 26
+    assert GridSpec(0.0, 0.0, 1.0, side, side).size == MAX_GRID_CELLS
+    for ncols, nrows in ((side, side + 1), (100000, 100000), (MAX_GRID_CELLS + 1, 1)):
+        with pytest.raises(InvalidValueError, match="exceeds the limit"):
+            GridSpec(0.0, 0.0, 1.0, ncols, nrows)
 
 
 def test_gridspec_cell_centers():
