@@ -418,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-context", action="store_true",
                    help="sum the whole scene, not just the pair, along the segment")
     p.add_argument("--resolution", type=int, default=101, metavar="N",
-                   help="coarse samples along the segment (default: 101)")
+                   help="samples per pass along the segment (default: 101)")
     p.add_argument("--out", default=None, metavar="PATH", help="JSON report file")
     p.set_defaults(func=_cmd_breakpoint)
 

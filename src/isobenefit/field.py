@@ -124,7 +124,9 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0):
         raise NegativeDistanceError(f"distance must be >= 0, got {distance!r}")
-    out = _kernel_values(float(attractiveness), d, kernel)
+    # E*d*d may overflow to inf on the way to an exact 0.0
+    with np.errstate(over="ignore"):
+        out = _kernel_values(float(attractiveness), d, kernel)
     if d.ndim == 0:
         return float(out)
     return out
@@ -133,12 +135,13 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
 def _benefit_sums(amenities, kernel: Kernel, x, y, split: bool):
     """Sum of every amenity's contribution at the points (x, y), where x and
     y broadcast together. With ``split`` also returns the sums over the
-    amenities with attractiveness > 0 and < 0; otherwise those are None."""
+    amenities with attractiveness > 0 and < 0; otherwise those are None.
+    Raises :class:`SumOverflowError` if any of the sums is not finite."""
     total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
     pos = np.zeros_like(total) if split else None
     neg = np.zeros_like(total) if split else None
     squared = _squared_form_applies(amenities, kernel, x, y)
-    # an overflowing sum is reported by the caller, not as a numpy warning
+    # an overflowing sum is a named error below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for am in amenities:
             a = float(am.attractiveness)
@@ -153,6 +156,10 @@ def _benefit_sums(amenities, kernel: Kernel, x, y, split: bool):
                 pos += contrib
             elif split and a < 0:
                 neg += contrib
+    if not all(np.isfinite(part).all() for part in (total, pos, neg) if part is not None):
+        raise SumOverflowError(
+            f"the benefit sum over {len(amenities)} amenities overflowed the "
+            f"float range")
     return total, pos, neg
 
 
@@ -162,7 +169,8 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
 
     ``x`` and ``y`` may be scalars, giving float fields, or arrays that
     broadcast together, giving fields of that shape whose elements equal
-    the scalar queries bit for bit.
+    the scalar queries bit for bit. A sum that overflows the float range
+    raises :class:`SumOverflowError`.
     """
     total, pos, neg = _benefit_sums(amenities, kernel, x, y, split=True)
     if total.ndim == 0:
@@ -174,13 +182,8 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
 def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     amenities, kern = resolve_profile(scene, kernel, profile)
-    sums = _benefit_sums(amenities, kern, grid.x_coords()[np.newaxis, :],
+    return _benefit_sums(amenities, kern, grid.x_coords()[np.newaxis, :],
                          grid.y_coords()[:, np.newaxis], split)
-    if not all(np.isfinite(s).all() for s in sums if s is not None):
-        raise SumOverflowError(
-            f"the benefit sum over {len(amenities)} amenities overflowed the "
-            f"float range on a {grid.ncols}x{grid.nrows} grid")
-    return sums
 
 
 def evaluate_field(

@@ -8,8 +8,10 @@ side: the analytic Reilly point
 
 and the numerical one read off the benefit surface itself: the minimum of
 the summed benefit along the segment joining the two amenities, i.e. the
-point where a marble resting on the benefit surface would settle. The two
-do not coincide in general; both are reported.
+point where a marble resting on the benefit surface would settle. It is
+found by one sampling loop: each pass evaluates evenly spaced points of an
+interval in one array query, and the next pass zooms in on the lowest
+sample. The two do not coincide in general; both are reported.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .errors import (
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
-    SumOverflowError,
 )
 from .field import point_benefit
-from .scene import Amenity, Kernel
+from .scene import MAX_GRID_CELLS, Amenity, Kernel
 
 __all__ = [
     "HuffResult",
@@ -40,8 +41,6 @@ __all__ = [
     "reilly_breakpoint",
     "numeric_breakpoint",
 ]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -167,26 +166,6 @@ def reilly_breakpoint(amenity1: Amenity, amenity2: Amenity) -> BreakPoint:
     )
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Argmin of f on [lo, hi] by golden-section search; final bracket width
-    <= tol. Assumes a single interior minimum inside the bracket."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def numeric_breakpoint(
     amenity1: Amenity,
     amenity2: Amenity,
@@ -198,44 +177,47 @@ def numeric_breakpoint(
     segment between the two amenities.
 
     The benefit profile is sampled at ``resolution`` evenly spaced points
-    strictly inside the segment (the profile may be multimodal once
-    ``scene_context`` adds the rest of the scene's amenities to the sum, so
-    sample first, then refine). The bracket around the best sample is
-    narrowed by golden-section search to within 1e-6 of the pair distance.
-    When the sampled profile is monotone, i.e. the minimum sits at one of
-    the amenities rather than between them, there is no breaking point and
-    :class:`NoInteriorMinimumError` is raised.
+    strictly inside the segment, plus its two ends, in one array query (the
+    profile may be multimodal once ``scene_context`` adds the rest of the
+    scene's amenities to the sum, so sample first, then refine). When the
+    lowest sample is an end, i.e. the profile falls all the way to one of
+    the amenities, there is no breaking point and
+    :class:`NoInteriorMinimumError` is raised. Otherwise each further pass
+    samples the interval between the two neighbours of the lowest sample
+    the same way, until the samples are at most 5e-8 of the pair distance
+    apart. The breaking point is the lowest sample of the last pass; its
+    distance from the true minimum is within 1e-6 of the pair distance.
 
     ``scene_context``, when given, is used as the complete amenity list for
     the benefit sum (it should include the pair); otherwise only the two
-    amenities contribute.
+    amenities contribute. ``resolution`` must lie in [3, MAX_GRID_CELLS].
     """
-    if resolution < 3:
-        raise InvalidValueError(f"resolution must be >= 3, got {resolution}")
+    if not 3 <= resolution <= MAX_GRID_CELLS:
+        raise InvalidValueError(
+            f"resolution must be between 3 and {MAX_GRID_CELLS}, got {resolution}")
     d = _pair_geometry(amenity1, amenity2)
     contributors = tuple(scene_context) if scene_context is not None else (amenity1, amenity2)
+    n = resolution + 1  # intervals per pass
 
-    def profile(t):
-        x, y = _point_between(amenity1, amenity2, t)
-        return point_benefit(contributors, kernel, x, y).total
+    def lowest_sample(lo, hi):
+        ts = lo + (hi - lo) * (np.arange(n + 1) / n)
+        x, y = _point_between(amenity1, amenity2, ts)
+        profile = point_benefit(contributors, kernel, x, y).total
+        k = int(np.argmin(profile))  # first of equal minima
+        return ts, profile, k
 
-    ts = np.arange(resolution + 2) / (resolution + 1)
-    coarse = profile(ts)
-    k_min = int(np.argmin(coarse))  # first of equal minima (or the first NaN)
-    if not math.isfinite(coarse[k_min]):
-        raise SumOverflowError(
-            f"the benefit sum over {len(contributors)} amenities overflowed the "
-            f"float range along the segment")
-    if k_min == 0 or k_min == len(ts) - 1:
+    ts, profile, k = lowest_sample(0.0, 1.0)
+    if k == 0 or k == n:
         raise NoInteriorMinimumError(
             "benefit along the segment is lowest at an amenity, not between "
             "them; no interior breaking point"
         )
-
-    t_star = _golden_section_min(profile, *ts[[k_min - 1, k_min + 1]].tolist(), tol=1e-7)
+    while (ts[n] - ts[0]) / n > 5e-8:
+        ts, profile, k = lowest_sample(ts[max(k - 1, 0)], ts[min(k + 1, n)])
+    t_star = float(ts[k])
     return BreakPoint(
         position=_point_between(amenity1, amenity2, t_star),
         distance_from_1=t_star * d,
         distance_from_2=(1.0 - t_star) * d,
-        benefit_at_point=profile(t_star),
+        benefit_at_point=float(profile[k]),
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isobenefit import (
+    MAX_GRID_CELLS,
     GridSpec,
     Kernel,
     evaluate_field,
@@ -323,6 +324,17 @@ def test_breakpoint_monotone_profile_is_reported_not_fatal(tmp_path, capsys):
     assert "no interior minimum" in capsys.readouterr().out
 
 
+def test_breakpoint_resolution_above_the_grid_cap_is_refused(profiled, monkeypatch, capsys):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("samples were allocated for a refused resolution")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    assert run("breakpoint", "--scene", profiled, "--pair", "park,shop",
+               "--resolution", MAX_GRID_CELLS + 1) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: resolution must be between 3 and {MAX_GRID_CELLS}")
+
+
 def test_breakpoint_unknown_id_names_the_flag(tmp_path, pair, capsys):
     assert run("breakpoint", "--scene", pair, "--pair", "big,ghost") == 1
     err = capsys.readouterr().err
@@ -443,6 +455,16 @@ def test_curve_gaussian_flips_the_e_ordering(tmp_path):
         assert row[1] > row[2]  # larger E decays faster here
 
 
+def test_curve_overflowing_exponent_writes_zero_without_a_warning(tmp_path, capsys):
+    # E*d*d overflows to inf on the way to an exact 0.0
+    out = tmp_path / "c.csv"
+    assert run("curve", "--kernel", "gaussian", "--efficiencies", "1e300",
+               "--dmax", "1e10", "--samples", "3", "--out", out) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "0.0,3.0", "5000000000.0,0.0", "10000000000.0,0.0"]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 # -- sweep
 
 
@@ -528,9 +550,16 @@ def test_unknown_subcommand_is_a_usage_error():
 
 
 def test_module_entry_point_runs():
+    import os
     import subprocess
     import sys
+
+    import isobenefit
+    # the child imports the same copy of the package as this test run
+    src = os.path.dirname(os.path.dirname(isobenefit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "isobenefit", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "field" in proc.stdout

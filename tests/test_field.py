@@ -12,6 +12,7 @@ from isobenefit import (
     NegativeDistanceError,
     Profile,
     Scene,
+    SumOverflowError,
     evaluate_field,
     evaluate_field_parts,
     kernel_benefit,
@@ -277,6 +278,19 @@ def test_point_benefit_on_empty_arrays_is_empty():
 def test_scalar_point_benefit_returns_floats():
     got = point_benefit(MIXED, Kernel("rational", 1.0), 0.25, -0.5)
     assert all(type(v) is float for v in (got.total, got.positive_part, got.negative_part))
+
+
+@pytest.mark.parametrize("attractiveness", [
+    (1e308, 1e308),           # the total overflows
+    (-1e308, 1e308, 1e308),   # the total stays 1e308, the positive part overflows
+    (1e308, -1e308, -1e308),  # the negative part overflows
+])
+@pytest.mark.parametrize("x", [0.0, np.zeros(3)])
+def test_overflowing_point_sum_is_a_named_error(attractiveness, x):
+    amenities = [Amenity(f"a{k}", 0.0, 0.0, a) for k, a in enumerate(attractiveness)]
+    with pytest.raises(SumOverflowError, match=f"the benefit sum over {len(amenities)} "
+                       "amenities overflowed the float range"):
+        point_benefit(amenities, Kernel("rational", 1.0), x, 0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ from isobenefit import (
     CoincidentAmenitiesError,
     EmptyChoiceSetError,
     InvalidValueError,
+    MAX_GRID_CELLS,
     Kernel,
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
@@ -163,20 +164,22 @@ def test_reilly_position_sits_on_the_segment():
 # -- numeric breaking point
 
 
-def test_symmetric_numeric_breakpoint_is_the_midpoint():
+@pytest.mark.parametrize("resolution", [3, 11, 101, 1001])
+def test_symmetric_numeric_breakpoint_is_the_midpoint(resolution):
     a = Amenity("a", 0.0, 0.0, 2.0)
     b = Amenity("b", 4.0, 0.0, 2.0)
     for family, efficiency in [("rational", 1.0), ("gaussian", 0.5), ("exponential", 1.0)]:
-        bp = numeric_breakpoint(a, b, Kernel(family, efficiency))
+        bp = numeric_breakpoint(a, b, Kernel(family, efficiency), resolution=resolution)
         assert bp.distance_from_1 == pytest.approx(2.0, abs=4e-6)  # within d/1e6
         assert bp.benefit_at_point is not None
 
 
-def test_exponential_breakpoint_matches_closed_form():
+@pytest.mark.parametrize("resolution", [3, 11, 101, 1001])
+def test_exponential_breakpoint_matches_closed_form(resolution):
     # minimize 4 e^(-x) + e^(-(3-x)): stationary point at x = (3 + ln 4) / 2
     a = Amenity("big", 0.0, 0.0, 4.0)
     b = Amenity("small", 3.0, 0.0, 1.0)
-    bp = numeric_breakpoint(a, b, Kernel("exponential", 1.0))
+    bp = numeric_breakpoint(a, b, Kernel("exponential", 1.0), resolution=resolution)
     want = (3.0 + math.log(4.0)) / 2.0
     assert bp.distance_from_1 == pytest.approx(want, abs=3e-6)
     assert bp.distance_from_1 + bp.distance_from_2 == pytest.approx(3.0, rel=1e-12)
@@ -262,10 +265,22 @@ def test_coarse_samples_come_from_one_array_query(monkeypatch):
     a = Amenity("a", 0.0, 0.0, 3.0)
     b = Amenity("b", 5.0, 1.0, 2.0)
     bp = numeric_breakpoint(a, b, Kernel("exponential", 1.0), resolution=101)
-    assert shapes[0] == (103,)
-    assert all(shape == () for shape in shapes[1:])  # golden-section probes
+    assert shapes[0] == (103,)  # the coarse profile over the whole segment
+    assert all(shape == (103,) for shape in shapes)  # each pass is one array query
+    assert len(shapes) <= 6
     assert all(type(v) is float for v in (*bp.position, bp.distance_from_1,
                                            bp.distance_from_2, bp.benefit_at_point))
+
+
+def test_resolution_above_the_grid_cap_is_refused_before_sampling(monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("samples were allocated for a refused resolution")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    a = Amenity("a", 0.0, 0.0, 2.0)
+    b = Amenity("b", 4.0, 0.0, 2.0)
+    with pytest.raises(InvalidValueError, match=f"between 3 and {MAX_GRID_CELLS}"):
+        numeric_breakpoint(a, b, Kernel("rational", 1.0), resolution=MAX_GRID_CELLS + 1)
 
 
 def test_subnormal_distance_does_not_overflow_the_weights():
