@@ -269,21 +269,23 @@ def _cmd_breakpoint(args: argparse.Namespace) -> int:
         "with_context": bool(args.with_context),
         "reilly": _as_report(reilly),
     }
-    print(f"pair {amenity1.id!r} .. {amenity2.id!r}, distance {distance!r}")
-    print(f"reilly:  {reilly.distance_from_1!r} from {amenity1.id!r}, "
-          f"{reilly.distance_from_2!r} from {amenity2.id!r}")
+    # the numeric point comes first, so that a refused argument prints nothing
     try:
         numeric = numeric_breakpoint(
             amenity1, amenity2, kernel,
             scene_context=context, resolution=args.resolution)
     except NoInteriorMinimumError as exc:
         report["numeric"] = {"error": "NoInteriorMinimum", "message": str(exc)}
-        print(f"numeric: no interior minimum ({exc})")
+        numeric_line = f"numeric: no interior minimum ({exc})"
     else:
         report["numeric"] = _as_report(numeric)
-        print(f"numeric: {numeric.distance_from_1!r} from {amenity1.id!r}, "
-              f"{numeric.distance_from_2!r} from {amenity2.id!r}, "
-              f"benefit {numeric.benefit_at_point!r}")
+        numeric_line = (f"numeric: {numeric.distance_from_1!r} from {amenity1.id!r}, "
+                        f"{numeric.distance_from_2!r} from {amenity2.id!r}, "
+                        f"benefit {numeric.benefit_at_point!r}")
+    print(f"pair {amenity1.id!r} .. {amenity2.id!r}, distance {distance!r}")
+    print(f"reilly:  {reilly.distance_from_1!r} from {amenity1.id!r}, "
+          f"{reilly.distance_from_2!r} from {amenity2.id!r}")
+    print(numeric_line)
     _write_report(args.out, report)
     return 0
 

@@ -117,7 +117,10 @@ def _format_error(path: str, message: str, line: int | None = None) -> SceneForm
 def _require_number(raw: object, what: str, path: str, line: int | None = None) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise _format_error(path, f"{what} must be a number, got {raw!r}", line)
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:  # an integer too large for a float
+        raise _format_error(path, f"{what} is out of the float range", line) from None
 
 
 def _scene_from_json(path: str) -> Scene:

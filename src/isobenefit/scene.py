@@ -29,8 +29,15 @@ MAX_GRID_CELLS = 2 ** 26
 
 def _finite_number(value: object, positive: bool = False) -> bool:
     """True for a finite real number (> 0 if ``positive``); bools excluded."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and (value > 0 or not positive))
+    kind = type(value)
+    # exact float and int skip the slow ABC check; bool is its own type
+    if kind is not float and kind is not int and (
+            kind is bool or not isinstance(value, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(value) and (value > 0 or not positive)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,15 @@ def test_breakpoint_resolution_above_the_grid_cap_is_refused(profiled, monkeypat
         f"error: resolution must be between 3 and {MAX_GRID_CELLS}")
 
 
+@pytest.mark.parametrize("resolution", [2, MAX_GRID_CELLS + 1])
+def test_refused_breakpoint_resolution_prints_no_partial_report(profiled, capsys, resolution):
+    assert run("breakpoint", "--scene", profiled, "--pair", "park,shop",
+               "--resolution", resolution) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: resolution must be between 3")
+
+
 def test_breakpoint_unknown_id_names_the_flag(tmp_path, pair, capsys):
     assert run("breakpoint", "--scene", pair, "--pair", "big,ghost") == 1
     err = capsys.readouterr().err

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isobenefit import (
+    MAX_GRID_CELLS,
     Amenity,
     GridSpec,
+    InvalidValueError,
     Kernel,
     NegativeDistanceError,
     Profile,
@@ -17,6 +19,15 @@ from isobenefit import (
     evaluate_field_parts,
     kernel_benefit,
     point_benefit,
+)
+from isobenefit.field import (
+    _BLOCK_SAMPLES,
+    _amenity_columns,
+    _benefit_sums,
+    _block_rows,
+    _squared_form_applies,
+    _sum_in_blocks,
+    _sum_one_by_one,
 )
 
 families = st.sampled_from(("rational", "gaussian", "exponential"))
@@ -293,6 +304,27 @@ def test_overflowing_point_sum_is_a_named_error(attractiveness, x):
         point_benefit(amenities, Kernel("rational", 1.0), x, 0.0)
 
 
+@pytest.mark.parametrize("amenities, x, y, message", [
+    ((Amenity("a", 0.0, 0.0, 1.0),), math.nan, 0.0, "query point"),
+    ((Amenity("a", 0.0, 0.0, 1.0),), np.zeros(3), np.array([0.0, math.inf, 1.0]), "query point"),
+    ((Amenity("a", 0.0, 0.0, 1.0), Amenity("b", math.nan, 0.0, 1.0)), 0.0, 0.0,
+     "amenity 'b' x must be finite, got nan"),
+    ((Amenity("a", 0.0, -math.inf, 1.0),), np.zeros(2), 0.0, "amenity 'a' y must be finite"),
+    ((Amenity("a", 0.0, 0.0, math.nan),), 0.0, 0.0, "amenity 'a' attractiveness"),
+])
+def test_non_finite_input_is_invalid_not_an_overflow(amenities, x, y, message):
+    with pytest.raises(InvalidValueError, match=message):
+        point_benefit(amenities, Kernel("rational", 1.0), x, y)
+
+
+def test_overflow_message_counts_one_amenity():
+    # the only way one term can leave the float range: a NaN sample, which
+    # point_benefit refuses before summing
+    with pytest.raises(SumOverflowError, match="over 1 amenity overflowed"):
+        _benefit_sums(_amenity_columns((Amenity("a", 0.0, 0.0, 1.0),)),
+                      Kernel("rational", 1.0), math.nan, 0.0, split=False)
+
+
 @settings(max_examples=25, deadline=None)
 @given(families, st.lists(st.integers(1, 10), min_size=1, max_size=4))
 def test_any_row_partition_of_the_field_is_byte_identical(family, cuts):
@@ -375,3 +407,61 @@ def test_squared_form_matches_the_independent_form(entries, family, efficiency, 
     amenities = tuple(Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(entries))
     xs, ys = zip(*points)
     assert_matches_independent(amenities, family, efficiency, xs, ys)
+
+
+# -- amenity blocks
+
+
+SAMPLE_COUNTS = (0, 1, 2, 103, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+@pytest.mark.parametrize("far", [False, True])  # beyond 2**499 the hypot form is used
+@settings(max_examples=15, deadline=None)
+@given(entries=st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10),
+                                  st.sampled_from((-2.5, -0.5, 0.0, 1.0, 3.0))),
+                        max_size=40),
+       samples=st.sampled_from(SAMPLE_COUNTS) | st.integers(0, 300),
+       layout=st.sampled_from(("scalar", "points", "grid")),
+       split=st.booleans(), data=st.data())
+def test_blocked_sums_equal_one_by_one_sums_bitwise(family, far, entries, samples,
+                                                    layout, split, data):
+    scale = 2.0 ** 500 if far else 1.0
+    columns = _amenity_columns([Amenity(f"a{k}", x * scale, y * scale, a)
+                                for k, (x, y, a) in enumerate(entries)])
+    kernel = Kernel(family, 0.7)
+    if layout == "scalar":
+        x, y = 0.3 * scale, -1.1 * scale
+    elif layout == "points":
+        x = np.linspace(-12.0, 12.0, samples) * scale
+        y = np.linspace(5.0, -7.0, samples) * scale
+    else:
+        x = np.linspace(-12.0, 12.0, samples)[np.newaxis, :] * scale
+        y = np.array([-3.0, 0.5, 4.0])[:, np.newaxis] * scale
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    squared = _squared_form_applies(columns, kernel, x, y)
+    if layout == "scalar":
+        assert squared is not far
+    want = _sum_one_by_one(columns, kernel, x, y, squared, shape, split)
+    k = data.draw(st.integers(1, len(entries) + 1), label="amenities per block")
+    for got in (_benefit_sums(columns, kernel, x, y, split),
+                _sum_in_blocks(columns, kernel, x, y, squared, shape, split, k)):
+        for part, reference in zip(got, want):
+            if reference is not None:
+                assert part.shape == shape
+                assert part.tobytes() == reference.tobytes()
+
+
+@given(st.integers(_BLOCK_SAMPLES, MAX_GRID_CELLS))
+def test_grids_of_block_size_or_more_sum_one_amenity_at_a_time(cells):
+    assert _block_rows(cells) == 1
+
+
+@pytest.mark.parametrize("ncols, nrows", [(128, 128), (384, 384), (_BLOCK_SAMPLES, 1)])
+def test_grid_fields_never_take_the_blocked_path(monkeypatch, ncols, nrows):
+    def refuse(*args):
+        raise AssertionError("a grid of at least _BLOCK_SAMPLES cells was summed in blocks")
+
+    monkeypatch.setattr("isobenefit.field._sum_in_blocks", refuse)
+    evaluate_field_parts(Scene(MIXED), Kernel("gaussian", 0.8),
+                         GridSpec(-2.0, -2.0, 0.01, ncols, nrows))

@@ -206,6 +206,13 @@ def test_overflowing_profile_is_a_named_error():
         numeric_breakpoint(*pair, Kernel("gaussian", 0.01), scene_context=context)
 
 
+def test_non_finite_context_amenity_is_invalid_not_an_overflow():
+    pair = (Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 1.0, 0.0, 1.0))
+    context = pair + (Amenity("c", 0.5, math.nan, 1.0),)
+    with pytest.raises(InvalidValueError, match="amenity 'c' y must be finite"):
+        numeric_breakpoint(*pair, Kernel("rational", 1.0), scene_context=context)
+
+
 def test_numeric_rejects_degenerate_input():
     a = Amenity("a", 0.0, 0.0, 2.0)
     with pytest.raises(CoincidentAmenitiesError):

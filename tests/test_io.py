@@ -91,6 +91,8 @@ def test_json_parse_error_carries_line(tmp_path):
     ({"amenities": [{"id": "p", "x": "far", "y": 0, "A": 1}]}, "must be a number"),
     ({"amenities": [], "profiles": {"a": {"E": "fast"}}}, "must be a number"),
     ({"amenities": [], "majority": 7}, "majority"),
+    ({"amenities": [{"id": "p", "x": 10 ** 400, "y": 0, "A": 1}]},
+     r"bad\.json: amenity #0 x is out of the float range"),
 ])
 def test_json_structure_errors(tmp_path, doc, fragment):
     path = write(tmp_path / "bad.json", json.dumps(doc))

@@ -141,7 +141,8 @@ def test_kernel_rejects_unknown_family():
         Kernel("linear", 1.0)
 
 
-@pytest.mark.parametrize("e", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("e", [0.0, -1.0, math.nan, math.inf,
+                               pytest.param(10 ** 400, id="int-beyond-float")])
 def test_kernel_rejects_bad_efficiency(e):
     with pytest.raises(ValueError):
         Kernel("rational", e)
@@ -221,3 +222,13 @@ def test_bool_is_not_a_number():
     with pytest.raises(SceneValidationError) as excinfo:
         validate_scene(scene)
     assert codes(excinfo) == {("NonFiniteValue", "a"), ("NonPositiveEfficiency", "p")}
+
+
+def test_numpy_scalars_and_huge_ints_in_a_scene():
+    # numpy scalars pass the finite-number check like floats; an int beyond
+    # the float range is reported, not raised from math.isfinite
+    scene = Scene(amenities=(Amenity("a", np.float32(1.5), np.int64(2), np.float64(3.0)),
+                             Amenity("b", 10 ** 400, 0.0, 1.0)))
+    with pytest.raises(SceneValidationError) as excinfo:
+        validate_scene(scene)
+    assert codes(excinfo) == {("NonFiniteValue", "b")}
