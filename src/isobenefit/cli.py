@@ -10,6 +10,14 @@ the same inputs produce the same bytes.
 
 Exit code 0 on success, 1 on any domain or IO error (the message names the
 offending file or flag), 2 on bad command-line syntax.
+
+A call builds the parser of the subcommand its first argument names, and
+no other: the point queries (breakpoint, huff) are run as many short calls,
+and building all eight subcommands took several times as long as building
+one, on every call. Without a known subcommand first (no arguments,
+``--help``, an unknown name) the full parser is built. Both come from the
+one :data:`_COMMANDS` table, so a subcommand's help text, usage line and
+errors are the same whichever was built.
 """
 
 from __future__ import annotations
@@ -95,29 +103,31 @@ def _pair_arg(text: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def _add_scene_flag(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--scene", required=required, metavar="PATH",
-                        help="scene file (JSON, or amenity CSV)")
+def _flag(name: str, **options) -> tuple[str, dict]:
+    """One flag of a subcommand: its name and its ``add_argument`` options."""
+    return name, options
 
 
-def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=KERNEL_FAMILIES, default="rational",
-                        help="decay family (default: rational)")
-    parser.add_argument("--efficiency", type=float, default=1.0, metavar="E",
-                        help="moving-efficiency coefficient E (default: 1.0; "
-                             "note: rational decays slower for larger E, "
-                             "gaussian/exponential decay faster)")
+def _optional(flag: tuple[str, dict]) -> tuple[str, dict]:
+    name, options = flag
+    return name, {**options, "required": False}
 
 
-def _add_grid_flag(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--grid", type=_grid_arg, required=required,
-                        metavar="X0,Y0,CELL,NCOLS,NROWS",
-                        help="evaluation grid: origin cell center, cell size, shape")
-
-
-def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile", default=None, metavar="NAME",
-                        help="preference profile to apply (default: baseline)")
+_SCENE = _flag("--scene", required=True, metavar="PATH",
+               help="scene file (JSON, or amenity CSV)")
+_KERNEL = _flag("--kernel", choices=KERNEL_FAMILIES, default="rational",
+                help="decay family (default: rational)")
+_EFFICIENCY = _flag("--efficiency", type=float, default=1.0, metavar="E",
+                    help="moving-efficiency coefficient E (default: 1.0; "
+                         "note: rational decays slower for larger E, "
+                         "gaussian/exponential decay faster)")
+_GRID = _flag("--grid", type=_grid_arg, required=True, metavar="X0,Y0,CELL,NCOLS,NROWS",
+              help="evaluation grid: origin cell center, cell size, shape")
+_PROFILE = _flag("--profile", default=None, metavar="NAME",
+                 help="preference profile to apply (default: baseline)")
+_RASTER_OUT = _flag("--out", required=True, metavar="PATH",
+                    help="output raster file (.asc: ESRI ASCII, else CSV)")
+_REPORT_OUT = _flag("--out", default=None, metavar="PATH", help="JSON report file")
 
 
 def _amenity_by_id(scene: Scene, ident: str, flag: str):
@@ -345,19 +355,22 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
+    kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
     rows = []
-    print("E\tU\ttotal\tmean\tmin\tmax")
-    for e in args.efficiencies:
-        raster = evaluate_field(scene, Kernel(args.kernel, e), args.grid,
-                                profile=args.profile)
+    # the table is printed once every row is known, so that a refused E or
+    # an overflowing field prints nothing
+    lines = ["E\tU\ttotal\tmean\tmin\tmax"]
+    for e, kernel in zip(args.efficiencies, kernels):
+        raster = evaluate_field(scene, kernel, args.grid, profile=args.profile)
         stats = summary(raster)
         result = _uniformity_or_none(raster)
         row = {"efficiency": e, "summary": _as_report(stats),
                "uniformity": _as_report(result)}
         u_text = "undefined" if result is None else repr(result.u)
         rows.append(row)
-        print(f"{e!r}\t{u_text}\t{stats.total!r}\t{stats.mean!r}\t"
-              f"{stats.min!r}\t{stats.max!r}")
+        lines.append(f"{e!r}\t{u_text}\t{stats.total!r}\t{stats.mean!r}\t"
+                     f"{stats.min!r}\t{stats.max!r}")
+    print("\n".join(lines))
     _write_report(args.out, {
         "scene": args.scene,
         "kernel_family": args.kernel,
@@ -370,107 +383,93 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- assembly
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# (name, help, handler, flags) of every subcommand, in the order --help lists them
+_COMMANDS = (
+    ("field", "evaluate a benefit raster", _cmd_field, (
+        _SCENE, _KERNEL, _EFFICIENCY, _GRID, _PROFILE, _RASTER_OUT,
+        _flag("--parts", action="store_true",
+              help="also write _positive/_negative companion rasters"),
+    )),
+    ("isolines", "extract isobenefit lines as GeoJSON", _cmd_isolines, (
+        _optional(_SCENE), _KERNEL, _EFFICIENCY, _optional(_GRID), _PROFILE,
+        _flag("--raster", default=None, metavar="PATH",
+              help="contour an existing raster file instead of a scene"),
+        _flag("--levels", type=_floats_arg, default=None, metavar="A,B,C",
+              help="explicit contour levels"),
+        _flag("--nlevels", type=int, default=None, metavar="N",
+              help="number of evenly spaced levels"),
+        _flag("--out", required=True, metavar="PATH", help="output GeoJSON file"),
+    )),
+    ("uniformity", "uniformity coefficient and summary stats", _cmd_uniformity, (
+        _optional(_SCENE), _KERNEL, _EFFICIENCY, _optional(_GRID), _PROFILE,
+        _flag("--raster", default=None, metavar="PATH",
+              help="report on an existing raster file instead of a scene"),
+        _REPORT_OUT,
+    )),
+    ("breakpoint", "Reilly and numeric breaking points", _cmd_breakpoint, (
+        _SCENE, _KERNEL, _EFFICIENCY,
+        _flag("--pair", type=_pair_arg, required=True, metavar="ID1,ID2",
+              help="the two amenities to compare"),
+        _flag("--with-context", action="store_true",
+              help="sum the whole scene, not just the pair, along the segment"),
+        _flag("--resolution", type=int, default=101, metavar="N",
+              help="samples per pass along the segment (default: 101)"),
+        _REPORT_OUT,
+    )),
+    ("huff", "visit probabilities from an origin", _cmd_huff, (
+        _SCENE,
+        _flag("--origin", type=_point_arg, required=True, metavar="X,Y",
+              help="citizen location"),
+        _flag("--distance-exponent", type=float, default=1.0, metavar="G",
+              help="distance exponent (default: 1.0, the plain model)"),
+        _REPORT_OUT,
+    )),
+    ("pgg", "preference gap gain raster person vs majority", _cmd_pgg, (
+        _SCENE, _KERNEL, _EFFICIENCY, _GRID,
+        _flag("--person", required=True, metavar="NAME",
+              help="profile whose gains to map"),
+        _flag("--majority", default=None, metavar="NAME",
+              help="majority profile (default: the scene's, else baseline)"),
+        _RASTER_OUT,
+        _flag("--report", default=None, metavar="PATH", help="JSON summary file"),
+    )),
+    ("curve", "decay curves over distance, one column per E", _cmd_curve, (
+        _flag("--attractiveness", type=float, default=3.0, metavar="A",
+              help="attractiveness at distance 0 (default: 3)"),
+        _KERNEL,
+        _flag("--efficiencies", type=_floats_arg, required=True, metavar="E1,E2",
+              help="E values, one output column each"),
+        _flag("--dmax", type=float, default=10.0, metavar="D",
+              help="largest sampled distance (default: 10)"),
+        _flag("--samples", type=int, default=101, metavar="N",
+              help="number of distance samples from 0 to dmax (default: 101)"),
+        _flag("--out", required=True, metavar="PATH", help="output CSV file"),
+    )),
+    ("sweep", "indicators across a list of E values", _cmd_sweep, (
+        _SCENE, _KERNEL,
+        _flag("--efficiencies", type=_floats_arg, required=True, metavar="E1,E2",
+              help="E values to sweep"),
+        _GRID, _PROFILE, _REPORT_OUT,
+    )),
+)
+_COMMAND_NAMES = frozenset(name for name, _help, _func, _flags in _COMMANDS)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``isobenefit`` parser with every subcommand, or with ``command``
+    alone. A subcommand's parser comes from the same calls either way, so
+    its usage line, help text and errors do not depend on which was built."""
     parser = argparse.ArgumentParser(
         prog="isobenefit",
         description="Benefit fields, isobenefit lines, and gravity-model "
                     "indicators for scenes of urban amenities.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("field", help="evaluate a benefit raster")
-    _add_scene_flag(p)
-    _add_kernel_flags(p)
-    _add_grid_flag(p)
-    _add_profile_flag(p)
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="output raster file (.asc: ESRI ASCII, else CSV)")
-    p.add_argument("--parts", action="store_true",
-                   help="also write _positive/_negative companion rasters")
-    p.set_defaults(func=_cmd_field)
-
-    p = sub.add_parser("isolines", help="extract isobenefit lines as GeoJSON")
-    _add_scene_flag(p, required=False)
-    _add_kernel_flags(p)
-    _add_grid_flag(p, required=False)
-    _add_profile_flag(p)
-    p.add_argument("--raster", default=None, metavar="PATH",
-                   help="contour an existing raster file instead of a scene")
-    p.add_argument("--levels", type=_floats_arg, default=None, metavar="A,B,C",
-                   help="explicit contour levels")
-    p.add_argument("--nlevels", type=int, default=None, metavar="N",
-                   help="number of evenly spaced levels")
-    p.add_argument("--out", required=True, metavar="PATH", help="output GeoJSON file")
-    p.set_defaults(func=_cmd_isolines)
-
-    p = sub.add_parser("uniformity", help="uniformity coefficient and summary stats")
-    _add_scene_flag(p, required=False)
-    _add_kernel_flags(p)
-    _add_grid_flag(p, required=False)
-    _add_profile_flag(p)
-    p.add_argument("--raster", default=None, metavar="PATH",
-                   help="report on an existing raster file instead of a scene")
-    p.add_argument("--out", default=None, metavar="PATH", help="JSON report file")
-    p.set_defaults(func=_cmd_uniformity)
-
-    p = sub.add_parser("breakpoint", help="Reilly and numeric breaking points")
-    _add_scene_flag(p)
-    _add_kernel_flags(p)
-    p.add_argument("--pair", type=_pair_arg, required=True, metavar="ID1,ID2",
-                   help="the two amenities to compare")
-    p.add_argument("--with-context", action="store_true",
-                   help="sum the whole scene, not just the pair, along the segment")
-    p.add_argument("--resolution", type=int, default=101, metavar="N",
-                   help="samples per pass along the segment (default: 101)")
-    p.add_argument("--out", default=None, metavar="PATH", help="JSON report file")
-    p.set_defaults(func=_cmd_breakpoint)
-
-    p = sub.add_parser("huff", help="visit probabilities from an origin")
-    _add_scene_flag(p)
-    p.add_argument("--origin", type=_point_arg, required=True, metavar="X,Y",
-                   help="citizen location")
-    p.add_argument("--distance-exponent", type=float, default=1.0, metavar="G",
-                   help="distance exponent (default: 1.0, the plain model)")
-    p.add_argument("--out", default=None, metavar="PATH", help="JSON report file")
-    p.set_defaults(func=_cmd_huff)
-
-    p = sub.add_parser("pgg", help="preference gap gain raster person vs majority")
-    _add_scene_flag(p)
-    _add_kernel_flags(p)
-    _add_grid_flag(p)
-    p.add_argument("--person", required=True, metavar="NAME",
-                   help="profile whose gains to map")
-    p.add_argument("--majority", default=None, metavar="NAME",
-                   help="majority profile (default: the scene's, else baseline)")
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="output raster file (.asc: ESRI ASCII, else CSV)")
-    p.add_argument("--report", default=None, metavar="PATH", help="JSON summary file")
-    p.set_defaults(func=_cmd_pgg)
-
-    p = sub.add_parser("curve", help="decay curves over distance, one column per E")
-    p.add_argument("--attractiveness", type=float, default=3.0, metavar="A",
-                   help="attractiveness at distance 0 (default: 3)")
-    p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="rational",
-                   help="decay family (default: rational)")
-    p.add_argument("--efficiencies", type=_floats_arg, required=True, metavar="E1,E2",
-                   help="E values, one output column each")
-    p.add_argument("--dmax", type=float, default=10.0, metavar="D",
-                   help="largest sampled distance (default: 10)")
-    p.add_argument("--samples", type=int, default=101, metavar="N",
-                   help="number of distance samples from 0 to dmax (default: 101)")
-    p.add_argument("--out", required=True, metavar="PATH", help="output CSV file")
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("sweep", help="indicators across a list of E values")
-    _add_scene_flag(p)
-    p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="rational",
-                   help="decay family (default: rational)")
-    p.add_argument("--efficiencies", type=_floats_arg, required=True, metavar="E1,E2",
-                   help="E values to sweep")
-    _add_grid_flag(p)
-    _add_profile_flag(p)
-    p.add_argument("--out", default=None, metavar="PATH", help="JSON report file")
-    p.set_defaults(func=_cmd_sweep)
-
+    for name, help_text, func, flags in _COMMANDS:
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in flags:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -496,9 +495,9 @@ def _join_minus_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     raw = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_minus_values(raw))
+    command = raw[0] if raw and raw[0] in _COMMAND_NAMES else None
+    args = _build_parser(command).parse_args(_join_minus_values(raw))
     try:
         if getattr(args, "grid", None) is not None:
             args.grid = _grid_spec(args.grid)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import GridSpec, Kernel, Raster, Scene, resolve_profile
+from .scene import GridSpec, Kernel, Raster, Scene, _finite_number, resolve_profile
 
 __all__ = [
     "PointBenefit",
@@ -162,17 +162,21 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
 def _amenity_columns(amenities) -> np.ndarray:
     """x, y and attractiveness of the amenities as the rows of a (3, n)
     float array. Raises :class:`InvalidValueError` naming the first amenity
-    with a non-finite value."""
-    columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
-                        [am.attractiveness for am in amenities]], dtype=float)
-    finite = np.isfinite(columns)
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=0)))
-        name = ("x", "y", "attractiveness")[int(np.argmin(finite[:, k]))]
-        am = amenities[k]
-        raise InvalidValueError(
-            f"amenity {am.id!r} {name} must be finite, got {getattr(am, name)!r}")
-    return columns
+    with a value that is not a finite float: non-finite, or an integer
+    beyond the float range."""
+    try:
+        columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
+                            [am.attractiveness for am in amenities]], dtype=float)
+        if np.isfinite(columns).all():
+            return columns
+    except OverflowError:  # an integer beyond the float range
+        pass
+    for am in amenities:
+        for name in ("x", "y", "attractiveness"):
+            value = getattr(am, name)
+            if not _finite_number(value):
+                raise InvalidValueError(f"amenity {am.id!r} {name} must be finite, got {value!r}")
+    raise AssertionError("a non-finite amenity column without a non-finite value")
 
 
 def _block_rows(samples: int) -> int:

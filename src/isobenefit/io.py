@@ -114,13 +114,18 @@ def _format_error(path: str, message: str, line: int | None = None) -> SceneForm
     return SceneFormatError(f"{where}: {message}")
 
 
-def _require_number(raw: object, what: str, path: str, line: int | None = None) -> float:
+def _require_number(raw: object, path: str, label: str, *label_args: object) -> float:
+    """``raw`` as a float. A refused value is a format error naming it by
+    ``label.format(*label_args)``, formatted only then: a scene's valid
+    values are most of what it holds."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise _format_error(path, f"{what} must be a number, got {raw!r}", line)
+        what = label.format(*label_args)
+        raise _format_error(path, f"{what} must be a number, got {raw!r}")
     try:
         return float(raw)
     except OverflowError:  # an integer too large for a float
-        raise _format_error(path, f"{what} is out of the float range", line) from None
+        what = label.format(*label_args)
+        raise _format_error(path, f"{what} is out of the float range") from None
 
 
 def _scene_from_json(path: str) -> Scene:
@@ -146,9 +151,9 @@ def _scene_from_json(path: str) -> Scene:
             raise _format_error(path, f"amenity #{k} id must be a string, got {entry['id']!r}")
         amenities.append(Amenity(
             id=entry["id"],
-            x=_require_number(entry["x"], f"amenity #{k} x", path),
-            y=_require_number(entry["y"], f"amenity #{k} y", path),
-            attractiveness=_require_number(entry["A"], f"amenity #{k} A", path),
+            x=_require_number(entry["x"], path, "amenity #{} x", k),
+            y=_require_number(entry["y"], path, "amenity #{} y", k),
+            attractiveness=_require_number(entry["A"], path, "amenity #{} A", k),
         ))
 
     profiles: dict[str, Profile] = {}
@@ -160,12 +165,12 @@ def _scene_from_json(path: str) -> Scene:
             raise _format_error(path, f"profile {name!r} must be an object, got {body!r}")
         efficiency = None
         if body.get("E") is not None:
-            efficiency = _require_number(body["E"], f"profile {name!r} E", path)
+            efficiency = _require_number(body["E"], path, "profile {!r} E", name)
         raw_overrides = body.get("overrides", {})
         if not isinstance(raw_overrides, dict):
             raise _format_error(path, f'profile {name!r} "overrides" must be an object')
         overrides = {
-            target: _require_number(value, f"profile {name!r} override {target!r}", path)
+            target: _require_number(value, path, "profile {!r} override {!r}", name, target)
             for target, value in raw_overrides.items()
         }
         profiles[name] = Profile(name=name, efficiency=efficiency, overrides=overrides)
@@ -387,7 +392,7 @@ def read_contours_geojson(path: str) -> ContourSet:
         if geometry.get("type") != "LineString":
             raise _format_error(path, f"feature #{k}: expected a LineString")
         properties = feature.get("properties") or {}
-        level = _require_number(properties.get("level"), f"feature #{k} level", path)
+        level = _require_number(properties.get("level"), path, "feature #{} level", k)
         closed = bool(properties.get("closed", False))
         try:
             points = [(float(x), float(y)) for x, y in geometry.get("coordinates")]

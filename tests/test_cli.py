@@ -512,6 +512,7 @@ def test_sweep_reports_one_row_per_e(tmp_path, profiled, capsys):
     "breakpoint --scene SCENE --efficiency nan --pair park,shop",
     "breakpoint --scene SCENE --resolution 2 --pair park,shop",
     "sweep --scene SCENE --efficiencies 0 --grid 0,0,1,3,3",
+    "sweep --scene SCENE --efficiencies 1,0 --grid 0,0,1,3,3",
     "curve --efficiencies 0 --out c.csv",
     "isolines --scene SCENE --grid 0,0,1,3,3 --nlevels 0 --out l.geojson",
     "isolines --scene SCENE --grid 0,0,1,3,3 --levels nan --out l.geojson",
@@ -528,7 +529,9 @@ def test_bad_argument_is_a_named_error(tmp_path, monkeypatch, capsys, profiled, 
     monkeypatch.chdir(tmp_path)
     paths = {"SCENE": str(profiled), "HUGE": str(huge)}
     assert run(*(paths.get(token, token) for token in argv.split())) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""  # a refused argument prints no partial report
+    assert err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "profiled.json"]
 
 
@@ -558,6 +561,44 @@ def test_unknown_subcommand_is_a_usage_error():
     assert excinfo.value.code == 2
 
 
+COMMANDS = ["field", "isolines", "uniformity", "breakpoint", "huff", "pgg", "curve", "sweep"]
+
+
+def _exit_code_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    return excinfo.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag, code", [("--help", 0), ("--bogus", 2)])
+def test_one_command_parser_prints_what_the_full_parser_prints(
+        capsys, monkeypatch, command, flag, code):
+    # main builds only the named command's parser; its help and usage
+    # errors must be those of that command in the full parser
+    want = _exit_code_and_output(capsys, cli._build_parser().parse_args, [command, flag])
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda name=None: built.append(name) or build(name))
+    got = _exit_code_and_output(capsys, main, [command, flag])
+    assert built == [command]
+    assert got == want
+    assert got[0] == code
+    if code == 0:
+        assert got[1].out.startswith(f"usage: isobenefit {command} [-h]")
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["paint"], 2)])
+def test_no_known_command_falls_back_to_the_full_parser(capsys, argv, code):
+    want = _exit_code_and_output(capsys, cli._build_parser().parse_args, argv)
+    got = _exit_code_and_output(capsys, main, argv)
+    assert got == want
+    assert got[0] == code
+    if argv:  # help and an unknown command both list every command
+        text = got[1].out + got[1].err
+        assert all(command in text for command in COMMANDS)
+
+
 def test_module_entry_point_runs():
     import os
     import subprocess
@@ -572,3 +613,7 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "field" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "isobenefit", "breakpoint", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "usage: isobenefit breakpoint" in proc.stdout

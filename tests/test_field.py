@@ -311,10 +311,15 @@ def test_overflowing_point_sum_is_a_named_error(attractiveness, x):
      "amenity 'b' x must be finite, got nan"),
     ((Amenity("a", 0.0, -math.inf, 1.0),), np.zeros(2), 0.0, "amenity 'a' y must be finite"),
     ((Amenity("a", 0.0, 0.0, math.nan),), 0.0, 0.0, "amenity 'a' attractiveness"),
+    ((Amenity("a", 10**400, 0.0, 1.0),), 0.0, 0.0, "amenity 'a' x must be finite, got 1000"),
 ])
 def test_non_finite_input_is_invalid_not_an_overflow(amenities, x, y, message):
     with pytest.raises(InvalidValueError, match=message):
         point_benefit(amenities, Kernel("rational", 1.0), x, y)
+    if message.startswith("amenity"):  # an unvalidated scene reaches the field the same way
+        with pytest.raises(InvalidValueError, match=message):
+            evaluate_field(Scene(amenities=amenities), Kernel("rational", 1.0),
+                           GridSpec(0.0, 0.0, 1.0, 2, 2))
 
 
 def test_overflow_message_counts_one_amenity():

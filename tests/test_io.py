@@ -100,6 +100,30 @@ def test_json_structure_errors(tmp_path, doc, fragment):
         load_scene(path)
 
 
+@pytest.mark.parametrize("name, doc, message", [
+    ("bad.json", {"amenities": [{"id": "p", "x": 0, "y": 0, "A": 1},
+                                {"id": "q", "x": 0, "y": "far", "A": 1}]},
+     "amenity #1 y must be a number, got 'far'"),
+    ("bad.json", {"amenities": [{"id": "p", "x": 0, "y": 0, "A": True}]},
+     "amenity #0 A must be a number, got True"),
+    ("bad.json", {"amenities": [], "profiles": {"a": {"E": "fast"}}},
+     "profile 'a' E must be a number, got 'fast'"),
+    ("bad.json", {"amenities": [], "profiles": {"a": {"overrides": {"p": 10 ** 400}}}},
+     "profile 'a' override 'p' is out of the float range"),
+    ("bad.geojson", {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "geometry": {"type": "LineString", "coordinates": []},
+         "properties": {}}]},
+     "feature #0 level must be a number, got None"),
+])
+def test_refused_number_message_is_exact(tmp_path, name, doc, message):
+    # labels are formatted only once a value is refused; their text is pinned
+    path = write(tmp_path / name, json.dumps(doc))
+    read = read_contours_geojson if name.endswith(".geojson") else load_scene
+    with pytest.raises(SceneFormatError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 def test_csv_header_and_row_errors(tmp_path):
     bad_header = write(tmp_path / "h.csv", "name,x,y,A\np,0,0,1\n")
     with pytest.raises(SceneFormatError, match="header"):

@@ -32,5 +32,8 @@ def test_readme_cli_examples_parse():
     assert len(examples) >= 10
     parser = cli._build_parser()
     for line in examples:
-        args = parser.parse_args(cli._join_minus_values(shlex.split(line)[1:]))
+        argv = cli._join_minus_values(shlex.split(line)[1:])
+        args = parser.parse_args(argv)
         assert args.func is not None, line
+        # main parses with the named command's parser alone; it must agree
+        assert cli._build_parser(argv[0]).parse_args(argv) == args, line
