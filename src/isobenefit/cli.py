@@ -183,25 +183,34 @@ def _cmd_field(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scene_field(args: argparse.Namespace, evaluate):
-    """``evaluate`` (a field function) on --scene/--grid, for the commands
-    that take either those or --raster."""
+def _check_source(args: argparse.Namespace) -> None:
+    """Refuse a command that takes --raster or --scene/--grid but got
+    neither, before it reads anything."""
+    if args.raster is not None:
+        return
     if args.scene is None:
         raise IsobenefitError(f"{args.command} needs --scene (with --grid) or --raster")
     if args.grid is None:
         raise IsobenefitError("--grid is required when computing the field from --scene")
+
+
+def _scene_field(args: argparse.Namespace, evaluate):
+    """``evaluate`` (a field function) on --scene/--grid, once
+    :func:`_check_source` has passed."""
     scene = load_scene(args.scene)
     kernel = Kernel(args.kernel, args.efficiency)
     return evaluate(scene, kernel, args.grid, profile=args.profile)
 
 
 def _cmd_isolines(args: argparse.Namespace) -> int:
+    _check_source(args)
+    # before any input is read: a refused flag pair costs no evaluation
+    if (args.levels is None) == (args.nlevels is None):
+        raise IsobenefitError("pass exactly one of --levels or --nlevels")
     if args.raster is not None:
         raster = read_raster(args.raster)
     else:
         raster = _scene_field(args, evaluate_field)
-    if (args.levels is None) == (args.nlevels is None):
-        raise IsobenefitError("pass exactly one of --levels or --nlevels")
     contours = extract_isolines(raster, levels=args.levels, nlevels=args.nlevels)
     write_contours_geojson(contours, args.out)
     print(f"wrote {args.out} ({len(contours.lines)} lines at {len(contours.levels)} levels)")
@@ -224,6 +233,7 @@ def _print_uniformity(label: str, result: UniformityResult | None) -> None:
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
+    _check_source(args)
     report: dict
     if args.raster is not None:
         raster = read_raster(args.raster)

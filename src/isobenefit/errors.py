@@ -74,7 +74,8 @@ class GridTooSmallError(IsobenefitError):
 
 
 class NoFiniteRangeError(IsobenefitError):
-    """Evenly spaced levels cannot be placed on a constant raster."""
+    """Evenly spaced levels cannot be placed on a constant raster, and no
+    levels on a raster whose values span more than the float range."""
 
 
 class OriginOnAmenityError(IsobenefitError):

@@ -4,8 +4,17 @@ All writers are atomic (write to a temp file, then rename into place), so a
 failing run never leaves a partial output file behind. Floats are written
 in shortest round-trip form, which makes every format lossless for double
 precision and byte-for-byte deterministic. Float tables (raster rows,
-decay curves) go through :func:`write_rows`, JSON documents (reports,
-contours) through :func:`write_json`, which refuses non-finite numbers.
+decay curves) go through :func:`write_rows`, JSON reports through
+:func:`write_json`, which refuses non-finite numbers.
+
+Contour GeoJSON bypasses :func:`write_json`: with ``indent`` set, CPython's
+``json`` runs its pure-Python encoder, which took longer than extracting the
+contours. :func:`write_contours_geojson` builds the same text directly, and
+its bytes equal those of ``write_json`` on :func:`contours_to_geojson`'s
+document (a test pins this). They stay equal because it lays out lists and
+objects as ``json.dumps(indent=2)`` does, writes a float as ``json`` does
+(``float.__repr__``, so a numpy float64 too), hands any other value to
+``json.dumps``, and refuses a non-finite number with the same error.
 
 Formats:
 
@@ -26,7 +35,9 @@ Formats:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -90,14 +101,18 @@ def write_rows(path: str, header_lines: Iterable[str], table: np.ndarray,
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _non_finite_error(path: str) -> InvalidValueError:
+    return InvalidValueError(
+        f"{path}: JSON cannot hold a non-finite number (did a sum overflow?)")
+
+
 def write_json(path: str, doc: object) -> None:
     """Write ``doc`` as indented JSON; a non-finite number is an error,
     since JSON has no spelling for it."""
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:
-        raise InvalidValueError(
-            f"{path}: JSON cannot hold a non-finite number (did a sum overflow?)") from None
+        raise _non_finite_error(path) from None
     atomic_write_text(path, text + "\n")
 
 
@@ -112,6 +127,17 @@ def _fmt(value: float) -> str:
 def _format_error(path: str, message: str, line: int | None = None) -> SceneFormatError:
     where = f"{path}:{line}" if line is not None else path
     return SceneFormatError(f"{where}: {message}")
+
+
+@contextlib.contextmanager
+def _text_file(path: str, newline: str | None = None):
+    """``path`` opened for reading as UTF-8 text. Bytes that are not UTF-8,
+    met while the block reads, are a format error naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise _format_error(path, "not UTF-8 text") from None
 
 
 def _require_number(raw: object, path: str, label: str, *label_args: object) -> float:
@@ -129,7 +155,7 @@ def _require_number(raw: object, path: str, label: str, *label_args: object) -> 
 
 
 def _scene_from_json(path: str) -> Scene:
-    with open(path, encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -183,7 +209,7 @@ def _scene_from_json(path: str) -> Scene:
 
 
 def _scene_from_csv(path: str) -> Scene:
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _text_file(path, newline="") as handle:
         rows = list(csv.reader(handle))
     rows = [(n, row) for n, row in enumerate(rows, start=1)
             if row and any(cell.strip() for cell in row)]
@@ -260,7 +286,7 @@ def _parse_cells(cells: list[str], path: str, line: int) -> np.ndarray:
 
 
 def read_raster_csv(path: str) -> Raster:
-    with open(path, encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         lines = [line.rstrip("\n") for line in handle]
     if not lines or not lines[0].startswith("#"):
         raise _format_error(path, 'missing "# ncols,nrows,origin_x,origin_y,cell_size" header', 1)
@@ -300,7 +326,7 @@ def write_raster_asc(raster: Raster, path: str) -> None:
 
 
 def read_raster_asc(path: str) -> Raster:
-    with open(path, encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
     header: dict[str, float] = {}
     k = 0
@@ -373,12 +399,81 @@ def contours_to_geojson(contours: ContourSet) -> dict:
     }
 
 
+def _json_numbers(values: list) -> list[str]:
+    """``values`` as ``json.dumps`` writes them inside a document: a float
+    (a numpy float64 too) by ``float.__repr__``, anything else by
+    ``json.dumps`` itself. A non-finite float is an InvalidValueError."""
+    floats = values
+    try:
+        text = list(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        text = [float.__repr__(v) if isinstance(v, float) else json.dumps(v)
+                for v in values]
+        floats = [v for v in values if isinstance(v, float)]
+    if not all(map(math.isfinite, floats)):
+        raise InvalidValueError("JSON cannot hold a non-finite number")
+    return text
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Items already in JSON text as a list laid out as by
+    ``json.dumps(indent=2)``, its closing bracket at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+# a feature's coordinates sit 8 spaces in: each [x, y] pair at 10, x and y at 12
+_X_TO_Y = ",\n" + " " * 12
+_PAIR_TO_PAIR = "\n" + " " * 10 + "],\n" + " " * 10 + "[\n" + " " * 12
+
+
+def _coordinates_text(points: tuple, closed: bool) -> str:
+    flat = list(itertools.chain.from_iterable(points))
+    if len(flat) != 2 * len(points):
+        raise ValueError("contour points must be (x, y) pairs")
+    if not flat:
+        return "[]"
+    if closed:
+        flat += flat[:2]  # GeoJSON rings repeat the start
+    text = iter(_json_numbers(flat))
+    pairs = _PAIR_TO_PAIR.join(map(_X_TO_Y.join, zip(text, text)))
+    return f"[\n{' ' * 10}[\n{' ' * 12}{pairs}\n{' ' * 10}]\n{' ' * 8}]"
+
+
+def _contours_text(contours: ContourSet) -> str:
+    features = []
+    for line in contours.lines:
+        level, closed = _json_numbers([line.level, line.closed])
+        features.append(
+            '{\n      "type": "Feature",\n      "geometry": {\n'
+            '        "type": "LineString",\n'
+            f'        "coordinates": {_coordinates_text(line.points, line.closed)}\n'
+            '      },\n      "properties": {\n'
+            f'        "level": {level},\n'
+            f'        "closed": {closed}\n'
+            '      }\n    }')
+    levels = _json_numbers(list(contours.levels))
+    return ('{\n  "type": "FeatureCollection",\n'
+            f'  "crs_note": {json.dumps(CRS_NOTE)},\n'
+            f'  "levels": {_json_list(levels, "  ")},\n'
+            f'  "features": {_json_list(features, "  ")}\n'
+            '}\n')
+
+
 def write_contours_geojson(contours: ContourSet, path: str) -> None:
-    write_json(path, contours_to_geojson(contours))
+    """Write ``contours`` as the bytes that ``write_json`` would write for
+    :func:`contours_to_geojson`'s document, non-finite refusal included."""
+    try:
+        text = _contours_text(contours)
+    except InvalidValueError:
+        raise _non_finite_error(path) from None
+    atomic_write_text(path, text)
 
 
 def read_contours_geojson(path: str) -> ContourSet:
-    with open(path, encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -10,10 +10,22 @@ inputs give identical contour sets, vertex for vertex.
 
 A contour either closes on itself (``closed=True``, first point not
 repeated) or ends on the raster boundary (``closed=False``).
+
+Each level is contoured in array form, up to the joining of segments into
+lines: the cells it crosses (found from each cell's corner range, computed
+once for all levels), their case codes and saddle averages, each segment's
+two edge ids, and one crossing per crossed edge. These use the same float
+expressions, in the same order, as a loop over cells, so every bit is the
+same. An edge id is an integer that sorts as the edge's ``(kind, i, j)``
+tuple does, which fixes the order of the lines. Joining stays a Python walk
+over integer neighbour lists, along with the removal of repeated points:
+each step of the walk depends on the step before, so it has no array form,
+and it costs one list lookup per vertex.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +37,6 @@ from .scene import Raster
 __all__ = ["ContourLine", "ContourSet", "extract_isolines"]
 
 Point = tuple[float, float]
-_EdgeId = tuple[int, int, int]  # (kind, i, j); kind 0 = horizontal, 1 = vertical
 
 
 @dataclass(frozen=True)
@@ -72,47 +83,104 @@ _SADDLE_SEPARATE = {  # average at or below the level: high corners stay apart
 }
 
 
-def _edge_id(local: str, i: int, j: int) -> _EdgeId:
-    if local == "B":
-        return (0, i, j)
-    if local == "T":
-        return (0, i, j + 1)
-    if local == "L":
-        return (1, i, j)
-    return (1, i + 1, j)  # R
+# Local edges in table order, and the (kind, di, dj) of each in the cell
+# (i, j): kind 0 = horizontal edge from node (i, j), 1 = vertical.
+_LOCAL = "BRTL"
+_LOCAL_EDGE = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
 
 
-def _crossing(edge: _EdgeId, V: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-              level: float) -> Point:
-    kind, i, j = edge
-    if kind == 0:  # horizontal: nodes (i, j) and (i+1, j)
-        a = V[j, i]
-        b = V[j, i + 1]
-        t = (level - a) / (b - a)
-        return (float(xs[i] * (1.0 - t) + xs[i + 1] * t), float(ys[j]))
+def _case_table() -> np.ndarray:
+    """The segment tables as one array: ``[joined, case, segment, end]`` is
+    the local edge index (into ``_LOCAL``) of one segment end, -1 past a
+    case's last segment. ``joined`` picks the saddle rule (the cell average
+    above the level); the other cases read the same either way."""
+    table = np.full((2, 16, 2, 2), -1, dtype=np.intp)
+    for joined, saddles in ((0, _SADDLE_SEPARATE), (1, _SADDLE_JOINED)):
+        for case, pairs in {**_SEGMENTS, **saddles}.items():
+            for k, pair in enumerate(pairs):
+                table[joined, case, k] = [_LOCAL.index(local) for local in pair]
+    return table
+
+
+_CASES = _case_table()
+
+
+def _corner_range(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest corner value of every lattice cell, as two
+    ``(nrows - 1, ncols - 1)`` arrays: computed once for all levels, they
+    find the cells a level crosses with two comparisons per cell."""
+    corners = (V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1])
+    low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
+    high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    return low, high
+
+
+def _segments(V: np.ndarray, low: np.ndarray, high: np.ndarray,
+              level: float) -> np.ndarray:
+    """Every contour segment at ``level`` as a row of two edge ids.
+
+    The edge (kind, i, j) has the id ``kind * V.size + i * nrows + j``, so
+    ids sort as the tuples do."""
+    nrows, ncols = V.shape
+    # a cell holds segments when some corner is above the level and some not
+    j, i = np.divmod(np.flatnonzero((low <= level) & (high > level)), ncols - 1)
+    bl = V[j, i]
+    br = V[j, i + 1]
+    tr = V[j + 1, i + 1]
+    tl = V[j + 1, i]
+    case = ((bl > level) * 1 | (br > level) * 2 | (tr > level) * 4 | (tl > level) * 8)
+    joined = np.zeros(case.size, dtype=np.intp)
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    corners = bl[saddle], br[saddle], tl[saddle], tr[saddle]
+    with np.errstate(over="ignore"):
+        average = (corners[0] + corners[1] + corners[2] + corners[3]) / 4.0
+    wide = ~np.isfinite(average)  # the sum overflowed: add the quarters instead
+    if wide.any():
+        average[wide] = sum(c[wide] / 4.0 for c in corners)
+    joined[saddle] = average > level
+    # id offset of each local edge from the cell's own (i, j)
+    offset = np.array([kind * V.size + di * nrows + dj for kind, di, dj in _LOCAL_EDGE])
+    local = _CASES[joined, case]  # (cells, segment, end)
+    base = (i * nrows + j)[:, None]
+    first = base + offset[local[:, 0]]
+    second = base[saddle] + offset[local[saddle, 1]]  # saddles alone hold two
+    return np.concatenate([first, second])
+
+
+def _crossings(nodes: np.ndarray, V: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+               level: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the level crossing on each edge id in the sorted ``nodes``,
+    by inverse linear interpolation from the edge's first node."""
+    nrows = V.shape[0]
+    n_horizontal = int(np.searchsorted(nodes, V.size))
+    i, j = np.divmod(nodes[:n_horizontal], nrows)  # nodes (i, j) and (i+1, j)
     a = V[j, i]
-    b = V[j + 1, i]
-    t = (level - a) / (b - a)
-    return (float(xs[i]), float(ys[j] * (1.0 - t) + ys[j + 1] * t))
+    t = (level - a) / (V[j, i + 1] - a)
+    hx = xs[i] * (1.0 - t) + xs[i + 1] * t
+    hy = ys[j]
+    i, j = np.divmod(nodes[n_horizontal:] - V.size, nrows)  # (i, j) and (i, j+1)
+    a = V[j, i]
+    t = (level - a) / (V[j + 1, i] - a)
+    vx = xs[i]
+    vy = ys[j] * (1.0 - t) + ys[j + 1] * t
+    return np.concatenate([hx, vx]), np.concatenate([hy, vy])
 
 
-def _walk(start: _EdgeId, first: _EdgeId | None,
-          adjacency: dict[_EdgeId, list[_EdgeId]],
-          visited: set[_EdgeId]) -> list[_EdgeId]:
-    """Follow the degree-<=2 contour graph from ``start`` until it dead-ends
-    or returns to ``start``; marks nodes visited."""
+def _walk(start: int, first: int, nb0: list[int], nb1: list[int],
+          visited: list[bool]) -> list[int]:
+    """Follow the degree-<=2 contour graph from ``start`` through ``first``
+    until it dead-ends or returns to ``start``; marks nodes visited. A node's
+    neighbours are ``nb0`` and ``nb1`` (-1 for none)."""
     chain = [start]
-    visited.add(start)
+    visited[start] = True
     prev = start
     cur = first
-    while cur is not None and cur != start:
+    while cur != -1 and cur != start:
         chain.append(cur)
-        visited.add(cur)
-        nxt = None
-        for nb in adjacency[cur]:
-            if nb != prev and (nb == start or nb not in visited):
-                nxt = nb
-                break
+        visited[cur] = True
+        nxt = nb0[cur]
+        if nxt == prev:
+            nxt = nb1[cur]
         prev, cur = cur, nxt
     return chain
 
@@ -127,56 +195,47 @@ def _dedupe(points: list[Point], closed: bool) -> list[Point]:
     return out
 
 
-def _extract_level(V: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                   level: float) -> list[ContourLine]:
-    above = (V > level).astype(np.uint8)
-    code = (above[:-1, :-1]
-            | (above[:-1, 1:] << 1)
-            | (above[1:, 1:] << 2)
-            | (above[1:, :-1] << 3))
-    crossing_cells = np.argwhere((code > 0) & (code < 15))
+def _extract_level(V: np.ndarray, corner_range: tuple[np.ndarray, np.ndarray],
+                   xs: np.ndarray, ys: np.ndarray, level: float) -> list[ContourLine]:
+    segments = _segments(V, *corner_range, level)
+    # graph nodes are the crossed edges, numbered in edge-id order
+    nodes, ends = np.unique(segments, return_inverse=True)
+    ends = ends.reshape(segments.shape)
+    source = np.concatenate([ends[:, 0], ends[:, 1]])
+    target = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.argsort(source)  # which neighbour is first does not matter
+    source = source[order]
+    target = target[order]
+    repeat = np.zeros(source.size, dtype=bool)  # a node's second neighbour
+    repeat[1:] = source[1:] == source[:-1]
+    nb0 = target[~repeat]
+    nb1 = np.full(nodes.size, -1, dtype=target.dtype)
+    nb1[source[repeat]] = target[repeat]
 
-    adjacency: dict[_EdgeId, list[_EdgeId]] = {}
-    points: dict[_EdgeId, Point] = {}
-    for j, i in crossing_cells:
-        j = int(j)
-        i = int(i)
-        c = int(code[j, i])
-        if c in _SEGMENTS:
-            pairs = _SEGMENTS[c]
-        else:
-            avg = (V[j, i] + V[j, i + 1] + V[j + 1, i] + V[j + 1, i + 1]) / 4.0
-            pairs = (_SADDLE_JOINED if avg > level else _SADDLE_SEPARATE)[c]
-        for la, lb in pairs:
-            ea = _edge_id(la, i, j)
-            eb = _edge_id(lb, i, j)
-            for e in (ea, eb):
-                if e not in points:
-                    points[e] = _crossing(e, V, xs, ys, level)
-            adjacency.setdefault(ea, []).append(eb)
-            adjacency.setdefault(eb, []).append(ea)
-
+    x, y = _crossings(nodes, V, xs, ys, level)
+    points = list(zip(x.tolist(), y.tolist()))
+    # a chain repeats a point only across a segment whose two crossings
+    # coincide (a corner exactly at the level); elsewhere dedupe changes nothing
+    a, b = ends[:, 0], ends[:, 1]
+    repeats = bool(((x[a] == x[b]) & (y[a] == y[b])).any())
+    ends_at = np.flatnonzero(nb1 < 0).tolist()
+    nb0 = nb0.tolist()
+    nb1 = nb1.tolist()
+    visited = [False] * nodes.size
     lines: list[ContourLine] = []
-    visited: set[_EdgeId] = set()
-
-    # Open contours start at degree-1 nodes (raster boundary).
-    for start in sorted(e for e, nb in adjacency.items() if len(nb) == 1):
-        if start in visited:
-            continue
-        chain = _walk(start, adjacency[start][0], adjacency, visited)
-        pts = _dedupe([points[e] for e in chain], closed=False)
-        if len(pts) >= 2:
-            lines.append(ContourLine(level=level, points=tuple(pts), closed=False))
-
-    # Whatever remains consists of cycles.
-    for start in sorted(e for e in adjacency if e not in visited):
-        if start in visited:
-            continue
-        chain = _walk(start, min(adjacency[start]), adjacency, visited)
-        pts = _dedupe([points[e] for e in chain], closed=True)
-        if len(pts) >= 2:
-            lines.append(ContourLine(level=level, points=tuple(pts), closed=True))
-
+    # Open contours start at degree-1 nodes (raster boundary), lowest edge id
+    # first. Whatever remains consists of cycles, each entered from its
+    # lowest node through that node's lower neighbour.
+    for closed, starts in ((False, ends_at), (True, range(nodes.size))):
+        for start in starts:
+            if visited[start]:
+                continue
+            first = min(nb0[start], nb1[start]) if closed else nb0[start]
+            pts = [points[k] for k in _walk(start, first, nb0, nb1, visited)]
+            if repeats:
+                pts = _dedupe(pts, closed)
+            if len(pts) >= 2:
+                lines.append(ContourLine(level=level, points=tuple(pts), closed=closed))
     return lines
 
 
@@ -192,7 +251,8 @@ def extract_isolines(
     raster's value range yields no lines for that level. A constant raster
     cannot host evenly spaced levels (:class:`NoFiniteRangeError`); asking
     for the constant itself as an explicit level warns and yields no lines,
-    since a plateau has no contour.
+    since a plateau has no contour. Nor can a raster whose values span more
+    than the float range (:class:`NoFiniteRangeError`).
     """
     grid = raster.grid
     if grid.ncols < 2 or grid.nrows < 2:
@@ -205,6 +265,9 @@ def extract_isolines(
 
     if (levels is None) == (nlevels is None):
         raise InvalidValueError("pass exactly one of levels= or nlevels=")
+    if vmax - vmin == math.inf:  # crossings would divide by an overflowed span
+        raise NoFiniteRangeError(
+            f"raster values span {vmin!r} to {vmax!r}, wider than the float range")
     if nlevels is not None:
         if nlevels < 1:
             raise InvalidValueError(f"nlevels must be >= 1, got {nlevels}")
@@ -225,7 +288,8 @@ def extract_isolines(
 
     xs = grid.x_coords()
     ys = grid.y_coords()
+    corner_range = _corner_range(V)
     all_lines: list[ContourLine] = []
     for level in level_list:
-        all_lines.extend(_extract_level(V, xs, ys, level))
+        all_lines.extend(_extract_level(V, corner_range, xs, ys, level))
     return ContourSet(levels=tuple(level_list), lines=tuple(all_lines))

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isobenefit import (
     MAX_GRID_CELLS,
     GridSpec,
     Kernel,
+    Raster,
     evaluate_field,
     extract_isolines,
     kernel_benefit,
@@ -15,6 +18,7 @@ from isobenefit import (
     read_contours_geojson,
     read_raster,
     read_raster_csv,
+    write_raster,
 )
 from isobenefit import cli
 from isobenefit.cli import main
@@ -191,6 +195,15 @@ def test_isolines_needs_exactly_one_level_flag(tmp_path, one_amenity, capsys):
     assert run("isolines", "--scene", one_amenity, "--grid", "0,0,1,3,3",
                "--out", tmp_path / "x.geojson") == 1
     assert "--levels" in capsys.readouterr().err
+    # the flags are checked before any input is read: a raster that does not
+    # exist would otherwise be the error
+    missing = tmp_path / "missing.csv"
+    assert run("isolines", "--raster", missing, "--levels", "1", "--nlevels", "2",
+               "--out", tmp_path / "y.geojson") == 1
+    err = capsys.readouterr().err
+    assert "--levels" in err
+    assert "missing.csv" not in err
+    assert not (tmp_path / "y.geojson").exists()
 
 
 # -- uniformity
@@ -617,3 +630,68 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "usage: isobenefit breakpoint" in proc.stdout
+
+
+# -- mutated raster input
+
+
+@st.composite
+def mutated_rasters(draw):
+    """A small raster, the file name that picks its format (CSV or ASC),
+    and how to mutate the file: truncate it, flip bytes, replace values by
+    non-finite or odd tokens, or make a row ragged."""
+    ncols = draw(st.integers(2, 5))
+    nrows = draw(st.integers(2, 5))
+    values = draw(st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False) | st.integers(-3, 3).map(float),
+        min_size=ncols * nrows, max_size=ncols * nrows))
+    raster = Raster(GridSpec(0.5, -1.0, 0.25, ncols, nrows), values)
+    name = draw(st.sampled_from(["r.csv", "r.asc"]))
+    how = draw(st.sampled_from(["truncate", "flip", "token", "ragged"]))
+    return name, raster, how, draw(st.randoms(use_true_random=False))
+
+
+def mutate(data: bytes, how: str, rnd) -> bytes:
+    if how == "truncate":
+        return data[:rnd.randrange(len(data))]
+    if how == "flip":
+        out = bytearray(data)
+        for _ in range(rnd.randint(1, 3)):
+            out[rnd.randrange(len(out))] ^= rnd.randrange(1, 256)
+        return bytes(out)
+    lines = data.split(b"\n")
+    k = rnd.choice([k for k, line in enumerate(lines) if line and line[:1] in b"-0123456789"])
+    sep = b"," if b"," in lines[k] else b" "
+    cells = lines[k].split(sep)
+    if how == "token":  # one or two cells, so that -1e308 and 1e308 can meet
+        for _ in range(rnd.randint(1, 2)):
+            cells[rnd.randrange(len(cells))] = rnd.choice(
+                [b"nan", b"inf", b"-inf", b"Infinity", b"NaN", b"1e999", b"-1e308",
+                 b"1e308", b""])
+    elif rnd.random() < 0.5:
+        cells.pop(rnd.randrange(len(cells)))
+    else:
+        cells.append(b"1.0")
+    lines[k] = sep.join(cells)
+    return b"\n".join(lines)
+
+
+@given(mutated_rasters(), st.sampled_from([("--nlevels", "3"), ("--levels", "0.5,-1")]))
+def test_mutated_raster_input_ends_in_an_exit_code(tmp_path_factory, case, level_flag):
+    name, raster, how, rnd = case
+    directory = tmp_path_factory.mktemp("mutated")
+    path = directory / name
+    write_raster(raster, str(path))
+    path.write_bytes(mutate(path.read_bytes(), how, rnd))
+    outputs = [directory / "c.geojson", directory / "u.json"]
+    for argv in (["isolines", "--raster", path, *level_flag, "--out", outputs[0]],
+                 ["uniformity", "--raster", path, "--out", outputs[1]]):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        assert code in (0, 1, 2)
+    for out in outputs:
+        if out.exists():
+            assert "Infinity" not in out.read_text()
+            assert "NaN" not in out.read_text()

@@ -13,6 +13,7 @@ from isobenefit import (
     ContourLine,
     ContourSet,
     GridSpec,
+    InvalidValueError,
     Raster,
     SceneFormatError,
     SceneValidationError,
@@ -26,7 +27,7 @@ from isobenefit import (
     write_raster_asc,
     write_raster_csv,
 )
-from isobenefit.io import write_rows
+from isobenefit.io import contours_to_geojson, write_rows
 
 
 def write(path, text):
@@ -304,6 +305,105 @@ def test_geojson_preserves_lineless_levels(tmp_path):
     assert read_contours_geojson(path) == original
 
 
+geojson_floats = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       1e300, -1e300, 0.1, 1e16])
+)
+geojson_numbers = geojson_floats | geojson_floats.map(np.float64)
+contour_lines = st.builds(
+    ContourLine,
+    level=geojson_numbers,
+    points=st.lists(st.tuples(geojson_numbers, geojson_numbers), max_size=5).map(tuple),
+    closed=st.booleans(),
+)
+contour_sets = st.builds(
+    ContourSet,
+    levels=st.lists(geojson_numbers, max_size=4).map(tuple),
+    lines=st.lists(contour_lines, max_size=4).map(tuple),
+)
+
+
+def json_reference(contours):
+    return json.dumps(contours_to_geojson(contours), indent=2, allow_nan=False) + "\n"
+
+
+@given(contour_sets)
+def test_geojson_bytes_equal_the_json_module(tmp_path_factory, contours):
+    # empty levels, no lines, lineless levels, open and closed lines, and
+    # -0.0, subnormal, huge and numpy float values all come up
+    path = tmp_path_factory.mktemp("geojson") / "c.geojson"
+    write_contours_geojson(contours, str(path))
+    assert path.read_bytes() == json_reference(contours).encode()
+
+
+@pytest.mark.parametrize("contours", [
+    ContourSet(levels=(), lines=()),
+    ContourSet(levels=(1.0, 2.0), lines=()),
+    ContourSet(levels=(np.float64(-0.0),), lines=(
+        ContourLine(level=np.float64(-0.0), points=(), closed=True),
+        ContourLine(level=-0.0, points=((5e-324, 1e300), (0.1, -0.0)), closed=True),
+        ContourLine(level=3, points=((1, 2.5), (np.float64(0.5), 7)), closed=False),
+    )),
+])
+def test_geojson_bytes_of_edge_cases(tmp_path, contours):
+    path = tmp_path / "c.geojson"
+    write_contours_geojson(contours, str(path))
+    assert path.read_bytes() == json_reference(contours).encode()
+
+
+def test_geojson_refuses_a_point_that_is_not_a_pair(tmp_path):
+    contours = ContourSet(levels=(1.0,), lines=(
+        ContourLine(level=1.0, points=((0.0, 1.0), (2.0, 3.0, 4.0)), closed=False),))
+    with pytest.raises(ValueError):
+        json_reference(contours)
+    with pytest.raises(ValueError):
+        write_contours_geojson(contours, str(tmp_path / "c.geojson"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def with_bad_number(contours, where, bad):
+    """``contours`` with ``bad`` in one of its levels, line levels or
+    coordinates, chosen by ``where``."""
+    slots = [("levels", k) for k in range(len(contours.levels))]
+    for n, line in enumerate(contours.lines):
+        slots.append(("line level", n))
+        slots.extend(("point", n, k, axis)
+                     for k in range(len(line.points)) for axis in (0, 1))
+    if not slots:
+        return ContourSet(levels=(bad,), lines=())
+    slot = slots[where % len(slots)]
+    if slot[0] == "levels":
+        levels = list(contours.levels)
+        levels[slot[1]] = bad
+        return ContourSet(levels=tuple(levels), lines=contours.lines)
+    lines = list(contours.lines)
+    line = lines[slot[1]]
+    if slot[0] == "line level":
+        lines[slot[1]] = ContourLine(level=bad, points=line.points, closed=line.closed)
+    else:
+        points = [list(p) for p in line.points]
+        points[slot[2]][slot[3]] = bad
+        lines[slot[1]] = ContourLine(level=line.level,
+                                     points=tuple(map(tuple, points)), closed=line.closed)
+    return ContourSet(levels=contours.levels, lines=tuple(lines))
+
+
+@given(contour_sets, st.integers(0, 1000),
+       st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.inf)]))
+def test_geojson_refuses_non_finite_numbers(tmp_path_factory, contours, where, bad):
+    directory = tmp_path_factory.mktemp("refused")
+    path = str(directory / "c.geojson")
+    contours = with_bad_number(contours, where, bad)
+    with pytest.raises(ValueError):  # the reference refuses it too
+        json_reference(contours)
+    with pytest.raises(InvalidValueError) as excinfo:
+        write_contours_geojson(contours, path)
+    assert str(excinfo.value) == (
+        f"{path}: JSON cannot hold a non-finite number (did a sum overflow?)")
+    assert list(directory.iterdir()) == []
+
+
 def test_geojson_short_coordinate_names_the_feature(tmp_path):
     path = write(tmp_path / "short.geojson", json.dumps({
         "type": "FeatureCollection",
@@ -315,6 +415,18 @@ def test_geojson_short_coordinate_names_the_feature(tmp_path):
     }))
     with pytest.raises(SceneFormatError, match=r"short\.geojson: feature #0"):
         read_contours_geojson(path)
+
+
+@pytest.mark.parametrize("name, read", [
+    ("s.json", load_scene), ("s.csv", load_scene), ("r.csv", read_raster),
+    ("r.asc", read_raster), ("c.geojson", read_contours_geojson),
+])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, name, read):
+    path = tmp_path / name
+    path.write_bytes(b"# 2,1,0.0,0.0,1.0\n1.0,\xb1.0\n")
+    with pytest.raises(SceneFormatError) as excinfo:
+        read(str(path))
+    assert str(excinfo.value) == f"{path}: not UTF-8 text"
 
 
 def test_atomic_write_replaces_existing_content(tmp_path):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isobenefit import (
+    ContourLine,
+    ContourSet,
     GridSpec,
     GridTooSmallError,
     NoFiniteRangeError,
     Raster,
     extract_isolines,
 )
+from isobenefit.isolines import _SADDLE_JOINED, _SADDLE_SEPARATE, _SEGMENTS
 
 
 def raster(rows, origin=(0.0, 0.0), cell=1.0):
@@ -106,6 +111,26 @@ def test_constant_raster_with_nlevels_rejected():
         extract_isolines(r, nlevels=3)
 
 
+@pytest.mark.parametrize("kwargs", [{"nlevels": 3}, {"levels": [0.0]}])
+def test_range_wider_than_the_float_range_rejected(kwargs):
+    r = raster([[-1e308, 1e308], [0.0, 1.7e308]])
+    with pytest.raises(NoFiniteRangeError, match="wider than the float range"):
+        extract_isolines(r, **kwargs)
+
+
+@pytest.mark.parametrize("level", [1e308, 1e307])
+def test_saddle_rule_survives_an_overflowing_corner_sum(level):
+    # the four corners sum past the float range; scaling every value and the
+    # level by a power of two changes no decision and no crossing
+    V = np.array([[1.5e308, 0.0], [-1e307, 1.5e308]])
+    scale = 2.0 ** -1000
+    big = extract_isolines(raster(V), levels=[level])
+    small = extract_isolines(raster(V * scale), levels=[level * scale])
+    assert [(line.points, line.closed) for line in big.lines] == \
+           [(line.points, line.closed) for line in small.lines]
+    assert len(big.lines) == 2
+
+
 def test_constant_raster_with_matching_level_warns():
     r = raster([[2.0, 2.0], [2.0, 2.0]])
     with pytest.warns(UserWarning):
@@ -159,3 +184,156 @@ def test_multiple_levels_keep_request_order():
     contours = extract_isolines(r, levels=[0.75, 0.25])
     assert contours.levels == (0.75, 0.25)
     assert [line.level for line in contours.lines] == [0.75, 0.25]
+
+
+# -- per-cell reference: marching squares one cell at a time, on tuple edge
+# ids, as the library did before it worked in array form
+
+
+def _ref_edge_id(local, i, j):
+    if local == "B":
+        return (0, i, j)
+    if local == "T":
+        return (0, i, j + 1)
+    if local == "L":
+        return (1, i, j)
+    return (1, i + 1, j)  # R
+
+
+def _ref_crossing(edge, V, xs, ys, level):
+    kind, i, j = edge
+    if kind == 0:  # horizontal: nodes (i, j) and (i+1, j)
+        a = V[j, i]
+        b = V[j, i + 1]
+        t = (level - a) / (b - a)
+        return (float(xs[i] * (1.0 - t) + xs[i + 1] * t), float(ys[j]))
+    a = V[j, i]
+    b = V[j + 1, i]
+    t = (level - a) / (b - a)
+    return (float(xs[i]), float(ys[j] * (1.0 - t) + ys[j + 1] * t))
+
+
+def _ref_walk(start, first, adjacency, visited):
+    chain = [start]
+    visited.add(start)
+    prev = start
+    cur = first
+    while cur is not None and cur != start:
+        chain.append(cur)
+        visited.add(cur)
+        nxt = None
+        for nb in adjacency[cur]:
+            if nb != prev and (nb == start or nb not in visited):
+                nxt = nb
+                break
+        prev, cur = cur, nxt
+    return chain
+
+
+def _ref_dedupe(points, closed):
+    out = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    if closed and len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
+
+
+def _ref_extract_level(V, xs, ys, level):
+    above = (V > level).astype(np.uint8)
+    code = (above[:-1, :-1]
+            | (above[:-1, 1:] << 1)
+            | (above[1:, 1:] << 2)
+            | (above[1:, :-1] << 3))
+    adjacency = {}
+    points = {}
+    for j, i in np.argwhere((code > 0) & (code < 15)):
+        j = int(j)
+        i = int(i)
+        c = int(code[j, i])
+        if c in _SEGMENTS:
+            pairs = _SEGMENTS[c]
+        else:
+            avg = (V[j, i] + V[j, i + 1] + V[j + 1, i] + V[j + 1, i + 1]) / 4.0
+            pairs = (_SADDLE_JOINED if avg > level else _SADDLE_SEPARATE)[c]
+        for la, lb in pairs:
+            ea = _ref_edge_id(la, i, j)
+            eb = _ref_edge_id(lb, i, j)
+            for e in (ea, eb):
+                if e not in points:
+                    points[e] = _ref_crossing(e, V, xs, ys, level)
+            adjacency.setdefault(ea, []).append(eb)
+            adjacency.setdefault(eb, []).append(ea)
+
+    lines = []
+    visited = set()
+    for start in sorted(e for e, nb in adjacency.items() if len(nb) == 1):
+        if start in visited:
+            continue
+        chain = _ref_walk(start, adjacency[start][0], adjacency, visited)
+        pts = _ref_dedupe([points[e] for e in chain], closed=False)
+        if len(pts) >= 2:
+            lines.append(ContourLine(level=level, points=tuple(pts), closed=False))
+    for start in sorted(e for e in adjacency if e not in visited):
+        if start in visited:
+            continue
+        chain = _ref_walk(start, min(adjacency[start]), adjacency, visited)
+        pts = _ref_dedupe([points[e] for e in chain], closed=True)
+        if len(pts) >= 2:
+            lines.append(ContourLine(level=level, points=tuple(pts), closed=True))
+    return lines
+
+
+def reference_isolines(r, levels):
+    V = r.as_grid()
+    xs = r.grid.x_coords()
+    ys = r.grid.y_coords()
+    lines = []
+    for level in levels:
+        lines.extend(_ref_extract_level(V, xs, ys, float(level)))
+    return ContourSet(levels=tuple(float(lv) for lv in levels), lines=tuple(lines))
+
+
+@st.composite
+def rasters_and_levels(draw):
+    """Small rasters (2xN and Nx2 included) with integer cells half the
+    time, for plateaus and tied saddles; levels are drawn from the cell
+    values, from between them and from outside their range."""
+    ncols = draw(st.integers(2, 9))
+    nrows = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        cells = st.integers(-3, 3).map(float)
+    else:
+        cells = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cells, min_size=ncols * nrows, max_size=ncols * nrows))
+    cell = draw(st.sampled_from([1.0, 0.25, 0.1, 3.0]))
+    origin = draw(st.tuples(st.sampled_from([0.0, -2.5, 0.1, 1e3]),
+                            st.sampled_from([0.0, -1.0, 0.3])))
+    grid = GridSpec(origin[0], origin[1], cell, ncols, nrows)
+    levels = draw(st.lists(
+        st.sampled_from(values)
+        | st.floats(-120.0, 120.0, allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.5, 0.5, 1.5, -1e3, 1e3]),
+        min_size=1, max_size=4))
+    return Raster(grid, values), levels
+
+
+@pytest.mark.filterwarnings("ignore:raster is constant")
+@given(rasters_and_levels())
+def test_extraction_equals_the_per_cell_reference(case):
+    r, levels = case
+    assert extract_isolines(r, levels=levels) == reference_isolines(r, levels)
+
+
+def test_reference_agrees_on_a_smooth_field_with_closed_rings():
+    # many cells, closed rings around peaks and open lines on the hull
+    x = np.linspace(-3.0, 3.0, 61)
+    y = np.linspace(-2.0, 2.0, 41)
+    V = np.sin(2.0 * x)[None, :] * np.cos(3.0 * y)[:, None] + 0.1 * x[None, :]
+    r = raster(V, origin=(-3.0, -2.0), cell=0.1)
+    levels = [-0.9, -0.3, 0.0, 0.45, 0.8]
+    contours = extract_isolines(r, levels=levels)
+    assert any(line.closed for line in contours.lines)
+    assert any(not line.closed for line in contours.lines)
+    assert contours == reference_isolines(r, levels)
