@@ -1,12 +1,16 @@
 """Command-line surface. Every subcommand is a thin shell over the library:
 parse flags, call one library function, serialize the result.
 
-Reports (uniformity, breakpoint, huff, pgg, sweep) print a human-readable
-rendering to stdout and write the same numbers as JSON when ``--out`` (or
-``--report`` for pgg) is given. Data products (field, isolines, pgg, curve)
-write files. All numeric output uses shortest round-trip floats, so a
-re-parsed output is bit-identical to the library result and two runs with
-the same inputs produce the same bytes.
+A subcommand's handler computes its result, writes its data products
+(field, isolines, pgg, curve write files) and returns its stdout lines and
+its JSON report, or None if it has none. :func:`main` alone emits them: it
+writes the report when ``--out`` (``--report`` for pgg) names a file, then
+prints the lines. A command that fails therefore prints nothing and writes
+no report (a data product written before the failure stays). The reports
+(uniformity, breakpoint, huff, pgg, sweep) hold the numbers of the printed
+lines. All numeric output uses shortest round-trip floats, so a re-parsed
+output is bit-identical to the library result and two runs with the same
+inputs produce the same bytes.
 
 Exit code 0 on success, 1 on any domain or IO error (the message names the
 offending file or flag), 2 on bad command-line syntax.
@@ -48,7 +52,7 @@ from .io import (  # noqa: F401  (perfbench/tracing.py wraps cli.atomic_write_te
     write_rows,
 )
 from .isolines import extract_isolines
-from .scene import KERNEL_FAMILIES, GridSpec, Kernel, Scene
+from .scene import KERNEL_FAMILIES, MAX_GRID_CELLS, GridSpec, Kernel, Scene
 
 __all__ = ["main"]
 
@@ -127,7 +131,8 @@ _PROFILE = _flag("--profile", default=None, metavar="NAME",
                  help="preference profile to apply (default: baseline)")
 _RASTER_OUT = _flag("--out", required=True, metavar="PATH",
                     help="output raster file (.asc: ESRI ASCII, else CSV)")
-_REPORT_OUT = _flag("--out", default=None, metavar="PATH", help="JSON report file")
+_REPORT_OUT = _flag("--out", dest="report", default=None, metavar="PATH",
+                    help="JSON report file")
 
 
 def _amenity_by_id(scene: Scene, ident: str, flag: str):
@@ -151,9 +156,13 @@ def _as_report(result) -> dict | None:
     return doc
 
 
-def _write_report(path: str | None, report: dict) -> None:
-    if path is not None:
-        write_json(path, report)
+def _kernel_report(args: argparse.Namespace) -> dict:
+    return {"family": args.kernel, "efficiency": args.efficiency}
+
+
+def _summary_line(stats) -> str:
+    return (f"total = {stats.total!r}  mean = {stats.mean!r}  "
+            f"min = {stats.min!r}  max = {stats.max!r}  cells = {stats.count}")
 
 
 def _parts_paths(out: str) -> tuple[str, str]:
@@ -166,21 +175,16 @@ def _parts_paths(out: str) -> tuple[str, str]:
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_field(args: argparse.Namespace) -> int:
-    scene = load_scene(args.scene)
-    kernel = Kernel(args.kernel, args.efficiency)
+def _cmd_field(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     if args.parts:
-        parts = evaluate_field_parts(scene, kernel, args.grid, profile=args.profile)
+        parts = _scene_field(args, evaluate_field_parts)
         write_raster(parts.total, args.out)
         pos_path, neg_path = _parts_paths(args.out)
         write_raster(parts.positive, pos_path)
         write_raster(parts.negative, neg_path)
-        print(f"wrote {args.out}, {pos_path}, {neg_path}")
-    else:
-        raster = evaluate_field(scene, kernel, args.grid, profile=args.profile)
-        write_raster(raster, args.out)
-        print(f"wrote {args.out}")
-    return 0
+        return [f"wrote {args.out}, {pos_path}, {neg_path}"], None
+    write_raster(_scene_field(args, evaluate_field), args.out)
+    return [f"wrote {args.out}"], None
 
 
 def _check_source(args: argparse.Namespace) -> None:
@@ -194,15 +198,18 @@ def _check_source(args: argparse.Namespace) -> None:
         raise IsobenefitError("--grid is required when computing the field from --scene")
 
 
-def _scene_field(args: argparse.Namespace, evaluate):
-    """``evaluate`` (a field function) on --scene/--grid, once
-    :func:`_check_source` has passed."""
+def _scene_and_kernel(args: argparse.Namespace) -> tuple[Scene, Kernel]:
     scene = load_scene(args.scene)
-    kernel = Kernel(args.kernel, args.efficiency)
+    return scene, Kernel(args.kernel, args.efficiency)
+
+
+def _scene_field(args: argparse.Namespace, evaluate):
+    """``evaluate`` (a field function) on --scene/--grid."""
+    scene, kernel = _scene_and_kernel(args)
     return evaluate(scene, kernel, args.grid, profile=args.profile)
 
 
-def _cmd_isolines(args: argparse.Namespace) -> int:
+def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     _check_source(args)
     # before any input is read: a refused flag pair costs no evaluation
     if (args.levels is None) == (args.nlevels is None):
@@ -213,8 +220,8 @@ def _cmd_isolines(args: argparse.Namespace) -> int:
         raster = _scene_field(args, evaluate_field)
     contours = extract_isolines(raster, levels=args.levels, nlevels=args.nlevels)
     write_contours_geojson(contours, args.out)
-    print(f"wrote {args.out} ({len(contours.lines)} lines at {len(contours.levels)} levels)")
-    return 0
+    return [f"wrote {args.out} ({len(contours.lines)} lines "
+            f"at {len(contours.levels)} levels)"], None
 
 
 def _uniformity_or_none(raster) -> UniformityResult | None:
@@ -224,59 +231,38 @@ def _uniformity_or_none(raster) -> UniformityResult | None:
         return None
 
 
-def _print_uniformity(label: str, result: UniformityResult | None) -> None:
+def _uniformity_line(label: str, result: UniformityResult | None) -> str:
     if result is None:
-        print(f"U({label}) undefined: mean benefit is 0")
-    else:
-        care = "  [negative mean; interpret with care]" if result.negative_mean else ""
-        print(f"U({label}) = {result.u!r}{care}")
+        return f"U({label}) undefined: mean benefit is 0"
+    care = "  [negative mean; interpret with care]" if result.negative_mean else ""
+    return f"U({label}) = {result.u!r}{care}"
 
 
-def _cmd_uniformity(args: argparse.Namespace) -> int:
+def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     _check_source(args)
-    report: dict
     if args.raster is not None:
+        source = {"raster": args.raster}
         raster = read_raster(args.raster)
-        result = uniformity(raster)  # undefined U on the main input is an error
-        stats = summary(raster)
-        _print_uniformity("all", result)
-        report = {
-            "source": {"raster": args.raster},
-            "uniformity": {"all": _as_report(result)},
-            "summary": _as_report(stats),
-        }
+        results = {"all": uniformity(raster)}  # undefined U on the main input is an error
     else:
+        source = {"scene": args.scene, "profile": args.profile,
+                  "kernel": _kernel_report(args), "grid": _as_report(args.grid)}
         parts = _scene_field(args, evaluate_field_parts)
-        result = uniformity(parts.total)
-        pos = _uniformity_or_none(parts.positive)
-        neg = _uniformity_or_none(parts.negative)
-        stats = summary(parts.total)
-        _print_uniformity("all", result)
-        _print_uniformity("positive", pos)
-        _print_uniformity("negative", neg)
-        report = {
-            "source": {
-                "scene": args.scene,
-                "profile": args.profile,
-                "kernel": {"family": args.kernel, "efficiency": args.efficiency},
-                "grid": _as_report(args.grid),
-            },
-            "uniformity": {
-                "all": _as_report(result),
-                "positive": _as_report(pos),
-                "negative": _as_report(neg),
-            },
-            "summary": _as_report(stats),
-        }
-    print(f"total = {stats.total!r}  mean = {stats.mean!r}  "
-          f"min = {stats.min!r}  max = {stats.max!r}  cells = {stats.count}")
-    _write_report(args.out, report)
-    return 0
+        raster = parts.total
+        results = {"all": uniformity(raster),
+                   "positive": _uniformity_or_none(parts.positive),
+                   "negative": _uniformity_or_none(parts.negative)}
+    stats = summary(raster)
+    lines = [_uniformity_line(label, result) for label, result in results.items()]
+    return [*lines, _summary_line(stats)], {
+        "source": source,
+        "uniformity": {label: _as_report(result) for label, result in results.items()},
+        "summary": _as_report(stats),
+    }
 
 
-def _cmd_breakpoint(args: argparse.Namespace) -> int:
-    scene = load_scene(args.scene)
-    kernel = Kernel(args.kernel, args.efficiency)
+def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+    scene, kernel = _scene_and_kernel(args)
     amenity1 = _amenity_by_id(scene, args.pair[0], "--pair")
     amenity2 = _amenity_by_id(scene, args.pair[1], "--pair")
     context = scene.amenities if args.with_context else None
@@ -285,109 +271,96 @@ def _cmd_breakpoint(args: argparse.Namespace) -> int:
     report = {
         "pair": [amenity1.id, amenity2.id],
         "distance": distance,
-        "kernel": {"family": args.kernel, "efficiency": args.efficiency},
+        "kernel": _kernel_report(args),
         "with_context": bool(args.with_context),
         "reilly": _as_report(reilly),
     }
-    # the numeric point comes first, so that a refused argument prints nothing
+    lines = [f"pair {amenity1.id!r} .. {amenity2.id!r}, distance {distance!r}",
+             f"reilly:  {reilly.distance_from_1!r} from {amenity1.id!r}, "
+             f"{reilly.distance_from_2!r} from {amenity2.id!r}"]
     try:
         numeric = numeric_breakpoint(
             amenity1, amenity2, kernel,
             scene_context=context, resolution=args.resolution)
     except NoInteriorMinimumError as exc:
         report["numeric"] = {"error": "NoInteriorMinimum", "message": str(exc)}
-        numeric_line = f"numeric: no interior minimum ({exc})"
+        lines.append(f"numeric: no interior minimum ({exc})")
     else:
         report["numeric"] = _as_report(numeric)
-        numeric_line = (f"numeric: {numeric.distance_from_1!r} from {amenity1.id!r}, "
-                        f"{numeric.distance_from_2!r} from {amenity2.id!r}, "
-                        f"benefit {numeric.benefit_at_point!r}")
-    print(f"pair {amenity1.id!r} .. {amenity2.id!r}, distance {distance!r}")
-    print(f"reilly:  {reilly.distance_from_1!r} from {amenity1.id!r}, "
-          f"{reilly.distance_from_2!r} from {amenity2.id!r}")
-    print(numeric_line)
-    _write_report(args.out, report)
-    return 0
+        lines.append(f"numeric: {numeric.distance_from_1!r} from {amenity1.id!r}, "
+                     f"{numeric.distance_from_2!r} from {amenity2.id!r}, "
+                     f"benefit {numeric.benefit_at_point!r}")
+    return lines, report
 
 
-def _cmd_huff(args: argparse.Namespace) -> int:
+def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     scene = load_scene(args.scene)
     result = huff_probabilities(args.origin, scene.amenities,
                                 distance_exponent=args.distance_exponent)
-    for ident, p in result.probabilities.items():
-        print(f"{ident}\t{p!r}")
-    _write_report(args.out, {
+    return [f"{ident}\t{p!r}" for ident, p in result.probabilities.items()], {
         "origin": [args.origin[0], args.origin[1]],
         "distance_exponent": args.distance_exponent,
         "probabilities": dict(result.probabilities),
-    })
-    return 0
+    }
 
 
-def _cmd_pgg(args: argparse.Namespace) -> int:
-    scene = load_scene(args.scene)
-    kernel = Kernel(args.kernel, args.efficiency)
+def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+    scene, kernel = _scene_and_kernel(args)
     raster = pgg_field(scene, kernel, args.grid, person=args.person,
                        majority=args.majority)
     write_raster(raster, args.out)
     stats = summary(raster)
     gains = int((raster.values > 0).sum())
     losses = int((raster.values < 0).sum())
-    print(f"wrote {args.out}")
-    print(f"total = {stats.total!r}  mean = {stats.mean!r}  "
-          f"min = {stats.min!r}  max = {stats.max!r}  cells = {stats.count}")
-    print(f"cells where the person gains: {gains}, loses: {losses}, "
-          f"indifferent: {stats.count - gains - losses}")
-    _write_report(args.report, {
+    indifferent = stats.count - gains - losses
+    return [
+        f"wrote {args.out}",
+        _summary_line(stats),
+        f"cells where the person gains: {gains}, loses: {losses}, indifferent: {indifferent}",
+    ], {
         "person": args.person,
         "majority": args.majority if args.majority is not None else scene.majority,
         "summary": _as_report(stats),
         "gain_cells": gains,
         "loss_cells": losses,
-        "indifferent_cells": stats.count - gains - losses,
-    })
-    return 0
+        "indifferent_cells": indifferent,
+    }
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     if args.dmax <= 0:
         raise IsobenefitError(f"--dmax must be > 0, got {args.dmax!r}")
-    if args.samples < 2:
-        raise IsobenefitError(f"--samples must be >= 2, got {args.samples}")
+    if not 2 <= args.samples <= MAX_GRID_CELLS:
+        raise InvalidValueError(
+            f"--samples must be between 2 and {MAX_GRID_CELLS}, got {args.samples}")
     kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
     distances = np.arange(args.samples) * (args.dmax / (args.samples - 1))
     curves = [kernel_benefit(args.attractiveness, distances, kern) for kern in kernels]
     header = ",".join(["d"] + [f"E={e!r}" for e in args.efficiencies])
     write_rows(args.out, [header], np.column_stack([distances, *curves]))
-    print(f"wrote {args.out} ({args.samples} rows, {len(kernels)} curves)")
-    return 0
+    return [f"wrote {args.out} ({args.samples} rows, {len(kernels)} curves)"], None
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     scene = load_scene(args.scene)
     kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
     rows = []
-    # the table is printed once every row is known, so that a refused E or
-    # an overflowing field prints nothing
     lines = ["E\tU\ttotal\tmean\tmin\tmax"]
     for e, kernel in zip(args.efficiencies, kernels):
         raster = evaluate_field(scene, kernel, args.grid, profile=args.profile)
         stats = summary(raster)
         result = _uniformity_or_none(raster)
-        row = {"efficiency": e, "summary": _as_report(stats),
-               "uniformity": _as_report(result)}
+        rows.append({"efficiency": e, "summary": _as_report(stats),
+                     "uniformity": _as_report(result)})
         u_text = "undefined" if result is None else repr(result.u)
-        rows.append(row)
         lines.append(f"{e!r}\t{u_text}\t{stats.total!r}\t{stats.mean!r}\t"
                      f"{stats.min!r}\t{stats.max!r}")
-    print("\n".join(lines))
-    _write_report(args.out, {
+    return lines, {
         "scene": args.scene,
         "kernel_family": args.kernel,
         "profile": args.profile,
         "rows": rows,
-    })
-    return 0
+    }
 
 
 # --------------------------------------------------------------- assembly
@@ -511,7 +484,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "grid", None) is not None:
             args.grid = _grid_spec(args.grid)
-        return args.func(args)
+        lines, report = args.func(args)
+        if report is not None and args.report is not None:
+            write_json(args.report, report)
+        print("\n".join(lines))
+        return 0
     except SumOverflowError as exc:
         source = getattr(args, "raster", None) or getattr(args, "scene", None)
         print(f"error: {source}: {exc}", file=sys.stderr)

@@ -480,18 +480,25 @@ def read_contours_geojson(path: str) -> ContourSet:
             raise _format_error(path, f"invalid JSON: {exc.msg}", exc.lineno) from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise _format_error(path, "expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise _format_error(path, "features must be a list")
     lines = []
     seen_levels: list[float] = []
-    for k, feature in enumerate(doc.get("features", [])):
+    for k, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise _format_error(path, f"feature #{k}: expected a GeoJSON Feature object")
         geometry = feature.get("geometry") or {}
-        if geometry.get("type") != "LineString":
+        if not isinstance(geometry, dict) or geometry.get("type") != "LineString":
             raise _format_error(path, f"feature #{k}: expected a LineString")
         properties = feature.get("properties") or {}
+        if not isinstance(properties, dict):
+            raise _format_error(path, f"feature #{k}: properties must be an object")
         level = _require_number(properties.get("level"), path, "feature #{} level", k)
         closed = bool(properties.get("closed", False))
         try:
             points = [(float(x), float(y)) for x, y in geometry.get("coordinates")]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: a huge integer
             raise _format_error(
                 path, f"feature #{k}: coordinates must be [x, y] number pairs") from None
         if closed and len(points) > 1 and points[0] == points[-1]:
@@ -499,6 +506,9 @@ def read_contours_geojson(path: str) -> ContourSet:
         lines.append(ContourLine(level=level, points=tuple(points), closed=closed))
         if level not in seen_levels:
             seen_levels.append(level)
-    raw_levels: Iterable[float] = doc.get("levels", seen_levels)
-    levels = tuple(float(lv) for lv in raw_levels)
+    raw_levels = doc.get("levels", seen_levels)
+    if not isinstance(raw_levels, list):
+        raise _format_error(path, "levels must be a list of numbers")
+    levels = tuple(_require_number(lv, path, "levels #{}", i)
+                   for i, lv in enumerate(raw_levels))
     return ContourSet(levels=levels, lines=tuple(lines))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmallError, InvalidValueError, NoFiniteRangeError
-from .scene import Raster
+from .scene import MAX_GRID_CELLS, Raster
 
 __all__ = ["ContourLine", "ContourSet", "extract_isolines"]
 
@@ -247,12 +247,13 @@ def extract_isolines(
     """Extract isobenefit lines at explicit ``levels`` or at ``nlevels``
     evenly spaced levels strictly between the raster's min and max.
 
-    Exactly one of ``levels``/``nlevels`` must be given. A level outside the
-    raster's value range yields no lines for that level. A constant raster
-    cannot host evenly spaced levels (:class:`NoFiniteRangeError`); asking
-    for the constant itself as an explicit level warns and yields no lines,
-    since a plateau has no contour. Nor can a raster whose values span more
-    than the float range (:class:`NoFiniteRangeError`).
+    Exactly one of ``levels``/``nlevels`` must be given; ``nlevels`` must
+    lie in [1, MAX_GRID_CELLS]. A level outside the raster's value range
+    yields no lines for that level. A constant raster cannot host evenly
+    spaced levels (:class:`NoFiniteRangeError`); asking for the constant
+    itself as an explicit level warns and yields no lines, since a plateau
+    has no contour. Nor can a raster whose values span more than the float
+    range (:class:`NoFiniteRangeError`).
     """
     grid = raster.grid
     if grid.ncols < 2 or grid.nrows < 2:
@@ -269,8 +270,9 @@ def extract_isolines(
         raise NoFiniteRangeError(
             f"raster values span {vmin!r} to {vmax!r}, wider than the float range")
     if nlevels is not None:
-        if nlevels < 1:
-            raise InvalidValueError(f"nlevels must be >= 1, got {nlevels}")
+        if not 1 <= nlevels <= MAX_GRID_CELLS:
+            raise InvalidValueError(
+                f"nlevels must be between 1 and {MAX_GRID_CELLS}, got {nlevels}")
         if vmin == vmax:
             raise NoFiniteRangeError(
                 f"raster is constant at {vmin}; evenly spaced levels are undefined"

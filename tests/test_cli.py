@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +11,12 @@ from hypothesis import strategies as st
 
 from isobenefit import (
     MAX_GRID_CELLS,
+    ContourLine,
+    ContourSet,
     GridSpec,
     Kernel,
     Raster,
+    SceneFormatError,
     evaluate_field,
     extract_isolines,
     kernel_benefit,
@@ -18,6 +24,7 @@ from isobenefit import (
     read_contours_geojson,
     read_raster,
     read_raster_csv,
+    write_contours_geojson,
     write_raster,
 )
 from isobenefit import cli
@@ -487,6 +494,27 @@ def test_curve_overflowing_exponent_writes_zero_without_a_warning(tmp_path, caps
     assert "RuntimeWarning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, allocator, message", [
+    ("curve --efficiencies 1 --samples COUNT --out c.csv", "arange",
+     "error: --samples must be between 2 and"),
+    ("isolines --raster r.csv --nlevels COUNT --out l.geojson", "linspace",
+     "error: nlevels must be between 1 and"),
+])
+def test_count_above_the_grid_cap_is_refused_before_allocating(
+        tmp_path, monkeypatch, capsys, argv, allocator, message):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError(f"np.{allocator} ran for a refused count")
+
+    (tmp_path / "r.csv").write_text("# 2,2,0.0,0.0,1.0\n0.0,1.0\n0.0,1.0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np, allocator, no_allocation)
+    assert run(*argv.replace("COUNT", str(2 ** 40)).split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{message} {MAX_GRID_CELLS}, got {2 ** 40}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
 # -- sweep
 
 
@@ -566,6 +594,23 @@ def test_missing_output_directory_names_the_target(tmp_path, capsys, one_amenity
     assert run("field", "--scene", one_amenity, "--grid", "0,0,1,2,2", "--out", out) == 1
     err = capsys.readouterr().err
     assert str(out) in err and ".tmp-" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "uniformity --scene SCENE --grid 0,0,1,3,3 --out REPORT",
+    "breakpoint --scene SCENE --pair park,shop --out REPORT",
+    "huff --scene SCENE --origin 1,3 --out REPORT",
+    "sweep --scene SCENE --efficiencies 1,2 --grid 0,0,1,3,3 --out REPORT",
+    "pgg --scene SCENE --person alice --grid 0,0,1,3,3 --out g.csv --report REPORT",
+])
+def test_unwritable_report_prints_nothing(tmp_path, monkeypatch, capsys, profiled, argv):
+    report = tmp_path / "missing" / "report.json"
+    monkeypatch.chdir(tmp_path)
+    paths = {"SCENE": str(profiled), "REPORT": str(report)}
+    assert run(*(paths.get(token, token) for token in argv.split())) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(report) in err
 
 
 def test_unknown_subcommand_is_a_usage_error():
@@ -695,3 +740,96 @@ def test_mutated_raster_input_ends_in_an_exit_code(tmp_path_factory, case, level
         if out.exists():
             assert "Infinity" not in out.read_text()
             assert "NaN" not in out.read_text()
+
+
+# -- mutated scene and GeoJSON input
+
+# a number that is not part of an id such as "a0"
+NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+ODD_NUMBERS = [b"nan", b"NaN", b"Infinity", b"-Infinity", b"inf", b"1e400", b"-1e400",
+               b"1e308", b"-1e308", b"1e-400", b"1" * 400, b"true", b'"3"', b""]
+
+
+def mutate_numbers(data: bytes, how: str, rnd) -> bytes:
+    """``data`` truncated or byte-flipped as :func:`mutate` does, or with
+    one or two of its numbers replaced by non-finite, huge or odd tokens
+    (two, so that 1e308 can meet 1e308)."""
+    if how != "token":
+        return mutate(data, how, rnd)
+    spans = [m.span() for m in NUMBER.finditer(data)]
+    chosen = rnd.sample(spans, min(len(spans), rnd.randint(1, 2)))
+    for start, end in sorted(chosen, reverse=True):
+        data = data[:start] + rnd.choice(ODD_NUMBERS) + data[end:]
+    return data
+
+
+@st.composite
+def mutated_scenes(draw):
+    """A small scene as JSON (with a profile) or amenity CSV, and how to
+    mutate the file."""
+    number = st.floats(-4.0, 4.0, allow_nan=False) | st.integers(-3, 3)
+    amenities = [{"id": f"a{k}", "x": draw(number), "y": draw(number),
+                  "A": draw(st.floats(0.1, 10.0) | st.integers(1, 5))}
+                 for k in range(draw(st.integers(2, 4)))]
+    name = draw(st.sampled_from(["s.json", "s.csv"]))
+    if name == "s.json":
+        text = json.dumps({"amenities": amenities, "majority": "p",
+                           "profiles": {"p": {"E": 2, "overrides": {"a0": 4}}}})
+    else:
+        text = "id,x,y,A\n" + "".join(
+            f"{a['id']},{a['x']!r},{a['y']!r},{a['A']!r}\n" for a in amenities)
+    how = draw(st.sampled_from(["truncate", "flip", "token"]))
+    return name, text.encode(), how, draw(st.randoms(use_true_random=False))
+
+
+@given(mutated_scenes())
+def test_mutated_scene_input_ends_in_an_exit_code(tmp_path_factory, case):
+    name, data, how, rnd = case
+    directory = tmp_path_factory.mktemp("mutated")
+    path = directory / name
+    path.write_bytes(mutate_numbers(data, how, rnd))
+    profile = ["--profile", "p"] if name == "s.json" else []
+    outputs = [directory / "f.csv", directory / "b.json", directory / "h.json"]
+    for argv in (["field", "--scene", path, "--grid", "-1,-1,1,3,3", *profile,
+                  "--out", outputs[0]],
+                 ["breakpoint", "--scene", path, "--pair", "a0,a1", "--out", outputs[1]],
+                 ["huff", "--scene", path, "--origin", "7,7", "--out", outputs[2]]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = run(*argv)
+            except SystemExit as exc:  # argparse's own exit
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code != 0:  # a failed command prints no partial report
+            assert stdout.getvalue() == ""
+    for out in outputs:
+        if out.exists():
+            assert "Infinity" not in out.read_text()
+            assert "NaN" not in out.read_text()
+
+
+contour_sets = st.builds(
+    ContourSet,
+    levels=st.lists(st.floats(-5.0, 5.0), max_size=3).map(tuple),
+    lines=st.lists(st.builds(
+        ContourLine,
+        level=st.floats(-5.0, 5.0),
+        points=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                        max_size=4).map(tuple),
+        closed=st.booleans(),
+    ), min_size=1, max_size=3).map(tuple),
+)
+
+
+@given(contour_sets, st.sampled_from(["truncate", "flip", "token"]),
+       st.randoms(use_true_random=False))
+def test_mutated_geojson_is_read_or_refused_by_name(tmp_path_factory, contours, how, rnd):
+    # the library reader, not the CLI: no subcommand reads GeoJSON
+    path = tmp_path_factory.mktemp("mutated") / "c.geojson"
+    write_contours_geojson(contours, str(path))
+    path.write_bytes(mutate_numbers(path.read_bytes(), how, rnd))
+    try:
+        read_contours_geojson(str(path))
+    except SceneFormatError as exc:
+        assert str(exc).startswith(f"{path}:")

@@ -417,6 +417,27 @@ def test_geojson_short_coordinate_names_the_feature(tmp_path):
         read_contours_geojson(path)
 
 
+LINE_FEATURE = {"type": "Feature",
+                "geometry": {"type": "LineString", "coordinates": [[0.0, 1.0]]},
+                "properties": {"level": 1.0}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"features": [LINE_FEATURE, 1]}, "feature #1: expected a GeoJSON Feature object"),
+    ({"features": [{"geometry": 3}]}, "feature #0: expected a LineString"),
+    ({"features": [{**LINE_FEATURE, "properties": 7}]},
+     "feature #0: properties must be an object"),
+    ({"features": 5}, "features must be a list"),
+    ({"features": [], "levels": 3}, "levels must be a list of numbers"),
+    ({"features": [], "levels": ["a"]}, "levels #0 must be a number, got 'a'"),
+])
+def test_geojson_of_the_wrong_shape_is_a_named_error(tmp_path, doc, message):
+    path = write(tmp_path / "c.geojson", json.dumps({"type": "FeatureCollection", **doc}))
+    with pytest.raises(SceneFormatError) as excinfo:
+        read_contours_geojson(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("name, read", [
     ("s.json", load_scene), ("s.csv", load_scene), ("r.csv", read_raster),
     ("r.asc", read_raster), ("c.geojson", read_contours_geojson),

@@ -7,7 +7,9 @@ from isobenefit import (
     ContourLine,
     ContourSet,
     GridSpec,
+    MAX_GRID_CELLS,
     GridTooSmallError,
+    InvalidValueError,
     NoFiniteRangeError,
     Raster,
     extract_isolines,
@@ -41,6 +43,15 @@ def test_exactly_one_level_argument():
         extract_isolines(r, levels=[0.5], nlevels=2)
     with pytest.raises(ValueError):
         extract_isolines(r, nlevels=0)
+
+
+def test_nlevels_above_the_grid_cap_is_refused_before_allocating(monkeypatch):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("levels were allocated for a refused nlevels")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    with pytest.raises(InvalidValueError, match=f"between 1 and {MAX_GRID_CELLS}, got"):
+        extract_isolines(raster([[0.0, 1.0], [0.0, 1.0]]), nlevels=2 ** 40)
 
 
 def test_single_cell_vertical_contour():

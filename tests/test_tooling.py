@@ -1,8 +1,9 @@
 """Checks that tie the package to files outside it: the benchmark's tracer
 wraps package names by module attribute, so every name it wraps must exist,
-or traced benchmark rounds fail; and every CLI example in the README must
-still parse."""
+or traced benchmark rounds fail; every CLI example in the README must
+still parse; and only the CLI's ``main`` prints."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -37,3 +38,14 @@ def test_readme_cli_examples_parse():
         assert args.func is not None, line
         # main parses with the named command's parser alone; it must agree
         assert cli._build_parser(argv[0]).parse_args(argv) == args, line
+
+
+def test_cli_prints_only_in_main():
+    # handlers return their lines; main prints them once the command has
+    # succeeded, so a failing command prints no partial report
+    tree = ast.parse((ROOT / "src" / "isobenefit" / "cli.py").read_text())
+    printers = {getattr(node, "name", "<module>")
+                for node in tree.body for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "print"}
+    assert printers == {"main"}
