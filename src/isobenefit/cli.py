@@ -61,7 +61,7 @@ __all__ = ["main"]
 
 
 def _grid_arg(text: str) -> tuple:
-    """The five numbers of --grid; :func:`_grid_spec` checks their values."""
+    """The five numbers of --grid; :class:`GridSpec` checks their values."""
     parts = text.split(",")
     if len(parts) != 5:
         raise argparse.ArgumentTypeError(
@@ -73,11 +73,13 @@ def _grid_arg(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _grid_spec(numbers: tuple) -> GridSpec:
+def _checked(flag: str, make, *args):
+    """``make(*args)``, with the message of a refused value prefixed by the
+    flag that gave it."""
     try:
-        return GridSpec(*numbers)
+        return make(*args)
     except InvalidValueError as exc:
-        raise InvalidValueError(f"--grid: {exc}") from None
+        raise InvalidValueError(f"{flag}: {exc}") from None
 
 
 def _floats_arg(text: str) -> list[float]:
@@ -200,7 +202,7 @@ def _check_source(args: argparse.Namespace) -> None:
 
 def _scene_and_kernel(args: argparse.Namespace) -> tuple[Scene, Kernel]:
     scene = load_scene(args.scene)
-    return scene, Kernel(args.kernel, args.efficiency)
+    return scene, _checked("--efficiency", Kernel, args.kernel, args.efficiency)
 
 
 def _scene_field(args: argparse.Namespace, evaluate):
@@ -214,6 +216,8 @@ def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     # before any input is read: a refused flag pair costs no evaluation
     if (args.levels is None) == (args.nlevels is None):
         raise IsobenefitError("pass exactly one of --levels or --nlevels")
+    if args.levels is not None and not np.isfinite(args.levels).all():
+        raise InvalidValueError(f"--levels must be finite, got {args.levels}")
     if args.raster is not None:
         raster = read_raster(args.raster)
     else:
@@ -333,7 +337,7 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     if not 2 <= args.samples <= MAX_GRID_CELLS:
         raise InvalidValueError(
             f"--samples must be between 2 and {MAX_GRID_CELLS}, got {args.samples}")
-    kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
+    kernels = [_checked("--efficiencies", Kernel, args.kernel, e) for e in args.efficiencies]
     distances = np.arange(args.samples) * (args.dmax / (args.samples - 1))
     curves = [kernel_benefit(args.attractiveness, distances, kern) for kern in kernels]
     header = ",".join(["d"] + [f"E={e!r}" for e in args.efficiencies])
@@ -343,7 +347,7 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None]:
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     scene = load_scene(args.scene)
-    kernels = [Kernel(args.kernel, e) for e in args.efficiencies]
+    kernels = [_checked("--efficiencies", Kernel, args.kernel, e) for e in args.efficiencies]
     rows = []
     lines = ["E\tU\ttotal\tmean\tmin\tmax"]
     for e, kernel in zip(args.efficiencies, kernels):
@@ -483,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(command).parse_args(_join_minus_values(raw))
     try:
         if getattr(args, "grid", None) is not None:
-            args.grid = _grid_spec(args.grid)
+            args.grid = _checked("--grid", GridSpec, *args.grid)
         lines, report = args.func(args)
         if report is not None and args.report is not None:
             write_json(args.report, report)

@@ -31,6 +31,7 @@ Formats:
 * Contours: GeoJSON FeatureCollection of LineStrings with ``level`` and
   ``closed`` properties; closed rings repeat their first coordinate in the
   GeoJSON only. Coordinates are scene-local planar x,y (see ``crs_note``).
+  On read, every coordinate and level must be a finite number, as on write.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidValueError, SceneFormatError
 from .isolines import ContourLine, ContourSet
-from .scene import Amenity, GridSpec, Profile, Raster, Scene, validate_scene
+from .scene import Amenity, GridSpec, Profile, Raster, Scene, _finite_number, validate_scene
 
 __all__ = [
     "load_scene",
@@ -152,6 +153,14 @@ def _require_number(raw: object, path: str, label: str, *label_args: object) -> 
     except OverflowError:  # an integer too large for a float
         what = label.format(*label_args)
         raise _format_error(path, f"{what} is out of the float range") from None
+
+
+def _require_finite(raw: object, path: str, label: str, *label_args: object) -> float:
+    """Like :func:`_require_number`, and a NaN or infinity is refused too."""
+    value = _require_number(raw, path, label, *label_args)
+    if not math.isfinite(value):
+        raise _format_error(path, f"{label.format(*label_args)} must be finite, got {value!r}")
+    return value
 
 
 def _scene_from_json(path: str) -> Scene:
@@ -494,13 +503,15 @@ def read_contours_geojson(path: str) -> ContourSet:
         properties = feature.get("properties") or {}
         if not isinstance(properties, dict):
             raise _format_error(path, f"feature #{k}: properties must be an object")
-        level = _require_number(properties.get("level"), path, "feature #{} level", k)
+        level = _require_finite(properties.get("level"), path, "feature #{} level", k)
         closed = bool(properties.get("closed", False))
-        try:
-            points = [(float(x), float(y)) for x, y in geometry.get("coordinates")]
-        except (TypeError, ValueError, OverflowError):  # OverflowError: a huge integer
+        coordinates = geometry.get("coordinates")
+        if not isinstance(coordinates, list) or not all(
+                isinstance(point, list) and len(point) == 2 and all(map(_finite_number, point))
+                for point in coordinates):
             raise _format_error(
-                path, f"feature #{k}: coordinates must be [x, y] number pairs") from None
+                path, f"feature #{k}: coordinates must be [x, y] pairs of finite numbers")
+        points = [(float(x), float(y)) for x, y in coordinates]
         if closed and len(points) > 1 and points[0] == points[-1]:
             points.pop()  # undo the GeoJSON ring closure
         lines.append(ContourLine(level=level, points=tuple(points), closed=closed))
@@ -509,6 +520,6 @@ def read_contours_geojson(path: str) -> ContourSet:
     raw_levels = doc.get("levels", seen_levels)
     if not isinstance(raw_levels, list):
         raise _format_error(path, "levels must be a list of numbers")
-    levels = tuple(_require_number(lv, path, "levels #{}", i)
+    levels = tuple(_require_finite(lv, path, "levels #{}", i)
                    for i, lv in enumerate(raw_levels))
     return ContourSet(levels=levels, lines=tuple(lines))

@@ -101,6 +101,12 @@ class GridSpec:
                 f"exceeds the limit of {MAX_GRID_CELLS} cells")
         if not (_finite_number(self.origin_x) and _finite_number(self.origin_y)):
             raise InvalidValueError("grid origin must be finite")
+        # the last cell centers, computed as x_coords and y_coords compute them
+        last_x = self.origin_x + (self.ncols - 1) * self.cell_size
+        last_y = self.origin_y + (self.nrows - 1) * self.cell_size
+        if not (math.isfinite(last_x) and math.isfinite(last_y)):
+            raise InvalidValueError(
+                f"grid cell centers must be finite, got a last center of ({last_x!r}, {last_y!r})")
 
     @property
     def size(self) -> int:

@@ -833,3 +833,82 @@ def test_mutated_geojson_is_read_or_refused_by_name(tmp_path_factory, contours, 
         read_contours_geojson(str(path))
     except SceneFormatError as exc:
         assert str(exc).startswith(f"{path}:")
+
+
+# -- mutated flag values
+
+# non-finite, huge, signed-zero, subnormal, empty and malformed field values;
+# the integers stay far below MAX_GRID_CELLS or far above it, so no drawn
+# grid or count is large enough to be slow and every cap refuses at once
+FLAG_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "-0", "0",
+               "1e-320", "1e308", "-1e308", "", " ", "1" * 400, "-" + "1" * 400, "abc",
+               "0x10", "2", "0.5", "-3"]
+
+# flag: (command line with VALUE and OUT placeholders, the fields of a valid value)
+FLAG_CASES = {
+    "--grid": ("uniformity --scene SCENE --grid VALUE --out OUT.json",
+               ["-1", "-1", "0.5", "4", "3"]),
+    "--efficiency": ("uniformity --scene SCENE --grid -1,-1,0.5,4,3 --efficiency VALUE "
+                     "--out OUT.json", ["2"]),
+    "--origin": ("huff --scene SCENE --origin VALUE --out OUT.json", ["1", "3"]),
+    "--levels": ("isolines --scene SCENE --grid -1,-1,0.5,4,3 --levels VALUE "
+                 "--out OUT.geojson", ["1", "2"]),
+    "--nlevels": ("isolines --scene SCENE --grid -1,-1,0.5,4,3 --nlevels VALUE "
+                  "--out OUT.geojson", ["3"]),
+    "--resolution": ("breakpoint --scene SCENE --pair park,shop --resolution VALUE "
+                     "--out OUT.json", ["11"]),
+    "--samples": ("curve --efficiencies 1,2 --samples VALUE --out OUT.csv", ["11"]),
+    "--efficiencies": ("sweep --scene SCENE --grid -1,-1,0.5,4,3 --efficiencies VALUE "
+                       "--out OUT.json", ["1", "2"]),
+}
+
+
+@st.composite
+def mutated_flags(draw):
+    """A flag and a value made from a valid one by replacing, dropping or
+    inserting one or two comma-separated fields."""
+    flag = draw(st.sampled_from(sorted(FLAG_CASES)))
+    fields = list(FLAG_CASES[flag][1])
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["replace", "drop", "insert"]))
+        k = draw(st.integers(0, len(fields)))
+        if how == "insert" or not fields:
+            fields.insert(k, draw(st.sampled_from(FLAG_TOKENS)))
+        elif how == "replace":
+            fields[min(k, len(fields) - 1)] = draw(st.sampled_from(FLAG_TOKENS))
+        else:
+            fields.pop(min(k, len(fields) - 1))
+    return flag, ",".join(fields), draw(st.booleans())
+
+
+@given(mutated_flags())
+def test_mutated_flag_value_ends_in_an_exit_code(tmp_path_factory, case):
+    flag, value, joined = case
+    directory = tmp_path_factory.mktemp("flags")
+    scene = directory / "profiled.json"
+    scene.write_text(json.dumps({"amenities": [
+        {"id": "park", "x": 0, "y": 0, "A": 3}, {"id": "shop", "x": 2, "y": 1, "A": 1}]}))
+    template, _fields = FLAG_CASES[flag]
+    argv = []
+    for token in template.split():
+        token = token.replace("SCENE", str(scene)).replace("OUT", str(directory / "out"))
+        if token == "VALUE" and joined:  # --flag=VALUE, so a leading "-" stays a value
+            argv[-1] = f"{flag}={value}"
+        else:
+            argv.append(value if token == "VALUE" else token)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+    assert code in (0, 1, 2)
+    errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+    assert (code == 0) == (errors == [])
+    for line in errors:  # named by the flag, with or without its dashes
+        assert flag.lstrip("-") in line, (argv, line)
+    if code != 0:
+        assert stdout.getvalue() == ""
+    for out in directory.iterdir():
+        assert "Infinity" not in out.read_text()
+        assert "NaN" not in out.read_text()

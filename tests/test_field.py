@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,13 +199,24 @@ def test_field_matches_point_benefit_bitwise():
         Amenity("b", 2.0, 1.0, -0.7),
         Amenity("c", 0.1, -2.2, 1.1),
     ))
-    kernel = Kernel("exponential", 0.8)
-    grid = GridSpec(-2.0, -2.0, 0.61, 7, 6)
-    raster = evaluate_field(scene, kernel, grid)
-    for j in range(grid.nrows):
-        for i in range(grid.ncols):
+    rng = np.random.default_rng(5)
+    # 42 cells are summed in amenity blocks, 8192 one amenity at a time
+    for family, (ncols, nrows) in itertools.product(
+            ("rational", "gaussian", "exponential"), ((7, 6), (128, 64))):
+        kernel = Kernel(family, 0.8)
+        grid = GridSpec(-2.0, -2.0, 0.61 * 7 / ncols, ncols, nrows)
+        raster = evaluate_field(scene, kernel, grid)
+        parts = evaluate_field_parts(scene, kernel, grid)
+        cells = [(i, j) for j in range(nrows) for i in range(ncols)]
+        if len(cells) > 100:
+            cells = [cells[k] for k in rng.choice(len(cells), 100)]
+        for i, j in cells:
             x, y = grid.cell_center(i, j)
-            assert raster.value_at(i, j) == point_benefit(scene.amenities, kernel, x, y).total
+            want = point_benefit(scene.amenities, kernel, x, y)
+            assert raster.value_at(i, j) == want.total
+            assert parts.total.value_at(i, j) == want.total
+            assert parts.positive.value_at(i, j) == want.positive_part
+            assert parts.negative.value_at(i, j) == want.negative_part
 
 
 def test_negated_scene_negates_field():
@@ -380,18 +392,29 @@ def corner_case(c):
     return amenities, 1.0, [(c, c), (-c, c), (0.0, 0.0), (-c, -c)]
 
 
-# (amenities, efficiency, sample points): the first three are points where
+# (amenities, efficiency, sample points): the first four are points where
 # squaring without the guard is wrong (the square of 1e200 overflows; the
 # squares of 1e-200 and 5e-170 underflow while E is large or tiny enough for
 # the distance to matter; in the rational, rational and exponential families
 # the unguarded form gives 0.0, 2.0 and 2.0 instead of 2e-200, 2e-50 and
-# 2*exp(-0.5)), the rest put coordinates on either side of 2**499
+# 2*exp(-0.5); the rational offsets over E = 1e-100 reach 1e200, whose
+# square overflows to give 0.0 instead of ~2e-200), two put coordinates on
+# either side of 2**499, and in the last the gaussian term of "b" at the
+# origin is exp(-361) * exp(-361): two normal factors whose product is
+# subnormal. "a" holds the scale of that sample at ~5e-308, the smallest
+# normal order: where every term is subnormal, 1e-12 of their sum is below
+# one ulp, and neither the separable nor the plain exp(-E d^2) form matches
+# the last bit of the independent form for certain.
 EXTREME_CASES = {
     "far": ((Amenity("a", 1e200, 0.0, 2.0),), 1.0, [(0.0, 0.0)]),
     "near-tiny-e": ((Amenity("a", 1e-200, 0.0, 2.0),), 1e-250, [(0.0, 0.0)]),
     "near-huge-e": ((Amenity("a", 3e-170, 4e-170, 2.0),), 1e169, [(0.0, 0.0)]),
+    "far-over-e": ((Amenity("a", 1e100, 0.0, 2.0), Amenity("b", -3e99, 4e99, 1.0)), 1e-100,
+                   [(0.0, 0.0), (1e100, -1e100)]),
     "2**499": corner_case(2.0 ** 499),
     "2**501": corner_case(2.0 ** 501),
+    "subnormal-product": ((Amenity("a", 26.6, 0.0, 1.0), Amenity("b", 19.0, 19.0, 2.0)), 1.0,
+                          [(0.0, 0.0)]),
 }
 
 
@@ -412,6 +435,28 @@ def test_squared_form_matches_the_independent_form(entries, family, efficiency, 
     amenities = tuple(Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(entries))
     xs, ys = zip(*points)
     assert_matches_independent(amenities, family, efficiency, xs, ys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-5, 5)),
+                min_size=1, max_size=8),
+       families, st.floats(0.01, 30), st.floats(-60, 0), st.floats(-60, 0),
+       st.floats(0.001, 60 / 128), st.sampled_from(((1, 1), (5, 3), (128, 64))), st.data())
+def test_field_cells_match_the_independent_form(entries, family, efficiency, x0, y0,
+                                                cell_size, shape, data):
+    # 128 x 64 = _BLOCK_SAMPLES cells are summed one amenity at a time. The
+    # cells stay in the sample box of the point test above: farther out, at a
+    # small E, a cell can lie where every term is subnormal, and there 1e-12
+    # of their sum is below one ulp (see EXTREME_CASES)
+    amenities = tuple(Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(entries))
+    ncols, nrows = shape
+    grid = GridSpec(x0, y0, cell_size, ncols, nrows)
+    raster = evaluate_field(Scene(amenities), Kernel(family, efficiency), grid)
+    cells = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(0, nrows - 1)),
+                               min_size=1, max_size=12), label="cells")
+    for i, j in cells:
+        want, scale = independent_benefit(amenities, family, efficiency, *grid.cell_center(i, j))
+        assert abs(raster.value_at(i, j) - want) <= 1e-12 * scale, (i, j, want)
 
 
 # -- amenity blocks

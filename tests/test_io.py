@@ -438,6 +438,42 @@ def test_geojson_of_the_wrong_shape_is_a_named_error(tmp_path, doc, message):
     assert str(excinfo.value) == f"{path}: {message}"
 
 
+def line_feature(coordinates, level=1.0):
+    return {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coordinates},
+            "properties": {"level": level}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a string unpacked into a point: "12" used to read as (1.0, 2.0)
+    ({"features": [line_feature(["12"])]}, "feature #0: coordinates must be [x, y] pairs"),
+    ({"features": [line_feature([[0.0, 1.0]]), line_feature([[math.inf, 3.0]])]},
+     "feature #1: coordinates must be [x, y] pairs"),
+    ({"features": [line_feature([[0.0, math.nan]])]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature([[0.0, -math.inf]])]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature([[True, 1.0]])]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature([["1", 1.0]])]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature([[0.0, 10 ** 400]])]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature([[0.0, 1.0, 2.0]])]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature({"x": 0.0})]}, "feature #0: coordinates must be"),
+    ({"features": [line_feature([[0.0, 1.0]], level=math.nan)]},
+     "feature #0 level must be finite, got nan"),
+    ({"features": [line_feature([[0.0, 1.0]], level=math.inf)]},
+     "feature #0 level must be finite, got inf"),
+    ({"features": [line_feature([[0.0, 1.0]], level=-math.inf)]},
+     "feature #0 level must be finite, got -inf"),
+    ({"features": [], "levels": [1.0, math.nan]}, "levels #1 must be finite, got nan"),
+    ({"features": [], "levels": [math.inf]}, "levels #0 must be finite, got inf"),
+    ({"features": [], "levels": [True]}, "levels #0 must be a number, got True"),
+    ({"features": [], "levels": [10 ** 400]}, "levels #0 is out of the float range"),
+])
+def test_geojson_number_that_is_not_finite_names_the_feature(tmp_path, doc, message):
+    # json writes NaN and Infinity tokens; the reader must refuse every one
+    path = write(tmp_path / "c.geojson", json.dumps({"type": "FeatureCollection", **doc}))
+    with pytest.raises(SceneFormatError) as excinfo:
+        read_contours_geojson(path)
+    assert str(excinfo.value).startswith(f"{path}: {message}")
+
+
 @pytest.mark.parametrize("name, read", [
     ("s.json", load_scene), ("s.csv", load_scene), ("r.csv", read_raster),
     ("r.asc", read_raster), ("c.geojson", read_contours_geojson),

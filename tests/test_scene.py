@@ -165,6 +165,17 @@ def test_gridspec_caps_the_cell_count():
             GridSpec(0.0, 0.0, 1.0, ncols, nrows)
 
 
+@pytest.mark.parametrize("origin, cell, n", [
+    (1e308, 1e308, 2), (-1e308, 1e308, 3), (0.0, 1e308, 3), (1.7e308, 1e307, 2)])
+def test_gridspec_refuses_cell_centers_beyond_the_float_range(origin, cell, n):
+    # numpy would compute the overflowing centers with a RuntimeWarning
+    for args in ((origin, 0.0, cell, n, 1), (0.0, origin, cell, 1, n)):
+        with pytest.raises(InvalidValueError, match="grid cell centers must be finite"):
+            GridSpec(*args)
+    assert GridSpec(origin, origin, cell, 1, 1).size == 1
+    assert GridSpec(-1e308, 0.0, 1e308, 2, 1).x_coords().tolist() == [-1e308, 0.0]
+
+
 def test_gridspec_cell_centers():
     grid = GridSpec(origin_x=-1.0, origin_y=2.0, cell_size=0.5, ncols=3, nrows=2)
     assert grid.cell_center(0, 0) == (-1.0, 2.0)
