@@ -7,6 +7,17 @@ precision and byte-for-byte deterministic. Float tables (raster rows,
 decay curves) go through :func:`write_rows`, JSON reports through
 :func:`write_json`, which refuses non-finite numbers.
 
+Scenes are read in one bulk pass, split in two. The parser checks structure
+and types: each amenity is an object whose ``id`` is text and whose ``x``,
+``y`` and ``A`` are ints or floats (a bool or a numeric string is refused),
+and one ``np.array`` converts the numbers; a CSV row has four fields whose
+numbers parse as floats. :func:`load_scene` then runs
+:func:`~isobenefit.scene.validate_scene`, which checks the values: finite,
+with distinct non-empty ids. Each side checks a whole scene at once and
+falls back to a loop over the entries only when that check fails, to name
+the culprit, so a valid scene costs no per-value call and a refusal reads
+as it would from a value-by-value check.
+
 Contour GeoJSON bypasses :func:`write_json`: with ``indent`` set, CPython's
 ``json`` runs its pure-Python encoder, which took longer than extracting the
 contours. :func:`write_contours_geojson` builds the same text directly, and
@@ -175,21 +186,7 @@ def _scene_from_json(path: str) -> Scene:
     if not isinstance(raw_amenities, list):
         raise _format_error(path, 'scene needs an "amenities" list')
 
-    amenities = []
-    for k, entry in enumerate(raw_amenities):
-        if not isinstance(entry, dict):
-            raise _format_error(path, f"amenity #{k} must be an object, got {entry!r}")
-        missing = [key for key in ("id", "x", "y", "A") if key not in entry]
-        if missing:
-            raise _format_error(path, f"amenity #{k} is missing {', '.join(missing)}")
-        if not isinstance(entry["id"], str):
-            raise _format_error(path, f"amenity #{k} id must be a string, got {entry['id']!r}")
-        amenities.append(Amenity(
-            id=entry["id"],
-            x=_require_number(entry["x"], path, "amenity #{} x", k),
-            y=_require_number(entry["y"], path, "amenity #{} y", k),
-            attractiveness=_require_number(entry["A"], path, "amenity #{} A", k),
-        ))
+    amenities = _json_amenities(raw_amenities, path)
 
     profiles: dict[str, Profile] = {}
     raw_profiles = doc.get("profiles", {})
@@ -214,7 +211,40 @@ def _scene_from_json(path: str) -> Scene:
     if majority is not None and not isinstance(majority, str):
         raise _format_error(path, f'"majority" must be a profile name, got {majority!r}')
 
-    return Scene(amenities=tuple(amenities), profiles=profiles, majority=majority)
+    return Scene(amenities=amenities, profiles=profiles, majority=majority)
+
+
+def _json_amenities(raw_amenities: list, path: str) -> tuple[Amenity, ...]:
+    """The amenities of a scene's JSON ``"amenities"`` list, type-checked
+    and converted in bulk. Only when the bulk check fails does the
+    per-entry loop run, to name the first culprit; finiteness is left to
+    :func:`~isobenefit.scene.validate_scene`."""
+    try:
+        ids = [entry["id"] for entry in raw_amenities]
+        numbers = [[entry[key] for entry in raw_amenities] for key in ("x", "y", "A")]
+        # the type check comes first: np.array takes True and "1.5" as numbers
+        if (set(map(type, ids)) <= {str}
+                and set(map(type, itertools.chain(*numbers))) <= {float, int}):
+            columns = np.array(numbers, dtype=float).tolist()
+            return tuple(map(Amenity, ids, *columns))
+    except (TypeError, KeyError, OverflowError):  # not an object, a missing key, a huge int
+        pass
+    amenities = []
+    for k, entry in enumerate(raw_amenities):
+        if not isinstance(entry, dict):
+            raise _format_error(path, f"amenity #{k} must be an object, got {entry!r}")
+        missing = [key for key in ("id", "x", "y", "A") if key not in entry]
+        if missing:
+            raise _format_error(path, f"amenity #{k} is missing {', '.join(missing)}")
+        if not isinstance(entry["id"], str):
+            raise _format_error(path, f"amenity #{k} id must be a string, got {entry['id']!r}")
+        amenities.append(Amenity(
+            id=entry["id"],
+            x=_require_number(entry["x"], path, "amenity #{} x", k),
+            y=_require_number(entry["y"], path, "amenity #{} y", k),
+            attractiveness=_require_number(entry["A"], path, "amenity #{} A", k),
+        ))
+    return tuple(amenities)
 
 
 def _scene_from_csv(path: str) -> Scene:
@@ -227,19 +257,21 @@ def _scene_from_csv(path: str) -> Scene:
     header_line, header = rows[0]
     if [cell.strip() for cell in header] != ["id", "x", "y", "A"]:
         raise _format_error(path, 'header must be exactly "id,x,y,A"', header_line)
-    amenities = []
-    for n, row in rows[1:]:
+    try:
+        return Scene(amenities=tuple(
+            Amenity(ident.strip(), float(x), float(y), float(a))
+            for _, (ident, x, y, a) in rows[1:]))
+    except ValueError:  # a row without 4 fields, or a cell that is not a number
+        pass
+    for n, row in rows[1:]:  # name the first culprit
         if len(row) != 4:
             raise _format_error(path, f"expected 4 fields, got {len(row)}", n)
-        ident = row[0].strip()
-        numbers = []
         for cell, what in zip(row[1:], ("x", "y", "A")):
             try:
-                numbers.append(float(cell))
+                float(cell)
             except ValueError:
                 raise _format_error(path, f"{what} is not a number: {cell.strip()!r}", n) from None
-        amenities.append(Amenity(ident, numbers[0], numbers[1], numbers[2]))
-    return Scene(amenities=tuple(amenities))
+    raise AssertionError("a refused scene row without a culprit")
 
 
 def load_scene(path: str) -> Scene:

@@ -196,6 +196,27 @@ def _check_finite(code: str, subject: str, what: str, value: object,
         out.append(Violation(code, subject, f"{what} is not a finite number: {value!r}"))
 
 
+def _sound_amenity_ids(amenities: tuple[Amenity, ...]) -> set[str] | None:
+    """The set of amenity ids if every id is distinct non-empty text and
+    every coordinate and attractiveness a finite float or int, else None.
+    Checked in bulk: the values are types first (numpy takes ``True`` and
+    ``"1.5"`` as numbers), then one ``np.isfinite`` over their columns."""
+    ids = [am.id for am in amenities]
+    values = ([am.x for am in amenities] + [am.y for am in amenities]
+              + [am.attractiveness for am in amenities])
+    if not (set(map(type, ids)) <= {str} and set(map(type, values)) <= {float, int}):
+        return None
+    seen = set(ids)
+    if len(seen) != len(ids) or "" in seen:
+        return None
+    try:
+        if np.isfinite(np.array(values, dtype=float)).all():
+            return seen
+    except OverflowError:  # an int beyond the float range
+        pass
+    return None
+
+
 def validate_scene(scene: Scene) -> Scene:
     """Check every scene invariant; return the scene unchanged if all hold.
 
@@ -206,18 +227,23 @@ def validate_scene(scene: Scene) -> Scene:
     """
     violations: list[Violation] = []
 
-    seen: set[str] = set()
-    for am in scene.amenities:
-        if not isinstance(am.id, str) or not am.id:
-            violations.append(Violation("EmptyId", str(am.id), "amenity id must be non-empty text"))
-        elif am.id in seen:
-            violations.append(Violation("DuplicateId", am.id, "amenity id appears more than once"))
-        else:
-            seen.add(am.id)
-        subject = am.id if isinstance(am.id, str) else str(am.id)
-        _check_finite("NonFiniteValue", subject, "attractiveness", am.attractiveness, violations)
-        _check_finite("NonFiniteValue", subject, "x", am.x, violations)
-        _check_finite("NonFiniteValue", subject, "y", am.y, violations)
+    seen = _sound_amenity_ids(scene.amenities)
+    if seen is None:  # some amenity is at fault: name every culprit, in order
+        seen = set()
+        for am in scene.amenities:
+            if not isinstance(am.id, str) or not am.id:
+                violations.append(Violation(
+                    "EmptyId", str(am.id), "amenity id must be non-empty text"))
+            elif am.id in seen:
+                violations.append(Violation(
+                    "DuplicateId", am.id, "amenity id appears more than once"))
+            else:
+                seen.add(am.id)
+            subject = am.id if isinstance(am.id, str) else str(am.id)
+            _check_finite("NonFiniteValue", subject, "attractiveness", am.attractiveness,
+                          violations)
+            _check_finite("NonFiniteValue", subject, "x", am.x, violations)
+            _check_finite("NonFiniteValue", subject, "y", am.y, violations)
 
     for name, prof in scene.profiles.items():
         if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):

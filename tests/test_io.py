@@ -1,10 +1,12 @@
+import csv
 import inspect
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +19,7 @@ from isobenefit import (
     Raster,
     SceneFormatError,
     SceneValidationError,
+    Violation,
     load_scene,
     read_contours_geojson,
     read_raster,
@@ -135,6 +138,158 @@ def test_csv_header_and_row_errors(tmp_path):
     bad_number = write(tmp_path / "n.csv", "id,x,y,A\np,0,zero,1\n")
     with pytest.raises(SceneFormatError, match=r"n\.csv:2"):
         load_scene(bad_number)
+
+
+# -- bulk scene parsing against a per-value reference
+
+
+def reference_amenities(path):
+    """A scene's amenities parsed and validated one value at a time, the way
+    the loader names a culprit; the loader checks valid scenes in bulk and
+    must agree with this on every file, value bits and refusals alike."""
+    def fail(message, line=None):
+        where = f"{path}:{line}" if line is not None else path
+        raise SceneFormatError(f"{where}: {message}")
+
+    def number(raw, what):
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            fail(f"{what} must be a number, got {raw!r}")
+        try:
+            return float(raw)
+        except OverflowError:
+            fail(f"{what} is out of the float range")
+
+    amenities = []
+    if path.endswith(".csv"):
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = [(n, row) for n, row in enumerate(csv.reader(handle), start=1)
+                    if row and any(cell.strip() for cell in row)]
+        for n, row in rows[1:]:
+            if len(row) != 4:
+                fail(f"expected 4 fields, got {len(row)}", n)
+            values = []
+            for cell, what in zip(row[1:], "xyA"):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    fail(f"{what} is not a number: {cell.strip()!r}", n)
+            amenities.append(Amenity(row[0].strip(), *values))
+    else:
+        with open(path, encoding="utf-8") as handle:
+            entries = json.load(handle)["amenities"]
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                fail(f"amenity #{k} must be an object, got {entry!r}")
+            missing = [key for key in ("id", "x", "y", "A") if key not in entry]
+            if missing:
+                fail(f"amenity #{k} is missing {', '.join(missing)}")
+            if not isinstance(entry["id"], str):
+                fail(f"amenity #{k} id must be a string, got {entry['id']!r}")
+            amenities.append(Amenity(
+                entry["id"], *(number(entry[key], f"amenity #{k} {key}") for key in "xyA")))
+
+    violations, seen = [], set()
+    for am in amenities:
+        if not am.id:
+            violations.append(Violation("EmptyId", am.id, "amenity id must be non-empty text"))
+        elif am.id in seen:
+            violations.append(Violation("DuplicateId", am.id, "amenity id appears more than once"))
+        seen.add(am.id)
+        for what in ("attractiveness", "x", "y"):
+            value = getattr(am, what)
+            if not math.isfinite(value):
+                violations.append(Violation(
+                    "NonFiniteValue", am.id, f"{what} is not a finite number: {value!r}"))
+    if violations:
+        raise SceneValidationError(violations)
+    return amenities
+
+
+def parse_outcome(read, path):
+    """What reading ``path`` gives: the amenities with their values' exact
+    bits, or the refusal with its message or violation list."""
+    try:
+        amenities = read(path)
+    except SceneFormatError as exc:
+        return "format", str(exc)
+    except SceneValidationError as exc:
+        return "invalid", exc.violations
+    return [(am.id, *((type(v), v.hex()) for v in (am.x, am.y, am.attractiveness)))
+            for am in amenities]
+
+
+def assert_parsers_agree(path):
+    want = parse_outcome(reference_amenities, path)
+    assert parse_outcome(lambda p: load_scene(p).amenities, path) == want
+
+
+EDGE_NUMBERS = [-0.0, 5e-324, -5e-324, 2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63 + 1, 10 ** 300]
+json_numbers = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-10 ** 20, 10 ** 20) | st.sampled_from(EDGE_NUMBERS))
+json_faults = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from("xyA"),
+              st.sampled_from([True, False, "1.5", None, 10 ** 400, math.nan, math.inf,
+                               -math.inf, [1.0], {}])),
+    st.tuples(st.just("value"), st.just("id"), st.sampled_from([7, None, True, ["a0"], "", "a0"])),
+    st.tuples(st.just("drop"), st.sampled_from(["id", "x", "y", "A"])),
+    st.tuples(st.just("entry"), st.sampled_from([[1, 2], "a", 3, None])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(json_numbers, json_numbers, json_numbers), max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), json_faults), max_size=2))
+def test_bulk_json_parse_matches_a_per_value_parser(tmp_path_factory, values, faults):
+    # the NaN and Infinity tokens that json writes reach the validator
+    entries = [{"id": f"a{k}", "x": x, "y": y, "A": a} for k, (x, y, a) in enumerate(values)]
+    for k, (kind, *what) in faults:
+        if not entries:
+            break
+        k %= len(entries)
+        if not isinstance(entries[k], dict):  # replaced by an earlier fault
+            continue
+        if kind == "value":
+            entries[k][what[0]] = what[1]
+        elif kind == "drop":
+            entries[k].pop(what[0], None)
+        else:
+            entries[k] = what[0]
+    path = tmp_path_factory.mktemp("scene") / "s.json"
+    assert_parsers_agree(write(path, json.dumps({"amenities": entries})))
+
+
+csv_numbers = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers(-10 ** 20, 10 ** 20).map(str)
+               | st.sampled_from([repr(v) if isinstance(v, float) else str(v) for v in EDGE_NUMBERS]
+                                 + [" 2.5 ", "1e-400", "1_000", "+4"]))
+csv_faults = st.one_of(
+    st.tuples(st.just("value"), st.integers(1, 3),
+              st.sampled_from(["far", "", "nan", "inf", "-Infinity", "1e400", "0x10", "1,5"])),
+    st.tuples(st.just("value"), st.just(0), st.sampled_from(["", " ", " a0 ", "a0"])),
+    st.tuples(st.just("drop"), st.integers(0, 3)),
+    st.tuples(st.just("extra"), st.just("1.0")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(csv_numbers, csv_numbers, csv_numbers), max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), csv_faults), max_size=2))
+def test_bulk_csv_parse_matches_a_per_value_parser(tmp_path_factory, values, faults):
+    rows = [[f"a{k}", x, y, a] for k, (x, y, a) in enumerate(values)]
+    for k, (kind, *what) in faults:
+        if not rows:
+            break
+        k %= len(rows)
+        if kind == "value":
+            rows[k][what[0] % len(rows[k])] = what[1]
+        elif kind == "drop":
+            del rows[k][what[0] % len(rows[k])]
+        else:
+            rows[k].append(what[0])
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([["id", "x", "y", "A"], *rows])
+    path = tmp_path_factory.mktemp("scene") / "s.csv"
+    assert_parsers_agree(write(path, text.getvalue()))
 
 
 # -- raster CSV

@@ -1,16 +1,24 @@
-"""Checks that tie the package to files outside it: the benchmark's tracer
-wraps package names by module attribute, so every name it wraps must exist,
-or traced benchmark rounds fail; every CLI example in the README must
-still parse; and only the CLI's ``main`` prints."""
+"""Checks that tie the package to files outside it, or pin how it works:
+the benchmark's tracer wraps package names by module attribute, so every
+name it wraps must exist, or traced benchmark rounds fail; every CLI
+example in the README must still parse; only the CLI's ``main`` prints;
+and a valid scene loads without a per-value check."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import pathlib
+import random
 import re
 import shlex
 
-from isobenefit import cli
+import pytest
+
+from isobenefit import SceneFormatError, SceneValidationError, cli
+from isobenefit import io as scene_io
+from isobenefit import scene as scene_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -49,3 +57,39 @@ def test_cli_prints_only_in_main():
                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                 and call.func.id == "print"}
     assert printers == {"main"}
+
+
+def counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (None, None), (True, SceneFormatError), (math.nan, SceneValidationError)])
+def test_a_valid_scene_loads_without_per_value_checks(tmp_path, monkeypatch, bad, error):
+    # a valid scene's values are checked in bulk, once each: the parser
+    # checks types, validate_scene values; the per-value checks run only to
+    # name the culprit of a refused scene. load_scene calls validate_scene
+    # through the io module, where the benchmark's tracer wraps it.
+    rng = random.Random(7)
+    amenities = [{"id": f"a{k}", "x": rng.uniform(0, 10), "y": rng.uniform(0, 10),
+                  "A": rng.uniform(0.5, 3.0)} for k in range(200)]
+    if bad is not None:
+        amenities[150]["A"] = bad
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"amenities": amenities}, indent=1), encoding="utf-8")
+    calls = {"_finite_number": 0, "_require_number": 0, "validate_scene": 0}
+    counting(monkeypatch, scene_model, "_finite_number", calls)
+    counting(monkeypatch, scene_io, "_require_number", calls)
+    counting(monkeypatch, scene_io, "validate_scene", calls)
+    if error is None:
+        assert len(scene_io.load_scene(str(path)).amenities) == 200
+        assert calls == {"_finite_number": 0, "_require_number": 0, "validate_scene": 1}
+    else:
+        with pytest.raises(error):
+            scene_io.load_scene(str(path))
+        assert calls["_finite_number"] + calls["_require_number"] > 0
