@@ -99,7 +99,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import GridSpec, Kernel, Raster, Scene, _finite_number, resolve_profile
+from .scene import (GridSpec, Kernel, Raster, Scene, _finite_columns, _finite_number,
+                    resolve_profile)
 
 __all__ = [
     "PointBenefit",
@@ -191,13 +192,9 @@ def _amenity_columns(amenities) -> np.ndarray:
     float array. Raises :class:`InvalidValueError` naming the first amenity
     with a value that is not a finite float: non-finite, or an integer
     beyond the float range."""
-    try:
-        columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
-                            [am.attractiveness for am in amenities]], dtype=float)
-        if np.isfinite(columns).all():
-            return columns
-    except OverflowError:  # an integer beyond the float range
-        pass
+    columns = _finite_columns(amenities)
+    if columns is not None:
+        return columns
     for am in amenities:
         for name in ("x", "y", "attractiveness"):
             value = getattr(am, name)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
-from .field import _amenity_columns, evaluate_field
+from .field import evaluate_field
 from .scene import GridSpec, Kernel, Raster, Scene, resolve_profile
 
 __all__ = [
@@ -151,7 +151,11 @@ def pgg_field(
     mine, my_kernel = resolve_profile(scene, kernel, person)
     theirs, their_kernel = resolve_profile(scene, kernel, majority)
     if my_kernel == their_kernel:
-        changed = np.flatnonzero(_amenity_columns(mine)[2] != _amenity_columns(theirs)[2])
+        # object columns compare as Python numbers do: exactly, and without
+        # converting (or refusing) any value
+        changed = np.flatnonzero(
+            np.array([am.attractiveness for am in mine], dtype=object)
+            != np.array([am.attractiveness for am in theirs], dtype=object))
         mine = tuple(mine[k] for k in changed)
         theirs = tuple(theirs[k] for k in changed)
     person_field = evaluate_field(Scene(mine), my_kernel, grid)

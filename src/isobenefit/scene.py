@@ -196,25 +196,33 @@ def _check_finite(code: str, subject: str, what: str, value: object,
         out.append(Violation(code, subject, f"{what} is not a finite number: {value!r}"))
 
 
+def _finite_columns(amenities) -> np.ndarray | None:
+    """x, y and attractiveness of the amenities as the rows of a (3, n)
+    float array if every value is finite, else None: one conversion and one
+    ``np.isfinite`` for them all. An int beyond the float range gives None;
+    numpy converts ``True`` and ``"1.5"``, so a caller that refuses those
+    checks types first."""
+    try:
+        columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
+                            [am.attractiveness for am in amenities]], dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return columns if np.isfinite(columns).all() else None
+
+
 def _sound_amenity_ids(amenities: tuple[Amenity, ...]) -> set[str] | None:
     """The set of amenity ids if every id is distinct non-empty text and
     every coordinate and attractiveness a finite float or int, else None.
-    Checked in bulk: the values are types first (numpy takes ``True`` and
-    ``"1.5"`` as numbers), then one ``np.isfinite`` over their columns."""
+    Checked in bulk: types first, then :func:`_finite_columns`."""
     ids = [am.id for am in amenities]
-    values = ([am.x for am in amenities] + [am.y for am in amenities]
-              + [am.attractiveness for am in amenities])
-    if not (set(map(type, ids)) <= {str} and set(map(type, values)) <= {float, int}):
+    kinds = ({type(am.x) for am in amenities} | {type(am.y) for am in amenities}
+             | {type(am.attractiveness) for am in amenities})
+    if not (set(map(type, ids)) <= {str} and kinds <= {float, int}):
         return None
     seen = set(ids)
-    if len(seen) != len(ids) or "" in seen:
+    if len(seen) != len(ids) or "" in seen or _finite_columns(amenities) is None:
         return None
-    try:
-        if np.isfinite(np.array(values, dtype=float)).all():
-            return seen
-    except OverflowError:  # an int beyond the float range
-        pass
-    return None
+    return seen
 
 
 def validate_scene(scene: Scene) -> Scene:

@@ -457,8 +457,9 @@ def test_field_cells_match_the_independent_form(entries, family, efficiency, x0,
                                                 cell_size, shape, data):
     # 128 x 64 = _BLOCK_SAMPLES cells are summed one amenity at a time. The
     # cells stay in the sample box of the point test above: farther out, at a
-    # small E, a cell can lie where every term is subnormal, and there 1e-12
-    # of their sum is below one ulp (see EXTREME_CASES)
+    # small E, more cells lie where every term is subnormal, and there 1e-12
+    # of their sum is below one ulp (see EXTREME_CASES). Inside the box such
+    # a cell is rare, but it can be drawn
     amenities = tuple(Amenity(f"a{k}", x, y, a) for k, (x, y, a) in enumerate(entries))
     ncols, nrows = shape
     grid = GridSpec(x0, y0, cell_size, ncols, nrows)
@@ -467,7 +468,7 @@ def test_field_cells_match_the_independent_form(entries, family, efficiency, x0,
                                min_size=1, max_size=12), label="cells")
     for i, j in cells:
         want, scale = independent_benefit(amenities, family, efficiency, *grid.cell_center(i, j))
-        assert abs(raster.value_at(i, j) - want) <= tolerance(scale, len(amenities)), (i, j, want)
+        assert abs(raster.value_at(i, j) - want) <= 1e-12 * scale, (i, j, want)
 
 
 # -- amenity blocks
