@@ -27,6 +27,7 @@ errors are the same whichever was built.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -168,10 +169,10 @@ def _summary_line(stats) -> str:
 
 
 def _parts_paths(out: str) -> tuple[str, str]:
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return out + "_positive", out + "_negative"
-    return f"{stem}_positive.{ext}", f"{stem}_negative.{ext}"
+    # the extension is taken from the file name only, so the companions sit
+    # beside --out whatever dots its directories hold
+    stem, ext = os.path.splitext(out)
+    return f"{stem}_positive{ext}", f"{stem}_negative{ext}"
 
 
 # ------------------------------------------------------------- subcommands

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -116,6 +117,28 @@ def test_field_parts_written_alongside(tmp_path, profiled):
                "--out", out, "--parts") == 0
     assert (tmp_path / "field_positive.csv").exists()
     assert (tmp_path / "field_negative.csv").exists()
+
+
+@pytest.mark.parametrize("out, companions", [
+    ("./field", ("./field_positive", "./field_negative")),
+    ("runs.v1/field", ("runs.v1/field_positive", "runs.v1/field_negative")),
+    ("field.csv", ("field_positive.csv", "field_negative.csv")),
+    ("out/field.ASC", ("out/field_positive.ASC", "out/field_negative.ASC")),
+    ("field", ("field_positive", "field_negative")),
+])
+def test_field_parts_sit_beside_out(tmp_path, monkeypatch, profiled, out, companions):
+    # a dot in a directory name is not the extension's
+    monkeypatch.chdir(tmp_path)
+    for directory in ("runs.v1", "out"):
+        (tmp_path / directory).mkdir()
+    assert run("field", "--scene", profiled, "--grid", "0,0,1,4,4",
+               "--out", out, "--parts") == 0
+    assert cli._parts_paths(out) == companions
+    for path in (out,) + companions:
+        assert (tmp_path / path).is_file(), path
+    for path in companions:
+        assert os.path.dirname(path) == os.path.dirname(out)
+        assert (tmp_path / path).parent.resolve() == (tmp_path / out).parent.resolve()
 
 
 def test_missing_scene_file_fails(tmp_path, capsys):

@@ -3,6 +3,12 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +36,9 @@ from isobenefit import (
     write_raster_asc,
     write_raster_csv,
 )
+from isobenefit import _rows
+from isobenefit import io as scene_io
+from isobenefit._rows import format_rows
 from isobenefit.io import contours_to_geojson, write_rows
 
 
@@ -408,10 +417,78 @@ special_floats = st.sampled_from([
                   | special_floats),
        st.sampled_from([",", " "]))
 def test_write_rows_matches_per_cell_repr(tmp_path_factory, table, sep):
-    path = tmp_path_factory.mktemp("rows") / "t.txt"
-    write_rows(str(path), ["head 1", "head 2"], table, sep=sep)
     want = ["head 1", "head 2"] + [sep.join(repr(float(v)) for v in row) for row in table]
-    assert path.read_text() == "\n".join(want) + "\n"
+    directory = tmp_path_factory.mktemp("rows")
+    in_process = []
+
+    def counted(rows, sep):
+        for line in format_rows(rows, sep):
+            in_process.append(line)
+            yield line
+    # with the size floor at 0, every table of two or more rows has its
+    # second half formatted by the helper interpreter
+    for floor in (scene_io._HELPER_MIN_VALUES, 0):
+        path = directory / f"floor-{floor}.txt"
+        in_process.clear()
+        with mock.patch.object(scene_io, "_HELPER_MIN_VALUES", floor), \
+                mock.patch.object(scene_io, "_usable_cpus", lambda: 2), \
+                mock.patch.object(_rows, "format_rows", counted):
+            write_rows(str(path), ["head 1", "head 2"], table, sep=sep)
+        assert path.read_text() == "\n".join(want) + "\n"
+        helped = floor == 0 and len(table) >= 2
+        assert len(in_process) == (len(table) // 2 if helped else len(table))
+
+
+TOO_FEW_LINES = """import os, sys
+raw, ncols = sys.argv[1], int(sys.argv[2])
+sys.stdout.write("0.0\\n" * (os.path.getsize(raw) // 8 // ncols - 1))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "WNOHANG"), reason="checks for children with waitpid")
+@pytest.mark.parametrize("fault", ["no interpreter", "exit 1", "a line too few", "interrupt"])
+def test_a_failing_helper_leaves_the_same_bytes_and_nothing_behind(tmp_path, monkeypatch, fault):
+    table = np.random.default_rng(3).normal(size=(7, 5)) * 1e10
+    serial = tmp_path / "serial.txt"
+    write_rows(str(serial), ["h"], table)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(scene_io, "_HELPER_MIN_VALUES", 0)
+    monkeypatch.setattr(scene_io, "_usable_cpus", lambda: 2)
+    script = tmp_path / "helper.py"
+    script.write_text({"no interpreter": "", "exit 1": "raise SystemExit(1)",
+                       "a line too few": TOO_FEW_LINES,
+                       "interrupt": "import time; time.sleep(60)"}[fault])
+    monkeypatch.setattr(_rows, "__file__", str(script))
+    if fault == "no interpreter":
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    out = tmp_path / "out.txt"
+    if fault == "interrupt":
+        def interrupted(rows, sep):
+            raise KeyboardInterrupt
+            yield
+        monkeypatch.setattr(_rows, "format_rows", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_rows(str(out), ["h"], table)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert not out.exists()
+    else:
+        write_rows(str(out), ["h"], table)
+        assert out.read_bytes() == serial.read_bytes()
+    assert os.listdir(temp) == []
+    assert len(started) == (fault != "no interpreter")
+    assert all(helper.returncode is not None for helper in started)  # reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- contour GeoJSON

@@ -2,7 +2,8 @@
 the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints;
-and a valid scene loads without a per-value check."""
+a valid scene loads without a per-value check; and the row-formatting
+helper interpreter needs nothing but the standard library."""
 
 import ast
 import importlib
@@ -93,3 +94,45 @@ def test_a_valid_scene_loads_without_per_value_checks(tmp_path, monkeypatch, bad
         with pytest.raises(error):
             scene_io.load_scene(str(path))
         assert calls["_finite_number"] + calls["_require_number"] > 0
+
+
+def test_the_row_helper_imports_only_sys():
+    # io.write_rows runs _rows.py as a script under ``python -I -S``, where
+    # neither the package nor numpy can be imported
+    tree = ast.parse((ROOT / "src" / "isobenefit" / "_rows.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"sys"}
+
+
+def test_large_cli_rasters_equal_the_one_process_bytes(tmp_path, monkeypatch):
+    # 384 x 384 cells, the rasters of the benchmark's raster_export, reach
+    # the helper interpreter at its real size floor: it formats the second
+    # half of the rows where two CPUs are usable
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"amenities": [
+        {"id": "a", "x": 1.5, "y": 2.0, "A": 3.0},
+        {"id": "b", "x": -4.0, "y": -1.25, "A": -1.5}]}))
+    grid = "-9.5,-9.5,0.05,384,384"
+    in_process = []
+    format_rows = scene_io._rows.format_rows
+
+    def counted(rows, sep):
+        for line in format_rows(rows, sep):
+            in_process.append(line)
+            yield line
+    monkeypatch.setattr(scene_io._rows, "format_rows", counted)
+    for out, flags in (("f.csv", ["--parts"]), ("x.asc", [])):
+        assert cli.main(["field", "--scene", str(scene), "--grid", grid,
+                         "--out", str(tmp_path / out)] + flags) == 0
+    outputs = ["f.csv", "f_positive.csv", "f_negative.csv", "x.asc"]
+    assert len(in_process) == len(outputs) * (192 if scene_io._usable_cpus() > 1 else 384)
+    monkeypatch.setattr(scene_io, "_HELPER_MIN_VALUES", 384 * 384 + 1)
+    for name in outputs:
+        serial = tmp_path / f"serial-{name}"
+        scene_io.write_raster(scene_io.read_raster(str(tmp_path / name)), str(serial))
+        assert serial.read_bytes() == (tmp_path / name).read_bytes(), name
