@@ -40,7 +40,24 @@ numbers parse as floats. :func:`load_scene` then runs
 with distinct non-empty ids. Each side checks a whole scene at once and
 falls back to a loop over the entries only when that check fails, to name
 the culprit, so a valid scene costs no per-value call and a refusal reads
-as it would from a value-by-value check.
+as it would from a value-by-value check. Profile E values and overrides
+are checked the same way, once by type and once by value.
+
+Rasters are read in one C pass. The data lines of a raster CSV or ESRI
+ASCII file go to one ``np.loadtxt`` call (split at commas, or at
+whitespace), whose tokenizer converts each cell with
+``PyOS_string_to_double``, the conversion ``float()`` uses; the shape (for
+ESRI ASCII, the count of values) and finiteness are then checked in bulk.
+The per-line parser, :func:`_parse_cells`, runs only when numpy refuses a
+line or a bulk check fails. It names the culprit, and it reads what
+``float()`` takes and numpy does not (``1_0``, non-ASCII digits), so each
+file reads, or is refused, as it would line by line. numpy strips the
+ASCII information separators ``\\x1c``-``\\x1f`` from around a number and
+``float()`` does not, so lines holding one skip the bulk call; so do zero
+lines, on which ``np.loadtxt`` warns. On a shared 2-vCPU x86 host one
+384 x 384 read took 37-59 ms of CPU for CSV and 42-68 ms for ESRI ASCII,
+against 55-95 ms and 64-106 ms line by line (best of 7 reads, in 6
+alternating processes).
 
 Contour GeoJSON bypasses :func:`write_json`: with ``indent`` set, CPython's
 ``json`` runs its pure-Python encoder, which took longer than extracting the
@@ -61,8 +78,8 @@ Formats:
 * ESRI ASCII grid: any raster path ending in ``.asc`` (any case), on write
   as on read; every other raster path is raster CSV. The usual six-line
   header; since grid origins are cell centers, XLLCORNER sits half a cell
-  below/left of the origin. The NODATA value is declared but never emitted,
-  and rejected on read.
+  below/left of the origin; a header key given twice is refused. The NODATA
+  value is declared but never emitted, and rejected on read.
 * Contours: GeoJSON FeatureCollection of LineStrings with ``level`` and
   ``closed`` properties; closed rings repeat their first coordinate in the
   GeoJSON only. Coordinates are scene-local planar x,y (see ``crs_note``).
@@ -276,24 +293,10 @@ def _scene_from_json(path: str) -> Scene:
 
     amenities = _json_amenities(raw_amenities, path)
 
-    profiles: dict[str, Profile] = {}
     raw_profiles = doc.get("profiles", {})
     if not isinstance(raw_profiles, dict):
         raise _format_error(path, '"profiles" must be an object mapping name to profile')
-    for name, body in raw_profiles.items():
-        if not isinstance(body, dict):
-            raise _format_error(path, f"profile {name!r} must be an object, got {body!r}")
-        efficiency = None
-        if body.get("E") is not None:
-            efficiency = _require_number(body["E"], path, "profile {!r} E", name)
-        raw_overrides = body.get("overrides", {})
-        if not isinstance(raw_overrides, dict):
-            raise _format_error(path, f'profile {name!r} "overrides" must be an object')
-        overrides = {
-            target: _require_number(value, path, "profile {!r} override {!r}", name, target)
-            for target, value in raw_overrides.items()
-        }
-        profiles[name] = Profile(name=name, efficiency=efficiency, overrides=overrides)
+    profiles = _json_profiles(raw_profiles, path)
 
     majority = doc.get("majority")
     if majority is not None and not isinstance(majority, str):
@@ -333,6 +336,39 @@ def _json_amenities(raw_amenities: list, path: str) -> tuple[Amenity, ...]:
             attractiveness=_require_number(entry["A"], path, "amenity #{} A", k),
         ))
     return tuple(amenities)
+
+
+def _json_profiles(raw_profiles: dict, path: str) -> dict[str, Profile]:
+    """The profiles of a scene's JSON ``"profiles"`` object, their E values
+    and overrides type-checked in bulk, as :func:`_json_amenities` checks
+    amenities; the per-value loop runs only to name the first culprit."""
+    try:
+        bodies = list(raw_profiles.values())
+        efficiencies = [body.get("E") for body in bodies]
+        overrides = [body.get("overrides", {}) for body in bodies]
+        numbers = itertools.chain([e for e in efficiencies if e is not None],
+                                  *map(dict.values, overrides))
+        if set(map(type, numbers)) <= {float, int}:
+            return {name: Profile(name, None if e is None else float(e),
+                                  dict(zip(table, map(float, table.values()))))
+                    for name, e, table in zip(raw_profiles, efficiencies, overrides)}
+    except (AttributeError, TypeError, OverflowError):  # not an object, a huge int
+        pass
+    profiles = {}
+    for name, body in raw_profiles.items():
+        if not isinstance(body, dict):
+            raise _format_error(path, f"profile {name!r} must be an object, got {body!r}")
+        efficiency = None
+        if body.get("E") is not None:
+            efficiency = _require_number(body["E"], path, "profile {!r} E", name)
+        raw_overrides = body.get("overrides", {})
+        if not isinstance(raw_overrides, dict):
+            raise _format_error(path, f'profile {name!r} "overrides" must be an object')
+        profiles[name] = Profile(name=name, efficiency=efficiency, overrides={
+            target: _require_number(value, path, "profile {!r} override {!r}", name, target)
+            for target, value in raw_overrides.items()
+        })
+    return profiles
 
 
 def _scene_from_csv(path: str) -> Scene:
@@ -414,6 +450,26 @@ def _parse_cells(cells: list[str], path: str, line: int) -> np.ndarray:
         raise _format_error(path, f"bad value {cell.strip()!r}", line)
 
 
+# ASCII information separators: numpy's text reader strips them from a
+# number, as str.strip() does, but float() does not
+_NOT_STRIPPED_BY_FLOAT = "\x1c\x1d\x1e\x1f"
+
+
+def _bulk_table(lines: list[str], delimiter: str | None) -> np.ndarray | None:
+    """The data lines as a 2-D float array, parsed in one call to numpy's C
+    text reader, if they hold equally many cells and every cell is a finite
+    number that ``float()`` reads the same; else None, and the caller's
+    per-line loop names the culprit. Zero lines give None without the call:
+    ``np.loadtxt`` warns on them."""
+    if not lines or any(char in line for line in lines for char in _NOT_STRIPPED_BY_FLOAT):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:  # ragged lines, or a cell that is not a number to numpy
+        return None
+    return table if np.isfinite(table).all() else None
+
+
 def read_raster_csv(path: str) -> Raster:
     with _text_file(path) as handle:
         lines = [line.rstrip("\n") for line in handle]
@@ -431,13 +487,16 @@ def read_raster_csv(path: str) -> Raster:
     if len(data) != nrows:
         raise _format_error(path, f"expected {nrows} data rows, got {len(data)}")
     grid = _grid_from_header(path, origin_x, origin_y, cell_size, ncols, nrows)
-    rows = []
-    for n, line in data:
-        cells = line.split(",")
-        if len(cells) != ncols:
-            raise _format_error(path, f"expected {ncols} values, got {len(cells)}", n)
-        rows.append(_parse_cells(cells, path, n))
-    return Raster(grid, np.array(rows[::-1]))  # the file lists the top row first
+    table = _bulk_table([line for _, line in data], ",")
+    if table is None or table.shape != (nrows, ncols):
+        rows = []
+        for n, line in data:  # the culprit's line, or a number numpy refuses
+            cells = line.split(",")
+            if len(cells) != ncols:
+                raise _format_error(path, f"expected {ncols} values, got {len(cells)}", n)
+            rows.append(_parse_cells(cells, path, n))
+        table = np.array(rows)
+    return Raster(grid, table[::-1])  # the file lists the top row first
 
 
 def write_raster_asc(raster: Raster, path: str) -> None:
@@ -466,6 +525,8 @@ def read_raster_asc(path: str) -> Raster:
         if len(parts) != 2 or key not in (
                 "NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE", "NODATA_VALUE"):
             break
+        if key in header:
+            raise _format_error(path, f"repeated {key} header", n)
         try:
             header[key] = float(parts[1])
         except ValueError:
@@ -481,8 +542,10 @@ def read_raster_asc(path: str) -> Raster:
     nodata = header.get("NODATA_VALUE")
     grid = _grid_from_header(path, header["XLLCORNER"] + cell_size / 2.0,
                              header["YLLCORNER"] + cell_size / 2.0, cell_size, ncols, nrows)
-    chunks = [_parse_cells(line.split(), path, n) for n, line in lines[k:]]
-    flat = np.concatenate(chunks) if chunks else np.empty(0)
+    flat = _bulk_table([line for _, line in lines[k:]], None)
+    if flat is None:  # the culprit's line, wrapped rows, or a number numpy refuses
+        chunks = [_parse_cells(line.split(), path, n) for n, line in lines[k:]]
+        flat = np.concatenate(chunks) if chunks else np.empty(0)
     if flat.size != grid.size:
         raise _format_error(path, f"expected {grid.size} values, got {flat.size}")
     values = flat.reshape(nrows, ncols)[::-1]  # the file lists the top row first

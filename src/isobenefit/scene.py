@@ -225,6 +225,23 @@ def _sound_amenity_ids(amenities: tuple[Amenity, ...]) -> set[str] | None:
     return seen
 
 
+def _sound_profiles(profiles: Mapping[str, Profile], ids: set[str]) -> bool:
+    """True if every profile efficiency is a finite float or int > 0, and
+    every override a finite float or int for an amenity in ``ids``. Checked
+    in bulk: types and targets first, then one ``np.isfinite`` for all."""
+    efficiencies = [p.efficiency for p in profiles.values() if p.efficiency is not None]
+    overrides = [p.overrides for p in profiles.values()]
+    values = efficiencies + [v for table in overrides for v in table.values()]
+    if not (set(map(type, values)) <= {float, int}
+            and all(table.keys() <= ids for table in overrides)):
+        return False
+    try:
+        numbers = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return False
+    return bool(np.isfinite(numbers).all() and (numbers[:len(efficiencies)] > 0).all())
+
+
 def validate_scene(scene: Scene) -> Scene:
     """Check every scene invariant; return the scene unchanged if all hold.
 
@@ -253,17 +270,19 @@ def validate_scene(scene: Scene) -> Scene:
             _check_finite("NonFiniteValue", subject, "x", am.x, violations)
             _check_finite("NonFiniteValue", subject, "y", am.y, violations)
 
-    for name, prof in scene.profiles.items():
-        if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):
-            violations.append(Violation(
-                "NonPositiveEfficiency", name,
-                f"profile efficiency must be finite and > 0, got {prof.efficiency!r}"))
-        for target, value in prof.overrides.items():
-            if target not in seen:
+    if not _sound_profiles(scene.profiles, seen):  # name every culprit, in order
+        for name, prof in scene.profiles.items():
+            if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):
                 violations.append(Violation(
-                    "UnknownOverrideTarget", target,
-                    f"profile {name!r} overrides amenity {target!r} which is not in the scene"))
-            _check_finite("NonFiniteValue", f"{name}:{target}", "override value", value, violations)
+                    "NonPositiveEfficiency", name,
+                    f"profile efficiency must be finite and > 0, got {prof.efficiency!r}"))
+            for target, value in prof.overrides.items():
+                if target not in seen:
+                    violations.append(Violation(
+                        "UnknownOverrideTarget", target,
+                        f"profile {name!r} overrides amenity {target!r} which is not in the scene"))
+                _check_finite("NonFiniteValue", f"{name}:{target}", "override value", value,
+                              violations)
 
     if scene.majority is not None and scene.majority not in scene.profiles:
         violations.append(Violation(

@@ -127,6 +127,13 @@ def test_json_structure_errors(tmp_path, doc, fragment):
         {"type": "Feature", "geometry": {"type": "LineString", "coordinates": []},
          "properties": {}}]},
      "feature #0 level must be a number, got None"),
+    ("bad.json", {"amenities": [], "profiles": {"a": {"E": 1, "overrides": {"p": 2}},
+                                                "b": {"overrides": {"p": 1.5, "q": None}}}},
+     "profile 'b' override 'q' must be a number, got None"),
+    ("bad.json", {"amenities": [], "profiles": {"a": {"E": 1}, "b": [], "c": {"E": "x"}}},
+     "profile 'b' must be an object, got []"),
+    ("bad.json", {"amenities": [], "profiles": {"a": {"overrides": [1]}}},
+     "profile 'a' \"overrides\" must be an object"),
 ])
 def test_refused_number_message_is_exact(tmp_path, name, doc, message):
     # labels are formatted only once a value is refused; their text is pinned
@@ -403,6 +410,219 @@ def test_write_raster_round_trips_by_extension(tmp_path, name):
 
 def test_write_raster_has_no_format_parameter():
     assert list(inspect.signature(write_raster).parameters) == ["raster", "path"]
+
+
+def test_asc_without_data_lines_is_refused(tmp_path):
+    # numpy's text reader warns on zero lines, and the test run makes an
+    # isobenefit UserWarning an error: the reader must not call it then
+    path = write(tmp_path / "empty.asc", "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\n"
+                 "CELLSIZE 1\n \n")
+    with pytest.raises(SceneFormatError) as caught:
+        read_raster_asc(path)
+    assert str(caught.value) == f"{path}: expected 2 values, got 0"
+
+
+@pytest.mark.parametrize("repeated, value", [
+    ("NCOLS", "3"), ("NROWS", "1"), ("CELLSIZE", "2"), ("cellsize", "1"),
+    ("XLLCORNER", "0"), ("NODATA_VALUE", "-1")])
+def test_asc_repeated_header_key_is_refused(tmp_path, repeated, value):
+    head = ["NCOLS 2", "NROWS 1", "XLLCORNER 0", "YLLCORNER 0", "CELLSIZE 1",
+            "NODATA_VALUE -9999"]
+    at = next(k for k, line in enumerate(head) if line.startswith(repeated.upper())) + 1
+    head.insert(at, f"{repeated} {value}")
+    path = write(tmp_path / "twice.asc", "\n".join(head) + "\n1.0 2.0\n")
+    message = f"{path}:{at + 1}: repeated {repeated.upper()} header"
+    with pytest.raises(SceneFormatError) as caught:
+        read_raster_asc(path)
+    assert str(caught.value) == message
+
+
+# -- bulk raster parsing against a per-line reference
+
+
+def reference_raster(path):
+    """A raster file parsed one line at a time with ``float()``, the way
+    the reader names a culprit; the reader parses valid files in bulk and
+    must agree with this on every file, value bits and refusals alike."""
+    def fail(message, line=None):
+        where = f"{path}:{line}" if line is not None else path
+        raise SceneFormatError(f"{where}: {message}")
+
+    def grid_of(*args):
+        try:
+            return GridSpec(*args)
+        except ValueError as exc:
+            fail(f"bad grid header: {exc}")
+
+    def cells_of(cells, line):
+        for cell in cells:
+            try:
+                if math.isfinite(float(cell)):
+                    continue
+            except ValueError:
+                pass
+            fail(f"bad value {cell.strip()!r}", line)
+        return [float(cell) for cell in cells]
+
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.rstrip("\n") for line in handle]
+    if not path.lower().endswith(".asc"):
+        if not lines or not lines[0].startswith("#"):
+            fail('missing "# ncols,nrows,origin_x,origin_y,cell_size" header', 1)
+        header = lines[0].lstrip("#").strip().split(",")
+        if len(header) != 5:
+            fail(f"header needs 5 fields, got {len(header)}", 1)
+        try:
+            ncols, nrows = int(header[0]), int(header[1])
+            origin_x, origin_y, cell_size = (float(h) for h in header[2:])
+        except ValueError as exc:
+            fail(f"bad header value: {exc}", 1)
+        data = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        if len(data) != nrows:
+            fail(f"expected {nrows} data rows, got {len(data)}")
+        grid = grid_of(origin_x, origin_y, cell_size, ncols, nrows)
+        rows = []
+        for n, line in data:
+            cells = line.split(",")
+            if len(cells) != ncols:
+                fail(f"expected {ncols} values, got {len(cells)}", n)
+            rows.append(cells_of(cells, n))
+        return Raster(grid, np.array(rows[::-1]))
+
+    lines = [(n, line.strip()) for n, line in enumerate(lines, start=1) if line.strip()]
+    header, k = {}, 0
+    while k < len(lines):
+        n, line = lines[k]
+        parts = line.split()
+        key = parts[0].upper()
+        if len(parts) != 2 or key not in (
+                "NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE", "NODATA_VALUE"):
+            break
+        if key in header:
+            fail(f"repeated {key} header", n)
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            fail(f"bad header value in {line!r}", n)
+        if key in ("NCOLS", "NROWS") and not header[key].is_integer():
+            fail(f"{key} must be a whole number, got {parts[1]!r}", n)
+        k += 1
+    for key in ("NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE"):
+        if key not in header:
+            fail(f"missing {key} header")
+    ncols, nrows = int(header["NCOLS"]), int(header["NROWS"])
+    cell_size = header["CELLSIZE"]
+    grid = grid_of(header["XLLCORNER"] + cell_size / 2.0, header["YLLCORNER"] + cell_size / 2.0,
+                   cell_size, ncols, nrows)
+    flat = [value for n, line in lines[k:] for value in cells_of(line.split(), n)]
+    if len(flat) != grid.size:
+        fail(f"expected {grid.size} values, got {len(flat)}")
+    values = np.array(flat).reshape(nrows, ncols)[::-1]
+    if "NODATA_VALUE" in header and (values == header["NODATA_VALUE"]).any():
+        fail("grid contains NODATA cells; benefit rasters must be complete")
+    return Raster(grid, values)
+
+
+def raster_outcome(read, path):
+    """What reading ``path`` gives: the grid and the values' exact bits, or
+    the refusal's message."""
+    try:
+        raster = read(path)
+    except SceneFormatError as exc:
+        return "format", str(exc)
+    return raster.grid, raster.values.tobytes()
+
+
+def assert_raster_readers_agree(path):
+    assert raster_outcome(read_raster, path) == raster_outcome(reference_raster, path)
+
+
+# cells that float() reads and numpy's text reader refuses, or the reverse,
+# or that neither reads
+CELL_TOKENS = ["1_0", "١", "１", "nan", "-NaN", "inf", "-Infinity", "1e999", "-1e999",
+               "1e-400", "#1", '"1.5"', "'2'", "", "0x10", "+4", ".5", "5.", "1e5", "-0.0"]
+# characters put around or inside a cell: NUL, form feed, non-breaking space,
+# ASCII information separators, Unicode spaces, quotes, the comment sign, CR
+CELL_CHARS = ["\x00", "\x0c", "\xa0", "\x1c", "\x1f", "\x85", "\u2028", "\u3000", "#",
+              '"', "'", " ", "\t", "\v", "\r", ",", "_"]
+raster_cells = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                | st.integers(-10 ** 20, 10 ** 20).map(str)
+                | st.sampled_from(["5e-324", "-5e-324", "1.7976931348623157e308", "1e-320",
+                                   "0.1000000000000000055511151231257827", "9" * 400]))
+raster_faults = st.one_of(
+    st.tuples(st.just("token"), st.sampled_from(CELL_TOKENS)),
+    st.tuples(st.sampled_from(["prefix", "suffix", "inside"]), st.sampled_from(CELL_CHARS)),
+    st.tuples(st.sampled_from(["trailing separator", "drop cell", "extra cell", "wrap",
+                               "blank line", "whitespace line", "crlf"]), st.just("")),
+    st.tuples(st.just("declare"), st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["r.csv", "r.asc"]),
+       st.integers(1, 4), st.integers(1, 4), st.data(),
+       st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), raster_faults), max_size=3))
+def test_bulk_raster_parse_matches_a_per_line_parser(tmp_path_factory, name, ncols, nrows,
+                                                     data, faults):
+    sep = " " if name.endswith(".asc") else ","
+    rows = [data.draw(st.lists(raster_cells, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    declared = [ncols, nrows]  # the header's size
+    ending = "\n"
+    extra = []  # (row, line) inserted below that row
+    for i, j, (kind, what) in faults:
+        row = rows[i % nrows]
+        j %= len(row) if row else 1
+        if kind == "token" and row:
+            row[j] = what
+        elif kind == "prefix" and row:
+            row[j] = what + row[j]
+        elif kind == "suffix" and row:
+            row[j] = row[j] + what
+        elif kind == "inside" and row:
+            row[j] = row[j][:1] + what + row[j][1:]
+        elif kind == "trailing separator":
+            row.append("")
+        elif kind == "drop cell" and row:
+            del row[j]
+        elif kind == "extra cell":
+            row.append("1.0")
+        elif kind == "wrap" and len(row) > 1:
+            extra.append((i % nrows, sep.join(row[j or 1:])))
+            del row[j or 1:]
+        elif kind in ("blank line", "whitespace line"):
+            extra.append((i % nrows, "" if kind == "blank line" else " \t\x0c"))
+        elif kind == "crlf":
+            ending = "\r\n"
+        elif kind == "declare":
+            declared = [n + change for n, change in zip(declared, what)]
+    if sep == ",":
+        lines = ["# {},{},-1.5,2.0,0.25".format(*declared)]
+    else:
+        lines = ["NCOLS {}".format(declared[0]), "NROWS {}".format(declared[1]),
+                 "XLLCORNER -1.625", "YLLCORNER 1.875", "CELLSIZE 0.25", "NODATA_VALUE -9999.0"]
+    for k, row in enumerate(rows):
+        lines.append(sep.join(row))
+        lines.extend(line for at, line in extra if at == k)
+    path = tmp_path_factory.mktemp("raster") / name
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(ending.join(lines) + ending)
+    assert_raster_readers_agree(str(path))
+
+
+@pytest.mark.parametrize("name", ["r.csv", "r.asc"])
+@pytest.mark.parametrize("cell", ["\x1c1.5", "1.5\x1f", "1.5\xa0", "\x0c1.5", "1_0", "１",
+                                  "1.5\x00", "nan", "1e999", "#1", '"1.5"'])
+def test_raster_edge_cells_read_as_by_float(tmp_path, name, cell):
+    # numpy's reader strips \x1c-\x1f around a number, float() does not;
+    # float() reads 1_0 and non-ASCII digits, numpy's reader does not
+    if name.endswith(".asc"):
+        text = ("NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+                f"1.0 2.0\n3.0 {cell}\n")
+    else:
+        text = f"# 2,2,0,0,1\n1.0,2.0\n3.0,{cell}\n"
+    path = write(tmp_path / name, text)
+    assert_raster_readers_agree(path)
 
 
 # -- float tables

@@ -2,8 +2,9 @@
 the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints;
-a valid scene loads without a per-value check; and the row-formatting
-helper interpreter needs nothing but the standard library."""
+a valid scene loads without a per-value check and a valid raster without
+the per-line parser; and the row-formatting helper interpreter needs
+nothing but the standard library."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import random
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 from isobenefit import SceneFormatError, SceneValidationError, cli
@@ -69,31 +71,84 @@ def counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("bad, error", [
-    (None, None), (True, SceneFormatError), (math.nan, SceneValidationError)])
-def test_a_valid_scene_loads_without_per_value_checks(tmp_path, monkeypatch, bad, error):
-    # a valid scene's values are checked in bulk, once each: the parser
-    # checks types, validate_scene values; the per-value checks run only to
-    # name the culprit of a refused scene. load_scene calls validate_scene
-    # through the io module, where the benchmark's tracer wraps it.
+def load_counting_checks(tmp_path, monkeypatch, where=None, bad=None):
+    """Load a 200-amenity scene with two profiles and 60 overrides, the
+    value at ``where`` set to ``bad``; return the scene, or the refusal, and
+    the calls made to the per-value checks and to validate_scene."""
     rng = random.Random(7)
     amenities = [{"id": f"a{k}", "x": rng.uniform(0, 10), "y": rng.uniform(0, 10),
                   "A": rng.uniform(0.5, 3.0)} for k in range(200)]
-    if bad is not None:
+    profiles = {
+        "walker": {"E": 0.5, "overrides": {f"a{k}": rng.uniform(0.5, 3.0) for k in range(40)}},
+        "cyclist": {"overrides": {f"a{k}": rng.randint(1, 4) for k in range(100, 120)}},
+    }
+    if where == "amenity":
         amenities[150]["A"] = bad
+    elif where == "override":
+        profiles["cyclist"]["overrides"]["a110"] = bad
+    elif where == "E":
+        profiles["walker"]["E"] = bad
     path = tmp_path / "scene.json"
-    path.write_text(json.dumps({"amenities": amenities}, indent=1), encoding="utf-8")
+    path.write_text(json.dumps({"amenities": amenities, "profiles": profiles,
+                                "majority": "walker"}, indent=1), encoding="utf-8")
     calls = {"_finite_number": 0, "_require_number": 0, "validate_scene": 0}
     counting(monkeypatch, scene_model, "_finite_number", calls)
     counting(monkeypatch, scene_io, "_require_number", calls)
     counting(monkeypatch, scene_io, "validate_scene", calls)
+    try:
+        return scene_io.load_scene(str(path)), calls
+    except (SceneFormatError, SceneValidationError) as exc:
+        return exc, calls
+
+
+@pytest.mark.parametrize("bad, error", [
+    (None, None), (True, SceneFormatError), (math.nan, SceneValidationError)])
+def test_a_valid_scene_loads_without_per_value_checks(tmp_path, monkeypatch, bad, error):
+    # a valid scene's values, its profiles' included, are checked in bulk,
+    # once each: the parser checks types, validate_scene values; the
+    # per-value checks run only to name the culprit of a refused scene.
+    # load_scene calls validate_scene through the io module, where the
+    # benchmark's tracer wraps it.
+    where = None if error is None else "amenity"
+    scene, calls = load_counting_checks(tmp_path, monkeypatch, where, bad)
     if error is None:
-        assert len(scene_io.load_scene(str(path)).amenities) == 200
+        assert len(scene.amenities) == 200
+        assert sum(len(p.overrides) for p in scene.profiles.values()) == 60
         assert calls == {"_finite_number": 0, "_require_number": 0, "validate_scene": 1}
     else:
-        with pytest.raises(error):
-            scene_io.load_scene(str(path))
+        assert type(scene) is error
         assert calls["_finite_number"] + calls["_require_number"] > 0
+
+
+@pytest.mark.parametrize("where, bad, error", [
+    ("override", True, SceneFormatError), ("override", math.inf, SceneValidationError),
+    ("E", "1.5", SceneFormatError), ("E", 0, SceneValidationError)])
+def test_a_refused_profile_value_is_named_by_a_per_value_check(tmp_path, monkeypatch,
+                                                                where, bad, error):
+    refusal, calls = load_counting_checks(tmp_path, monkeypatch, where, bad)
+    assert type(refusal) is error
+    assert calls["_finite_number" if error is SceneValidationError else "_require_number"] > 0
+
+
+@pytest.mark.parametrize("name", ["r.csv", "r.asc"])
+def test_a_valid_raster_loads_without_the_per_line_parser(tmp_path, monkeypatch, name):
+    # numpy's text reader parses a valid raster in one call; the per-line
+    # parser runs only to name the culprit of a refused file
+    grid = scene_model.GridSpec(0.0, 0.0, 0.5, 384, 384)
+    values = np.random.default_rng(11).normal(size=grid.size) * 1e3
+    path = tmp_path / name
+    scene_io.write_raster(scene_model.Raster(grid, values), str(path))
+    calls = {"_parse_cells": 0}
+    counting(monkeypatch, scene_io, "_parse_cells", calls)
+    back = scene_io.read_raster(str(path))
+    assert back.values.tobytes() == scene_model.Raster(grid, values).values.tobytes()
+    assert calls["_parse_cells"] == 0
+    text = path.read_text()
+    first = text.index(repr(float(values[0])))  # a cell of the file's last line
+    path.write_text(text[:first] + "x" + text[first + 1:])
+    with pytest.raises(SceneFormatError, match="bad value"):
+        scene_io.read_raster(str(path))
+    assert calls["_parse_cells"] > 0
 
 
 def test_the_row_helper_imports_only_sys():
