@@ -1,16 +1,17 @@
 """Rows of a float table as text lines: the values of each row in shortest
 round-trip form (``repr`` of a Python float), joined by a separator.
 
-:func:`isobenefit.io.write_rows` formats every table with
-:func:`format_rows`; for a large one it also runs this file as a script,
-in a helper interpreter that formats the second half of the rows::
+:func:`isobenefit.io.write_all` formats every table with
+:func:`format_rows`; for the large tables of a call it also runs this file
+as a script, in one helper interpreter that formats the second half of the
+rows of each::
 
-    python -I -S _rows.py RAW NCOLS SEP
+    python -I -S _rows.py RAW NCOLS SEP [RAW NCOLS SEP ...]
 
-RAW is a file of native float64 values, ``NCOLS`` to a row. The script
-writes each row to standard output as one line ended by ``\\n``. It runs
-without the package or numpy on its path, so this module imports only
-``sys``.
+Each RAW is a file of native float64 values, ``NCOLS`` to a row. The script
+writes each row to standard output as one line ended by ``\\n``, the tables
+in the order given. It runs without the package or numpy on its path, so
+this module imports only ``sys``.
 """
 
 import sys
@@ -25,13 +26,15 @@ def format_rows(rows, sep):
 
 
 def main(argv):
-    raw, ncols, sep = argv
-    ncols = int(ncols)
-    with open(raw, "rb") as handle:
-        values = memoryview(handle.read()).cast("d")
-    rows = (values[k:k + ncols].tolist() for k in range(0, len(values), ncols))
-    text = "\n".join(format_rows(rows, sep)) + "\n"
-    sys.stdout.buffer.write(text.encode("ascii"))
+    for k in range(0, len(argv), 3):
+        raw, ncols, sep = argv[k:k + 3]
+        ncols = int(ncols)
+        with open(raw, "rb") as handle:
+            values = memoryview(handle.read()).cast("d")
+        rows = (values[i:i + ncols].tolist() for i in range(0, len(values), ncols))
+        text = "\n".join(format_rows(rows, sep)) + "\n"
+        sys.stdout.buffer.write(text.encode("ascii"))
+        sys.stdout.buffer.flush()  # this table's last lines, before the next is formatted
 
 
 if __name__ == "__main__":

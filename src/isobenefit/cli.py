@@ -1,16 +1,16 @@
 """Command-line surface. Every subcommand is a thin shell over the library:
 parse flags, call one library function, serialize the result.
 
-A subcommand's handler computes its result, writes its data products
-(field, isolines, pgg, curve write files) and returns its stdout lines and
-its JSON report, or None if it has none. :func:`main` alone emits them: it
-writes the report when ``--out`` (``--report`` for pgg) names a file, then
+A subcommand's handler computes its result and returns its stdout lines,
+its JSON report (or None if it has none) and its data products (the files
+of field, isolines, pgg and curve). :func:`main` alone emits them: one
+:func:`~isobenefit.io.write_all` call writes the products, and the report
+when ``--out`` (``--report`` for pgg) names a file, all or none; then it
 prints the lines. A command that fails therefore prints nothing and writes
-no report (a data product written before the failure stays). The reports
-(uniformity, breakpoint, huff, pgg, sweep) hold the numbers of the printed
-lines. All numeric output uses shortest round-trip floats, so a re-parsed
-output is bit-identical to the library result and two runs with the same
-inputs produce the same bytes.
+no file. The reports (uniformity, breakpoint, huff, pgg, sweep) hold the
+numbers of the printed lines. All numeric output uses shortest round-trip
+floats, so a re-parsed output is bit-identical to the library result and
+two runs with the same inputs produce the same bytes.
 
 Exit code 0 on success, 1 on any domain or IO error (the message names the
 offending file or flag), 2 on bad command-line syntax.
@@ -43,14 +43,17 @@ from .errors import (
 from .field import evaluate_field, evaluate_field_parts, kernel_benefit
 from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
 from .indicators import UniformityResult, pgg_field, summary, uniformity
-from .io import (  # noqa: F401  (perfbench/tracing.py wraps cli.atomic_write_text)
+from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name)
     atomic_write_text,
+    contours_product,
+    json_product,
     load_scene,
+    raster_product,
     read_raster,
+    rows_product,
+    write_all,
     write_contours_geojson,
-    write_json,
     write_raster,
-    write_rows,
 )
 from .isolines import extract_isolines
 from .scene import KERNEL_FAMILIES, MAX_GRID_CELLS, GridSpec, Kernel, Scene
@@ -178,16 +181,15 @@ def _parts_paths(out: str) -> tuple[str, str]:
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_field(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_field(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     if args.parts:
         parts = _scene_field(args, evaluate_field_parts)
-        write_raster(parts.total, args.out)
         pos_path, neg_path = _parts_paths(args.out)
-        write_raster(parts.positive, pos_path)
-        write_raster(parts.negative, neg_path)
-        return [f"wrote {args.out}, {pos_path}, {neg_path}"], None
-    write_raster(_scene_field(args, evaluate_field), args.out)
-    return [f"wrote {args.out}"], None
+        return [f"wrote {args.out}, {pos_path}, {neg_path}"], None, [
+            raster_product(parts.total, args.out), raster_product(parts.positive, pos_path),
+            raster_product(parts.negative, neg_path)]
+    return [f"wrote {args.out}"], None, [
+        raster_product(_scene_field(args, evaluate_field), args.out)]
 
 
 def _check_source(args: argparse.Namespace) -> None:
@@ -212,7 +214,7 @@ def _scene_field(args: argparse.Namespace, evaluate):
     return evaluate(scene, kernel, args.grid, profile=args.profile)
 
 
-def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     _check_source(args)
     # before any input is read: a refused flag pair costs no evaluation
     if (args.levels is None) == (args.nlevels is None):
@@ -224,9 +226,8 @@ def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     else:
         raster = _scene_field(args, evaluate_field)
     contours = extract_isolines(raster, levels=args.levels, nlevels=args.nlevels)
-    write_contours_geojson(contours, args.out)
     return [f"wrote {args.out} ({len(contours.lines)} lines "
-            f"at {len(contours.levels)} levels)"], None
+            f"at {len(contours.levels)} levels)"], None, [contours_product(contours, args.out)]
 
 
 def _uniformity_or_none(raster) -> UniformityResult | None:
@@ -243,7 +244,7 @@ def _uniformity_line(label: str, result: UniformityResult | None) -> str:
     return f"U({label}) = {result.u!r}{care}"
 
 
-def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     _check_source(args)
     if args.raster is not None:
         source = {"raster": args.raster}
@@ -263,10 +264,10 @@ def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None]:
         "source": source,
         "uniformity": {label: _as_report(result) for label, result in results.items()},
         "summary": _as_report(stats),
-    }
+    }, []
 
 
-def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene, kernel = _scene_and_kernel(args)
     amenity1 = _amenity_by_id(scene, args.pair[0], "--pair")
     amenity2 = _amenity_by_id(scene, args.pair[1], "--pair")
@@ -295,10 +296,10 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None]:
         lines.append(f"numeric: {numeric.distance_from_1!r} from {amenity1.id!r}, "
                      f"{numeric.distance_from_2!r} from {amenity2.id!r}, "
                      f"benefit {numeric.benefit_at_point!r}")
-    return lines, report
+    return lines, report, []
 
 
-def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene = load_scene(args.scene)
     result = huff_probabilities(args.origin, scene.amenities,
                                 distance_exponent=args.distance_exponent)
@@ -306,14 +307,13 @@ def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None]:
         "origin": [args.origin[0], args.origin[1]],
         "distance_exponent": args.distance_exponent,
         "probabilities": dict(result.probabilities),
-    }
+    }, []
 
 
-def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene, kernel = _scene_and_kernel(args)
     raster = pgg_field(scene, kernel, args.grid, person=args.person,
                        majority=args.majority)
-    write_raster(raster, args.out)
     stats = summary(raster)
     gains = int((raster.values > 0).sum())
     losses = int((raster.values < 0).sum())
@@ -329,10 +329,10 @@ def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None]:
         "gain_cells": gains,
         "loss_cells": losses,
         "indifferent_cells": indifferent,
-    }
+    }, [raster_product(raster, args.out)]
 
 
-def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     if args.dmax <= 0:
         raise IsobenefitError(f"--dmax must be > 0, got {args.dmax!r}")
     if not 2 <= args.samples <= MAX_GRID_CELLS:
@@ -342,11 +342,11 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None]:
     distances = np.arange(args.samples) * (args.dmax / (args.samples - 1))
     curves = [kernel_benefit(args.attractiveness, distances, kern) for kern in kernels]
     header = ",".join(["d"] + [f"E={e!r}" for e in args.efficiencies])
-    write_rows(args.out, [header], np.column_stack([distances, *curves]))
-    return [f"wrote {args.out} ({args.samples} rows, {len(kernels)} curves)"], None
+    return [f"wrote {args.out} ({args.samples} rows, {len(kernels)} curves)"], None, [
+        rows_product(args.out, [header], np.column_stack([distances, *curves]))]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], dict | None]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene = load_scene(args.scene)
     kernels = [_checked("--efficiencies", Kernel, args.kernel, e) for e in args.efficiencies]
     rows = []
@@ -365,7 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], dict | None]:
         "kernel_family": args.kernel,
         "profile": args.profile,
         "rows": rows,
-    }
+    }, []
 
 
 # --------------------------------------------------------------- assembly
@@ -489,9 +489,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "grid", None) is not None:
             args.grid = _checked("--grid", GridSpec, *args.grid)
-        lines, report = args.func(args)
-        if report is not None and args.report is not None:
-            write_json(args.report, report)
+        out, report_path = getattr(args, "out", None), getattr(args, "report", None)
+        if out and report_path and os.path.realpath(out) == os.path.realpath(report_path):
+            raise IsobenefitError(f"--out and --report name the same file: {out}")
+        lines, report, products = args.func(args)
+        if report is not None and report_path is not None:
+            products.append(json_product(report_path, report))
+        write_all(products)
         print("\n".join(lines))
         return 0
     except SumOverflowError as exc:

@@ -1,65 +1,52 @@
 """File formats: scene ingestion, raster serialization, contour GeoJSON.
 
-All writers are atomic (write to a temp file, then rename into place), so a
-failing run never leaves a partial output file behind. Floats are written
-in shortest round-trip form, which makes every format lossless for double
-precision and byte-for-byte deterministic. Float tables (raster rows,
-decay curves) go through :func:`write_rows`, JSON reports through
-:func:`write_json`, which refuses non-finite numbers.
+A command's data products are written by one call of :func:`write_all`,
+all or none: every target is checked, each product is staged in a temp
+file beside its target, and the staged files are renamed into place only
+once all are staged; on any failure every temp file is removed. Floats are
+written in shortest round-trip form, which makes every format lossless for
+double precision and byte-for-byte deterministic. JSON reports refuse
+non-finite numbers.
 
 In one process, formatting a table is at the floor of ``repr``: a joined
 ``map(repr, row.tolist())`` beat ``ndarray.tofile(sep=...)`` and a numpy
-string dtype. So :func:`write_rows` puts a second CPU to work on a large
-table. It writes the second half of the rows as raw float64 to a temp file
-and starts a helper interpreter, ``python -I -S _rows.py``, which formats
-them into its stdout pipe while this process formats the first half; both
-use :func:`isobenefit._rows.format_rows`, so the joined text is byte for
-byte what one process writes, and it is written by the same atomic rename.
-The helper is taken only for a float64 table of two or more rows and at
-least ``_HELPER_MIN_VALUES`` (2**17) values, when more than one CPU is
-usable and the interpreter's path is known. That floor is the break-even
-point with a margin. On a shared 2-vCPU x86 host a bare ``python -I -S``
-started in 12-80 ms, against about 0.75 us to format a value. Through the
-helper, a 128 x 128 raster (16,384 values) was slower than in one process
-(median 36 ms against 20 ms), 256 x 256 (65,536) was slower in one
-measurement and faster in another, and 384 x 384 (147,456) was faster
-(median 0.12 s against 0.17 s). If the helper cannot start, exits non-zero
-or writes the wrong number of lines, this process formats its rows too and
-writes the same bytes. Whatever happens, a KeyboardInterrupt included, a
-helper still running is killed and reaped, and the temp file removed. The
-helper is a fresh interpreter and not a fork: numpy may have started
-threads by then, forking such a process is deprecated from Python 3.12 and
-unsafe on macOS, and Windows has no fork.
+string dtype. So :func:`write_all` puts a second CPU to work on a call's
+large tables (raster rows, decay curves). It writes the second half of the
+rows of each as raw float64 to a temp file and starts one helper
+interpreter, ``python -I -S _rows.py``, which formats them, table after
+table, into its stdout pipe while this process formats the first halves.
+Both use :func:`isobenefit._rows.format_rows`, so each file holds byte for
+byte what one process writes; this process copies each table's lines from
+the pipe to its staged file as bytes. The helper is taken only for a
+float64 table of two or more rows and at least ``_HELPER_MIN_VALUES``
+(2**17) values, when more than one CPU is usable and the interpreter's path
+is known. That floor is the break-even point with a margin: on a shared
+2-vCPU x86 host a bare ``python -I -S`` started in 7-80 ms, against about
+0.75 us to format a value. If the helper cannot start, exits non-zero, or
+sends too few or too many lines, this process formats every row the helper
+owed and writes the same bytes. Whatever happens, a KeyboardInterrupt
+included, a helper still running is killed and reaped, and the temp files
+removed. The helper is a fresh interpreter and not a fork: numpy may have
+started threads by then, forking such a process is deprecated from Python
+3.12 and unsafe on macOS, and Windows has no fork.
 
-Scenes are read in one bulk pass, split in two. The parser checks structure
-and types: each amenity is an object whose ``id`` is text and whose ``x``,
-``y`` and ``A`` are ints or floats (a bool or a numeric string is refused),
-and one ``np.array`` converts the numbers; a CSV row has four fields whose
-numbers parse as floats. :func:`load_scene` then runs
-:func:`~isobenefit.scene.validate_scene`, which checks the values: finite,
-with distinct non-empty ids. Each side checks a whole scene at once and
-falls back to a loop over the entries only when that check fails, to name
-the culprit, so a valid scene costs no per-value call and a refusal reads
-as it would from a value-by-value check. Profile E values and overrides
-are checked the same way, once by type and once by value.
+Scenes are read in one bulk pass, split in two: the parser checks structure
+and types (a bool or a numeric string is refused as a number), then
+:func:`~isobenefit.scene.validate_scene` checks values (finite, with
+distinct non-empty ids), profiles included. Each checks a whole scene at
+once and loops over the entries only when that check fails, to name the
+culprit with the message of a value-by-value check.
 
-Rasters are read in one C pass. The data lines of a raster CSV or ESRI
-ASCII file go to one ``np.loadtxt`` call (split at commas, or at
-whitespace), whose tokenizer converts each cell with
-``PyOS_string_to_double``, the conversion ``float()`` uses; the shape (for
-ESRI ASCII, the count of values) and finiteness are then checked in bulk.
-The per-line parser, :func:`_parse_cells`, runs only when numpy refuses a
-line or a bulk check fails. It names the culprit, and it reads what
-``float()`` takes and numpy does not (``1_0``, non-ASCII digits), so each
-file reads, or is refused, as it would line by line. numpy strips the
-ASCII information separators ``\\x1c``-``\\x1f`` from around a number and
-``float()`` does not, so lines holding one skip the bulk call; so do zero
-lines, on which ``np.loadtxt`` warns. On a shared 2-vCPU x86 host one
-384 x 384 read took 37-59 ms of CPU for CSV and 42-68 ms for ESRI ASCII,
-against 55-95 ms and 64-106 ms line by line (best of 7 reads, in 6
-alternating processes).
+Rasters are read in one C pass: the data lines go to one ``np.loadtxt``
+call, whose tokenizer converts each cell as ``float()`` does, and shape
+and finiteness are checked in bulk. The per-line parser,
+:func:`_parse_cells`, runs only when numpy refuses a line or a bulk check
+fails: it names the culprit, and reads what ``float()`` takes and numpy
+does not (``1_0``, non-ASCII digits). Lines holding ``\\x1c``-``\\x1f``,
+which numpy strips from around a number and ``float()`` does not, skip the
+bulk call; so do zero lines, on which ``np.loadtxt`` warns.
 
-Contour GeoJSON bypasses :func:`write_json`: with ``indent`` set, CPython's
+Contour GeoJSON bypasses :func:`json_product`: with ``indent`` set, CPython's
 ``json`` runs its pure-Python encoder, which took longer than extracting the
 contours. :func:`write_contours_geojson` builds the same text directly, and
 its bytes equal those of ``write_json`` on :func:`contours_to_geojson`'s
@@ -119,6 +106,11 @@ __all__ = [
     "write_rows",
     "write_json",
     "atomic_write_text",
+    "write_all",
+    "raster_product",
+    "rows_product",
+    "json_product",
+    "contours_product",
 ]
 
 ASC_NODATA = -9999.0
@@ -127,23 +119,8 @@ CRS_NOTE = "coordinates are scene-local planar x,y; no CRS is assumed"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically: temp file in the same directory,
-    then rename over the target. Unix newlines regardless of platform."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:  # name the target, not the temp file
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Write ``text`` to ``path`` atomically, as :func:`write_all` does."""
+    write_all([(path, text, None, None)])
 
 
 # a float64 table of at least this many values has the second half of its
@@ -163,59 +140,125 @@ def _takes_helper(table: np.ndarray) -> bool:
             and _usable_cpus() > 1)
 
 
-@contextlib.contextmanager
-def _rows_in_helper(rows: np.ndarray, sep: str):
-    """Start a helper interpreter that formats ``rows``, and yield a
-    callable that returns their text, each line ended by ``\\n``. Should the
-    helper not start, fail or write the wrong number of lines, the callable
-    formats the rows in process; so it does for no rows. On leaving, the
-    helper is killed if still running, then reaped, and its input removed."""
-    raw = helper = None
+def _start_helper(tables: list, raws: list):
+    """A helper interpreter that formats each of ``tables``, ``(rows, sep)``
+    pairs, into its stdout, one table after another; None if it cannot
+    start. Its raw input files are appended to ``raws``."""
+    import subprocess  # here, so that a CLI call that writes no large table skips it
+    argv = [sys.executable, "-I", "-S", _rows.__file__]
     try:
-        if len(rows):
-            import subprocess  # here, so that a CLI call that writes no large table skips it
-            try:
-                fd, raw = tempfile.mkstemp(prefix="isobenefit-rows-", suffix=".f64")
-                with os.fdopen(fd, "wb") as handle:
-                    np.ascontiguousarray(rows).tofile(handle)
-                helper = subprocess.Popen(
-                    [sys.executable, "-I", "-S", _rows.__file__, raw, str(rows.shape[1]), sep],
-                    stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL)
-            except OSError:  # no temp space, or no interpreter to start
-                pass
+        for rows, sep in tables:
+            fd, raw = tempfile.mkstemp(prefix="isobenefit-rows-", suffix=".f64")
+            raws.append(raw)
+            with os.fdopen(fd, "wb") as handle:
+                np.ascontiguousarray(rows).tofile(handle)
+            argv += [raw, str(rows.shape[1]), sep]
+        return subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+    except OSError:  # no temp space, or no interpreter to start
+        return None
 
-        def text() -> str:
-            if helper is not None:
-                out = helper.communicate()[0]
-                if (helper.returncode == 0 and out.count(b"\n") == len(rows)
-                        and out.endswith(b"\n")):
-                    return out.decode("ascii")
-            lines = _rows.format_rows(map(np.ndarray.tolist, rows), sep)
-            return "".join(line + "\n" for line in lines)
-        yield text
+
+def _stop(helper) -> None:
+    if helper is not None:
+        helper.kill()  # does nothing once the helper has been reaped
+        helper.wait()
+        helper.stdout.close()
+
+
+def _format_into(handle, rows: np.ndarray, sep: str) -> None:
+    # one row at a time, so that only one row's Python floats are alive
+    if len(rows):
+        handle.write("\n".join(_rows.format_rows(map(np.ndarray.tolist, rows), sep)).encode())
+        handle.write(b"\n")
+
+
+def _format_owed(owed: list) -> None:
+    """Format in process, in place of the helper's lines, every table of
+    ``owed``: ``(handle, offset, rows, sep)``, the rows' text due at offset."""
+    for handle, offset, rows, sep in owed:
+        handle.seek(offset)
+        handle.truncate()
+        _format_into(handle, rows, sep)
+    owed.clear()
+
+
+def write_all(products: Iterable[tuple]) -> None:
+    """Write every product, ``(path, text, rows, sep)``, or none. The file
+    at ``path`` holds ``text``, then, unless ``rows`` is None, one line per
+    row of that 2-D float table: its values in shortest round-trip form,
+    joined by ``sep``. One helper interpreter formats the second halves of
+    the large tables; the bytes are the same either way. No file is
+    renamed into place before every product is staged."""
+    products = list(products)
+    staged, raws, owed = [], [], []  # owed: (handle, offset, rows, sep) of the helper's rows
+    helper = None
+    try:
+        for path, *_ in products:  # else os.replace would fail naming the temp file
+            if not os.path.basename(path) or os.path.isdir(path):  # as open() refuses "dir/"
+                import errno
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, *_ in products:
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                           prefix=".tmp-", suffix="~")
+            except OSError as exc:  # name the target, not the temp file
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            staged.append((tmp, os.fdopen(fd, "wb")))
+        halves = [len(rows) // 2 if rows is not None and _takes_helper(rows) else None
+                  for _, _, rows, _ in products]
+        large = [(rows[half:], sep) for (_, _, rows, sep), half in zip(products, halves)
+                 if half is not None]
+        if large:
+            helper = _start_helper(large, raws)
+        for (_, handle), (_, text, rows, sep), half in zip(staged, products, halves):
+            handle.write(text.encode())
+            if rows is None:
+                continue
+            _format_into(handle, rows[:half], sep)  # every row if half is None
+            if half is None:
+                continue
+            rest = rows[half:]
+            owed.append((handle, handle.tell(), rest, sep))
+            count, line = 0, b""
+            if helper is not None:  # copied a line at a time, as bytes
+                for count, line in enumerate(itertools.islice(helper.stdout, len(rest)), 1):
+                    handle.write(line)
+            if count < len(rest) or not line.endswith(b"\n"):
+                _stop(helper)  # a short table: the tables before it may hold wrong lines
+                helper = None
+                _format_owed(owed)
+        if helper is not None and (helper.stdout.read(1) or helper.wait()):
+            _format_owed(owed)  # output beyond the last table, or a failure
+        for tmp, handle in staged:
+            handle.close()
+        for (tmp, _), (path, *_) in zip(staged, products):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, handle in staged:
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
     finally:
-        if helper is not None:
-            helper.kill()  # does nothing once the helper has been reaped
-            helper.wait()
-            helper.stdout.close()
-        if raw is not None:
+        _stop(helper)
+        for raw in raws:
             os.unlink(raw)
+
+
+def rows_product(path: str, header_lines: Iterable[str], table: np.ndarray,
+                 sep: str = ",") -> tuple:
+    """The product of :func:`write_rows`, for :func:`write_all`."""
+    lines = list(header_lines)
+    return (path, "\n".join(lines) + "\n" if lines or not len(table) else "", table, sep)
 
 
 def write_rows(path: str, header_lines: Iterable[str], table: np.ndarray,
                sep: str = ",") -> None:
     """Write the header lines, then one line per row of the 2-D float
-    ``table``: its values in shortest round-trip form, joined by ``sep``.
-    A large table's second half is formatted meanwhile by a helper
-    interpreter; the bytes are the same either way."""
-    lines = list(header_lines)
-    half = len(table) // 2 if _takes_helper(table) else len(table)
-    with _rows_in_helper(table[half:], sep) as second_half:
-        # one row at a time, so that only one row's Python floats are alive
-        lines.extend(_rows.format_rows(map(np.ndarray.tolist, table[:half]), sep))
-        text = "\n".join(lines) + "\n" + second_half()
-    atomic_write_text(path, text)
+    ``table``: its values in shortest round-trip form, joined by ``sep``."""
+    write_all([rows_product(path, header_lines, table, sep)])
 
 
 def _non_finite_error(path: str) -> InvalidValueError:
@@ -223,19 +266,18 @@ def _non_finite_error(path: str) -> InvalidValueError:
         f"{path}: JSON cannot hold a non-finite number (did a sum overflow?)")
 
 
-def write_json(path: str, doc: object) -> None:
-    """Write ``doc`` as indented JSON; a non-finite number is an error,
-    since JSON has no spelling for it."""
+def json_product(path: str, doc: object) -> tuple:
+    """The product of ``doc`` as indented JSON; a non-finite number is an
+    error, since JSON has no spelling for it."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        return (path, json.dumps(doc, indent=2, allow_nan=False) + "\n", None, None)
     except ValueError:
         raise _non_finite_error(path) from None
-    atomic_write_text(path, text + "\n")
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(value))
+def write_json(path: str, doc: object) -> None:
+    """Write ``doc`` as :func:`json_product` formats it."""
+    write_all([json_product(path, doc)])
 
 
 # ---------------------------------------------------------------- scenes
@@ -416,14 +458,6 @@ def load_scene(path: str) -> Scene:
 # ---------------------------------------------------------------- rasters
 
 
-def write_raster_csv(raster: Raster, path: str) -> None:
-    grid = raster.grid
-    header = "# {},{},{},{},{}".format(
-        grid.ncols, grid.nrows, _fmt(grid.origin_x), _fmt(grid.origin_y),
-        _fmt(grid.cell_size))
-    write_rows(path, [header], raster.as_grid()[::-1])  # top row first
-
-
 def _grid_from_header(path: str, *args) -> GridSpec:
     try:
         return GridSpec(*args)
@@ -499,20 +533,6 @@ def read_raster_csv(path: str) -> Raster:
     return Raster(grid, table[::-1])  # the file lists the top row first
 
 
-def write_raster_asc(raster: Raster, path: str) -> None:
-    grid = raster.grid
-    half = grid.cell_size / 2.0
-    header = [
-        f"NCOLS {grid.ncols}",
-        f"NROWS {grid.nrows}",
-        f"XLLCORNER {_fmt(grid.origin_x - half)}",
-        f"YLLCORNER {_fmt(grid.origin_y - half)}",
-        f"CELLSIZE {_fmt(grid.cell_size)}",
-        f"NODATA_VALUE {_fmt(ASC_NODATA)}",
-    ]
-    write_rows(path, header, raster.as_grid()[::-1], sep=" ")
-
-
 def read_raster_asc(path: str) -> Raster:
     with _text_file(path) as handle:
         lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
@@ -559,9 +579,33 @@ def _is_asc(path: str) -> bool:
     return path.lower().endswith(".asc")
 
 
+def raster_product(raster: Raster, path: str, asc: bool | None = None) -> tuple:
+    """The product of ``raster``'s file, for :func:`write_all`: ESRI ASCII if
+    ``asc`` (by default, if ``path`` ends in .asc), else raster CSV."""
+    grid = raster.grid
+    if not (_is_asc(path) if asc is None else asc):
+        header = "# {},{},{!r},{!r},{!r}".format(grid.ncols, grid.nrows, float(grid.origin_x),
+                                                  float(grid.origin_y), float(grid.cell_size))
+        return rows_product(path, [header], raster.as_grid()[::-1])  # top row first
+    half = grid.cell_size / 2.0
+    return rows_product(path, [
+        f"NCOLS {grid.ncols}", f"NROWS {grid.nrows}",
+        f"XLLCORNER {float(grid.origin_x - half)!r}", f"YLLCORNER {float(grid.origin_y - half)!r}",
+        f"CELLSIZE {float(grid.cell_size)!r}", f"NODATA_VALUE {ASC_NODATA!r}",
+    ], raster.as_grid()[::-1], " ")
+
+
 def write_raster(raster: Raster, path: str) -> None:
     """Write a raster, picking the format from the extension (.asc vs CSV)."""
-    (write_raster_asc if _is_asc(path) else write_raster_csv)(raster, path)
+    write_all([raster_product(raster, path)])
+
+
+def write_raster_csv(raster: Raster, path: str) -> None:
+    write_all([raster_product(raster, path, asc=False)])
+
+
+def write_raster_asc(raster: Raster, path: str) -> None:
+    write_all([raster_product(raster, path, asc=True)])
 
 
 def read_raster(path: str) -> Raster:
@@ -654,14 +698,18 @@ def _contours_text(contours: ContourSet) -> str:
             '}\n')
 
 
-def write_contours_geojson(contours: ContourSet, path: str) -> None:
-    """Write ``contours`` as the bytes that ``write_json`` would write for
-    :func:`contours_to_geojson`'s document, non-finite refusal included."""
+def contours_product(contours: ContourSet, path: str) -> tuple:
+    """The product of ``contours``: the bytes that :func:`json_product`
+    gives :func:`contours_to_geojson`'s document, non-finite refusal
+    included."""
     try:
-        text = _contours_text(contours)
+        return (path, _contours_text(contours), None, None)
     except InvalidValueError:
         raise _non_finite_error(path) from None
-    atomic_write_text(path, text)
+
+
+def write_contours_geojson(contours: ContourSet, path: str) -> None:
+    write_all([contours_product(contours, path)])
 
 
 def read_contours_geojson(path: str) -> ContourSet:

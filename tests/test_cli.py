@@ -634,6 +634,84 @@ def test_unwritable_report_prints_nothing(tmp_path, monkeypatch, capsys, profile
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and str(report) in err
+    # all or none: pgg leaves no raster behind, and no command a temp file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profiled.json"]
+
+
+@pytest.mark.parametrize("report", ["g.csv", "./sub/../g.csv"])
+def test_one_file_for_out_and_report_is_refused_before_the_scene_is_read(
+        tmp_path, monkeypatch, capsys, report):
+    # the report would have replaced the raster; the scene does not exist,
+    # so an error naming the flags was raised before it was read
+    monkeypatch.chdir(tmp_path)
+    assert run("pgg", "--scene", "missing.json", "--person", "alice", "--grid", "0,0,1,3,3",
+               "--out", "g.csv", "--report", report) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --out and --report name the same file: g.csv\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "huff --scene SCENE --origin 1,3 --out adir",
+    "field --scene SCENE --grid 0,0,1,3,3 --out adir",
+    "isolines --scene SCENE --grid 0,0,1,3,3 --nlevels 2 --out adir",
+    "pgg --scene SCENE --person alice --grid 0,0,1,3,3 --out g.csv --report newdir/",
+])
+def test_an_output_that_is_a_directory_is_named_without_a_temp_file(
+        tmp_path, monkeypatch, capsys, profiled, argv):
+    # a path ending in a separator names a directory too, as open() says
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(*(str(profiled) if token == "SCENE" else token for token in argv.split())) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    target = argv.split()[-1]
+    assert err == f"error: [Errno 21] Is a directory: '{target}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "profiled.json"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["directory", "no temp file", "disk full"])
+def test_field_parts_writes_all_rasters_or_none(tmp_path, monkeypatch, capsys, profiled, fault):
+    # the third raster is refused: before anything is staged (a directory
+    # in its place), when its temp file cannot be made, or while its rows
+    # are written; the first two must not be left behind either
+    import tempfile
+
+    from isobenefit import io as scene_io
+    monkeypatch.chdir(tmp_path)
+    if fault == "directory":
+        (tmp_path / "f_negative.csv").mkdir()
+    elif fault == "no temp file":
+        mkstemp, calls = tempfile.mkstemp, []
+
+        def third_refused(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise PermissionError(13, "Permission denied", kwargs["dir"])
+            return mkstemp(*args, **kwargs)
+        monkeypatch.setattr(tempfile, "mkstemp", third_refused)
+    else:
+        format_rows, calls = scene_io._rows.format_rows, []
+
+        def third_refused(rows, sep):
+            calls.append(sep)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return format_rows(rows, sep)
+        monkeypatch.setattr(scene_io._rows, "format_rows", third_refused)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run("field", "--scene", profiled, "--grid", "0,0,1,3,3", "--out", "f.csv",
+               "--parts") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if fault == "directory":
+        assert err == "error: [Errno 21] Is a directory: 'f_negative.csv'\n"
+    elif fault == "no temp file":
+        assert err == "error: [Errno 13] Permission denied: 'f_negative.csv'\n"
 
 
 def test_unknown_subcommand_is_a_usage_error():

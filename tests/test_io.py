@@ -711,6 +711,86 @@ def test_a_failing_helper_leaves_the_same_bytes_and_nothing_behind(tmp_path, mon
         os.waitpid(-1, os.WNOHANG)
 
 
+# a helper that formats every table it is given, but for FAULT
+BATCH_HELPER = """import sys
+FAULT = {fault!r}
+argv = sys.argv[1:]
+for k in range(0, len(argv), 3):
+    raw, ncols, sep = argv[k], int(argv[k + 1]), argv[k + 2]
+    with open(raw, "rb") as handle:
+        values = memoryview(handle.read()).cast("d")
+    lines = [sep.join(map(repr, values[i:i + ncols].tolist()))
+             for i in range(0, len(values), ncols)]
+    if FAULT == "a line too few in the second" and k == 3:
+        lines.pop()
+    sys.stdout.write("".join(line + "\\n" for line in lines))
+    sys.stdout.flush()
+    if FAULT == "exit after the first" and k == 0:
+        raise SystemExit(0)
+if FAULT == "a line beyond the last":
+    sys.stdout.write("0.0\\n")
+raise SystemExit(FAULT == "exit 1 after the last")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "WNOHANG"), reason="checks for children with waitpid")
+@pytest.mark.parametrize("fault", [
+    None, "exit after the first", "a line too few in the second",
+    "interrupt in the second", "a line beyond the last", "exit 1 after the last"])
+def test_one_helper_formats_a_batch_or_the_parent_does(tmp_path, monkeypatch, fault):
+    rng = np.random.default_rng(5)
+    tables = [(rng.normal(size=shape) * 1e10, sep)
+              for shape, sep in (((7, 5), ","), ((6, 3), " "), ((9, 4), ","))]
+    serial = []
+    for k, (table, sep) in enumerate(tables):
+        serial.append(tmp_path / f"serial-{k}.txt")
+        write_rows(str(serial[-1]), ["h"], table, sep)
+    temp, out = tmp_path / "temp", tmp_path / "out"
+    temp.mkdir()
+    out.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(scene_io, "_HELPER_MIN_VALUES", 0)
+    monkeypatch.setattr(scene_io, "_usable_cpus", lambda: 2)
+    script = tmp_path / "helper.py"
+    script.write_text(BATCH_HELPER.format(fault=fault))
+    monkeypatch.setattr(_rows, "__file__", str(script))
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    in_process = []
+
+    def counted(rows, sep):
+        if fault == "interrupt in the second" and len(in_process) >= len(tables[0][0]) // 2:
+            raise KeyboardInterrupt
+        for line in format_rows(rows, sep):
+            in_process.append(line)
+            yield line
+    monkeypatch.setattr(_rows, "format_rows", counted)
+    products = [scene_io.rows_product(str(out / f"{k}.txt"), ["h"], table, sep)
+                for k, (table, sep) in enumerate(tables)]
+    if fault == "interrupt in the second":
+        with pytest.raises(KeyboardInterrupt):
+            scene_io.write_all(products)
+        assert os.listdir(out) == []
+    else:
+        scene_io.write_all(products)
+        for k in range(len(tables)):
+            assert (out / f"{k}.txt").read_bytes() == serial[k].read_bytes()
+        assert sorted(os.listdir(out)) == ["0.txt", "1.txt", "2.txt"]  # no staged file left
+        halves = sum(len(table) // 2 for table, _ in tables)
+        # the parent formats the first halves, and every row again on a fault
+        assert len(in_process) == halves if fault is None else len(in_process) > halves
+    assert os.listdir(temp) == []
+    assert len(started) == 1 and len(started[0].args) == 4 + 3 * len(tables)
+    assert all(helper.returncode is not None for helper in started)  # reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # -- contour GeoJSON
 
 

@@ -1,9 +1,10 @@
 """Checks that tie the package to files outside it, or pin how it works:
 the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
-example in the README must still parse; only the CLI's ``main`` prints;
-a valid scene loads without a per-value check and a valid raster without
-the per-line parser; and the row-formatting helper interpreter needs
+example in the README must still parse; only the CLI's ``main`` prints and
+writes files; a valid scene loads without a per-value check and a valid
+raster without the per-line parser; a call that writes no large table
+imports no ``subprocess``; and the row-formatting helper interpreter needs
 nothing but the standard library."""
 
 import ast
@@ -15,6 +16,8 @@ import pathlib
 import random
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,38 @@ def test_cli_prints_only_in_main():
                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                 and call.func.id == "print"}
     assert printers == {"main"}
+
+
+def test_cli_writes_only_in_main():
+    # handlers return their data products; main writes them, and the
+    # report, in one call that writes all of them or none
+    tree = ast.parse((ROOT / "src" / "isobenefit" / "cli.py").read_text())
+    writers = {getattr(node, "name", "<module>")
+               for node in tree.body for call in ast.walk(node)
+               if isinstance(call, ast.Call)
+               and getattr(call.func, "id", getattr(call.func, "attr", "")).startswith(
+                   ("write_", "atomic_write"))}
+    assert writers == {"main"}
+
+
+def test_small_writes_do_not_import_subprocess(tmp_path):
+    # only a table large enough for the helper interpreter needs subprocess;
+    # importing it on every write cost point queries measurable time
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"amenities": [
+        {"id": "a", "x": 0.0, "y": 0.0, "A": 3.0}, {"id": "b", "x": 4.0, "y": 0.0, "A": 1.0}]}))
+    script = f"""import sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from isobenefit import cli
+assert cli.main(["breakpoint", "--scene", {str(scene)!r}, "--pair", "a,b",
+                 "--out", {str(tmp_path / "b.json")!r}]) == 0
+assert cli.main(["curve", "--efficiencies", "0.5,1", "--out", {str(tmp_path / "c.csv")!r}]) == 0
+print("subprocess" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "b.json").exists() and (tmp_path / "c.csv").exists()
 
 
 def counting(monkeypatch, module, name, calls):
