@@ -301,8 +301,12 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
 
 def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene = load_scene(args.scene)
-    result = huff_probabilities(args.origin, scene.amenities,
-                                distance_exponent=args.distance_exponent)
+    if not np.isfinite(args.origin).all():
+        raise InvalidValueError(f"--origin must be finite, got {args.origin!r}")
+    # with a finite origin, every value error is the exponent's: not finite,
+    # or weights that overflow even in log form
+    result = _checked("--distance-exponent", huff_probabilities, args.origin,
+                      scene.amenities, args.distance_exponent)
     return [f"{ident}\t{p!r}" for ident, p in result.probabilities.items()], {
         "origin": [args.origin[0], args.origin[1]],
         "distance_exponent": args.distance_exponent,
@@ -333,6 +337,9 @@ def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
+    for flag, value in (("--attractiveness", args.attractiveness), ("--dmax", args.dmax)):
+        if not np.isfinite(value):
+            raise InvalidValueError(f"{flag} must be finite, got {value!r}")
     if args.dmax <= 0:
         raise IsobenefitError(f"--dmax must be > 0, got {args.dmax!r}")
     if not 2 <= args.samples <= MAX_GRID_CELLS:

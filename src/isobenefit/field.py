@@ -22,25 +22,50 @@ It reads the amenities as three float columns (x, y, A) built once per
 call; a non-finite column value is refused up front, so that an error from
 the sum means overflow only.
 
-A call with few samples spends its time in per-amenity numpy calls, not in
-arithmetic, so it sums k = max(1, 2**13 // samples) amenities per block: it
-evaluates a block's terms as one (k, *shape) array, copies them into rows
-1..k of a buffer whose row 0 holds the running total, and reduces that
-buffer over its leading axis into row 0. The positive and negative parts
-fold their own rows (A > 0, A < 0) the same way. A reduce over the leading
-axis of a C-contiguous buffer adds whole rows one after another, so every
-sample gets the same additions in the same order as one amenity at a time;
-numpy sums pairwise only along the innermost axis, which is why no other
-axis is reduced, and why a single-sample query (whose rows are one value
-each) accumulates instead. When k is 1, i.e. for every grid of at least
-2**13 cells, the terms go straight into the total one amenity at a time,
-without a block buffer: there the per-call overhead is small against the
-arithmetic, and a buffer would only add copies (a budget of 2**15, k = 2
-on a 128x128 grid, doubled the field's evaluation time). The budget keeps
-each block's temporaries at 64 KiB: at 2**14 samples they reach 128 KiB,
-glibc's default mmap threshold, and a 103-sample query took ~120 minor
-page faults per call. When every A > 0 the positive part is a copy of the
-total (the same additions in the same order) and is not summed again.
+A query of fewer than 2**13 samples spends its time in per-amenity numpy
+calls, not in arithmetic, so it is summed in blocks of amenities by one
+point evaluator (``_PointEvaluator``), built from the amenity columns, the
+kernel and the sample count. It builds its buffers once: a fold buffer of
+k + 1 sample rows and one spare block of k rows (two for the gaussian, whose
+x and y factors are alive at once). Each call computes a block's terms with
+every step in place (``out=``), straight into rows 1..k of the fold buffer,
+whose row 0 holds the running total, and reduces that buffer over its
+leading axis into row 0. The positive and negative parts compress their
+terms (A > 0, A < 0) into fold buffers of their own and fold them the same
+way. A reduce over the leading axis of a C-contiguous buffer adds whole rows
+one after another, so every sample gets the same additions in the same
+order as one amenity at a time; numpy sums pairwise only along the
+innermost axis, which is why no other axis is reduced, and why a
+single-sample query (whose rows are one value each) accumulates instead.
+``numeric_breakpoint`` builds one evaluator per breakpoint and calls it once
+per pass, so its passes share the columns and the buffers.
+
+A query of at most 2**12 samples sums blocks of k = 2 * (2**13 // samples)
+amenities, or all of them if fewer. The buffers then hold at most 4
+(gaussian: 6) times 2**13 values plus one row, and a breakpoint's peak
+traced memory stays at or below that of blocks of 2**13 // samples
+amenities built from temporaries, at every resolution. The doubling was
+timed on breakpoint passes only, so a larger query, whose 2**13 // samples
+is 1, is still summed one amenity at a time.
+On 200 amenities and 103 samples one pass took, at best, 237-260 us over
+the three families with temporaries in blocks of 79 (2**13 // samples),
+193-234 us in place with fresh buffers, 188-206 us with the buffers reused
+and 177-179 us in blocks of 158 (numpy 2.4, a shared 2-vCPU x86 host).
+One block of all 200 was a few percent faster still, but its gaussian
+buffers would exceed that memory bound. The offsets are formed by copying
+the sample row in and subtracting the amenity column: faster than one
+broadcast subtract into the buffer, for which numpy's iterator allocates
+two 64 KiB buffers instead of one.
+
+When k is 1, i.e. for every query of more than 2**12 samples, the terms
+go straight into the total one amenity at a time, without a block buffer:
+there the per-call overhead is small against the arithmetic, and a buffer
+would only add copies (blocks of k = 2 on a 128x128 grid doubled the
+field's evaluation time). A 103-sample breakpoint's buffers (130 KiB each)
+lie above glibc's default mmap threshold of 128 KiB, so their pages fault in
+once per breakpoint, not once per pass. When every A > 0 the positive part
+is a copy of the total (the same additions in the same order) and is not
+summed again.
 
 Per amenity (or block) it forms the offsets dx = x - x_i and dy = y - y_i
 (on a grid still a 1-D row and column) and evaluates each family with as
@@ -66,9 +91,10 @@ multiplied first and 0.8% with unscaled factors. exp2 returns exactly
 2**64 at dx = 0, so a sample on an amenity still gets exactly A.
 The full-shape steps (the squares of the row copied in and those of the
 column added, sqrt, exp, the multiplies or the divide) run in place in one
-work buffer allocated per call, of the grid's shape or, for point queries,
-of a block's; copying the row and adding the column was faster than a
-broadcast add, and no amenity allocates a temporary of the grid's size.
+work buffer of the grid's shape allocated per call, or, for point queries,
+in the evaluator's block buffers, where the offsets are formed in place too;
+copying the row and adding the column was faster than a broadcast add, and
+no amenity allocates a temporary of the grid's size.
 
 These squared forms are used only when every sample and amenity
 coordinate has magnitude <= 2**499 and 2**-400 <= E <= 2**400, and, for
@@ -154,7 +180,9 @@ _SQUARED_MAX_EFFICIENCY = 2.0 ** 400
 # module docstring)
 _LOG2_E = math.log2(math.e)
 
-# Samples per block of amenities summed at once (see the module docstring).
+# Queries of more than half this many samples (more cells than a 64x64
+# grid) are summed one amenity at a time, smaller ones in blocks (see the
+# module docstring).
 _BLOCK_SAMPLES = 2 ** 13
 
 
@@ -204,14 +232,16 @@ def _amenity_columns(amenities) -> np.ndarray:
 
 
 def _block_rows(samples: int) -> int:
-    """Amenities summed per block for a query of ``samples`` points."""
-    return max(1, _BLOCK_SAMPLES // max(samples, 1))
+    """Amenities summed per block for a query of ``samples`` points; 1
+    means one amenity at a time."""
+    k = _BLOCK_SAMPLES // max(samples, 1)
+    return 1 if k <= 1 else 2 * k
 
 
 def _contributions(ax, ay, a, kernel: Kernel, x, y, squared: bool, out: np.ndarray):
-    # one amenity's terms from scalars, or a block's from columns shaped to
-    # broadcast ahead of the samples, written into ``out`` (of the broadcast
-    # shape) except on the hypot path
+    # one amenity's terms from scalars, written into ``out`` (of the broadcast
+    # shape), or on the hypot path returned; a block's hypot terms come from
+    # columns shaped to broadcast ahead of the samples
     dx = x - ax
     dy = y - ay
     if not squared:
@@ -266,48 +296,123 @@ def _sum_one_by_one(columns, kernel, x, y, squared, shape, parts):
     return total, pos, neg
 
 
-def _sum_in_blocks(columns, kernel, x, y, squared, shape, parts, k):
-    n = columns.shape[1]
-    k = max(1, min(k, n))
-    a = columns[2]
-    selections = (None, a > 0, a < 0)[:3 if parts else 1]
-    sums = [np.zeros((k + 1,) + shape) for _ in selections]
-    work = np.empty((k,) + shape)
-    for i in range(0, n, k):
-        block = columns[:, i:i + k].reshape((3, -1) + (1,) * len(shape))
-        contrib = _contributions(*block, kernel, x, y, squared, work[:block.shape[1]])
-        for rows, keep in zip(sums, selections):
-            picked = contrib if keep is None else contrib[keep[i:i + k]]
-            rows[1:len(picked) + 1] = picked
-            _fold(rows[:len(picked) + 1])
-    return tuple(rows[0] for rows in sums) if parts else (sums[0][0], None, None)
+class _PointEvaluator:
+    """Benefit sums of one amenity set under one kernel, at ``samples``
+    points a call (x and y broadcast to that many), with the amenity columns
+    and the block buffers built once (see the module docstring). A query of
+    at least _BLOCK_SAMPLES samples, or with at most one amenity, is summed
+    one amenity at a time and uses no block buffer."""
 
+    def __init__(self, columns: np.ndarray, kernel: Kernel, samples: int,
+                 k: int | None = None):
+        self.columns = columns
+        self.kernel = kernel
+        # amenities per block; a given ``k`` replaces _block_rows' choice
+        self.k = max(1, min(_block_rows(samples) if k is None else k, columns.shape[1]))
+        if self.k > 1:
+            # rows 1..k take a block's terms and row 0 the running total;
+            # the gaussian needs a second spare for its y factor
+            self._rows = np.empty((self.k + 1) * samples)
+            spares = 2 if kernel.family == "gaussian" else 1
+            self._spares = [np.empty(self.k * samples) for _ in range(spares)]
 
-def _benefit_sums(columns: np.ndarray, kernel: Kernel, x, y, split: bool):
-    """Sum of every amenity's contribution at the points (x, y), where x and
-    y broadcast together and ``columns`` is :func:`_amenity_columns` of the
-    amenities. With ``split`` also returns the sums over the amenities with
-    attractiveness > 0 and < 0; otherwise those are None. Raises
-    :class:`SumOverflowError` if any of the sums is not finite."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    k = _block_rows(math.prod(shape))
-    squared = _squared_form_applies(columns, kernel, x, y)
-    # with every A > 0 the positive part is the total, added in the same order
-    parts = split and not (columns[2] > 0).all()
-    # an overflowing sum is a named error below, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k == 1:
-            total, pos, neg = _sum_one_by_one(columns, kernel, x, y, squared, shape, parts)
-        else:
-            total, pos, neg = _sum_in_blocks(columns, kernel, x, y, squared, shape, parts, k)
-    if split and not parts:
-        pos, neg = total.copy(), np.zeros(shape)
-    if not all(np.isfinite(part).all() for part in (total, pos, neg) if part is not None):
-        n = columns.shape[1]
-        raise SumOverflowError(
-            f"the benefit sum over {n} amenit{'y' if n == 1 else 'ies'} overflowed "
-            f"the float range")
-    return total, pos, neg
+    def __call__(self, x, y, split: bool = False):
+        """:meth:`sums` at points, after refusing a non-finite coordinate
+        with :class:`InvalidValueError`."""
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InvalidValueError("query point coordinates must be finite")
+        return self.sums(x, y, split)
+
+    def sums(self, x, y, split: bool = False):
+        """Sum of every amenity's contribution at the points (x, y). With
+        ``split`` also returns the sums over the amenities with
+        attractiveness > 0 and < 0; otherwise those are None. Raises
+        :class:`SumOverflowError` if any of the sums is not finite. A total
+        summed in blocks is a view of the evaluator's buffer, which its next
+        call overwrites."""
+        columns = self.columns
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        squared = _squared_form_applies(columns, self.kernel, x, y)
+        # with every A > 0 the positive part is the total, added in the same order
+        parts = split and not (columns[2] > 0).all()
+        # an overflowing sum is a named error below, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.k == 1:
+                total, pos, neg = _sum_one_by_one(columns, self.kernel, x, y, squared, shape,
+                                                  parts)
+            else:
+                total, pos, neg = self._blocks(x, y, squared, shape, parts)
+        if split and not parts:
+            pos, neg = total.copy(), np.zeros(shape)
+        if not all(np.isfinite(part).all() for part in (total, pos, neg) if part is not None):
+            n = columns.shape[1]
+            raise SumOverflowError(
+                f"the benefit sum over {n} amenit{'y' if n == 1 else 'ies'} overflowed "
+                f"the float range")
+        return total, pos, neg
+
+    def _blocks(self, x, y, squared, shape, parts):
+        k = self.k
+        rows = self._rows.reshape((k + 1,) + shape)
+        spares = [spare.reshape((k,) + shape) for spare in self._spares]
+        rows[0] = 0.0
+        a = self.columns[2]
+        selections = (a > 0, a < 0) if parts else ()
+        part_rows = [np.zeros((k + 1,) + shape) for _ in selections]
+        columns = self.columns.reshape((3, -1) + (1,) * len(shape))
+        for i in range(0, columns.shape[1], k):
+            block = columns[:, i:i + k]
+            m = block.shape[1]
+            self._terms(*block, x, y, squared, rows[1:m + 1], [s[:m] for s in spares])
+            _fold(rows[:m + 1])
+            for sums, keep in zip(part_rows, selections):
+                picked = np.count_nonzero(keep[i:i + k])
+                np.compress(keep[i:i + k], rows[1:m + 1], axis=0, out=sums[1:picked + 1])
+                _fold(sums[:picked + 1])
+        return (rows[0], *(sums[0] for sums in part_rows)) if parts else (rows[0], None, None)
+
+    def _terms(self, ax, ay, a, x, y, squared, out, spares):
+        # a block's terms, from columns shaped to broadcast ahead of the
+        # samples, written into ``out`` with every step in place: the
+        # operations of _contributions in the same order, bit for bit
+        if not squared:
+            out[...] = _contributions(ax, ay, a, self.kernel, x, y, False, None)
+            return
+        efficiency = self.kernel.efficiency
+        family = self.kernel.family
+        spare = spares[0]
+        if family == "gaussian":
+            rate = efficiency * _LOG2_E
+            for factor, coord, at in ((out, x, ax), (spares[1], y, ay)):
+                np.copyto(spare, coord)
+                spare -= at
+                np.multiply(rate, spare, out=factor)
+                factor *= spare
+                np.subtract(64.0, factor, out=factor)
+                np.exp2(factor, out=factor)
+            out *= spares[1]
+            out *= 2.0 ** -128
+            out *= a
+            return
+        np.copyto(out, x)
+        out -= ax
+        np.copyto(spare, y)
+        spare -= ay
+        if family == "rational":
+            scale = 1.0 / efficiency
+            out *= scale
+            spare *= scale
+        np.multiply(out, out, out=out)
+        np.multiply(spare, spare, out=spare)
+        out += spare
+        np.sqrt(out, out=out)
+        if family == "rational":
+            out += 1.0
+            np.divide(a, out, out=out)
+            return
+        out *= -efficiency
+        np.exp(out, out=out)
+        out *= a
 
 
 def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
@@ -320,10 +425,9 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
     amenity position or attractiveness, raises :class:`InvalidValueError`;
     a sum that overflows the float range raises :class:`SumOverflowError`.
     """
-    columns = _amenity_columns(amenities)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidValueError("query point coordinates must be finite")
-    total, pos, neg = _benefit_sums(columns, kernel, x, y, split=True)
+    samples = math.prod(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    evaluate = _PointEvaluator(_amenity_columns(amenities), kernel, samples)
+    total, pos, neg = evaluate(x, y, split=True)
     if total.ndim == 0:
         return PointBenefit(total=float(total), positive_part=float(pos),
                             negative_part=float(neg))
@@ -333,8 +437,8 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
 def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     amenities, kern = resolve_profile(scene, kernel, profile)
-    return _benefit_sums(_amenity_columns(amenities), kern, grid.x_coords()[np.newaxis, :],
-                         grid.y_coords()[:, np.newaxis], split)
+    evaluate = _PointEvaluator(_amenity_columns(amenities), kern, grid.ncols * grid.nrows)
+    return evaluate.sums(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
 
 
 def evaluate_field(

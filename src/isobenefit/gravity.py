@@ -11,7 +11,10 @@ the summed benefit along the segment joining the two amenities, i.e. the
 point where a marble resting on the benefit surface would settle. It is
 found by one sampling loop: each pass evaluates evenly spaced points of an
 interval in one array query, and the next pass zooms in on the lowest
-sample. The two do not coincide in general; both are reported.
+sample. One point evaluator of the field module serves every pass of a
+breakpoint: the amenity columns and the block buffers are built once, and
+each pass asks for the total only. The two do not coincide in general;
+both are reported.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .errors import (
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
 )
-from .field import point_benefit
+from . import field
+from .field import point_benefit  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .scene import MAX_GRID_CELLS, Amenity, Kernel
 
 __all__ = [
@@ -198,11 +202,12 @@ def numeric_breakpoint(
     d = _pair_geometry(amenity1, amenity2)
     contributors = tuple(scene_context) if scene_context is not None else (amenity1, amenity2)
     n = resolution + 1  # intervals per pass
+    evaluate = field._PointEvaluator(field._amenity_columns(contributors), kernel, n + 1)
 
     def lowest_sample(lo, hi):
         ts = lo + (hi - lo) * (np.arange(n + 1) / n)
         x, y = _point_between(amenity1, amenity2, ts)
-        profile = point_benefit(contributors, kernel, x, y).total
+        profile = evaluate(x, y)[0]
         k = int(np.argmin(profile))  # first of equal minima
         return ts, profile, k
 

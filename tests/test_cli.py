@@ -959,6 +959,10 @@ FLAG_CASES = {
     "--resolution": ("breakpoint --scene SCENE --pair park,shop --resolution VALUE "
                      "--out OUT.json", ["11"]),
     "--samples": ("curve --efficiencies 1,2 --samples VALUE --out OUT.csv", ["11"]),
+    "--attractiveness": ("curve --efficiencies 1,2 --attractiveness VALUE --out OUT.csv", ["3"]),
+    "--dmax": ("curve --efficiencies 1,2 --dmax VALUE --out OUT.csv", ["10"]),
+    "--distance-exponent": ("huff --scene SCENE --origin 1,3 --distance-exponent VALUE "
+                            "--out OUT.json", ["1"]),
     "--efficiencies": ("sweep --scene SCENE --grid -1,-1,0.5,4,3 --efficiencies VALUE "
                        "--out OUT.json", ["1", "2"]),
 }
@@ -1013,3 +1017,7 @@ def test_mutated_flag_value_ends_in_an_exit_code(tmp_path_factory, case):
     for out in directory.iterdir():
         assert "Infinity" not in out.read_text()
         assert "NaN" not in out.read_text()
+        if out.suffix == ".csv":  # a header line, then rows of numbers
+            cells = [cell for line in out.read_text().splitlines()[1:]
+                     for cell in line.split(",")]
+            assert all(math.isfinite(float(cell)) for cell in cells), (argv, out.name)

@@ -24,10 +24,9 @@ from isobenefit import (
 from isobenefit.field import (
     _BLOCK_SAMPLES,
     _amenity_columns,
-    _benefit_sums,
     _block_rows,
+    _PointEvaluator,
     _squared_form_applies,
-    _sum_in_blocks,
     _sum_one_by_one,
 )
 
@@ -338,8 +337,8 @@ def test_overflow_message_counts_one_amenity():
     # the only way one term can leave the float range: a NaN sample, which
     # point_benefit refuses before summing
     with pytest.raises(SumOverflowError, match="over 1 amenity overflowed"):
-        _benefit_sums(_amenity_columns((Amenity("a", 0.0, 0.0, 1.0),)),
-                      Kernel("rational", 1.0), math.nan, 0.0, split=False)
+        _PointEvaluator(_amenity_columns((Amenity("a", 0.0, 0.0, 1.0),)),
+                        Kernel("rational", 1.0), 1).sums(math.nan, 0.0, split=False)
 
 
 @settings(max_examples=25, deadline=None)
@@ -511,8 +510,8 @@ def test_blocked_sums_equal_one_by_one_sums_bitwise(family, far, entries, sample
         assert squared is not far
     want = _sum_one_by_one(columns, kernel, x, y, squared, shape, split)
     k = data.draw(st.integers(1, len(entries) + 1), label="amenities per block")
-    for got in (_benefit_sums(columns, kernel, x, y, split),
-                _sum_in_blocks(columns, kernel, x, y, squared, shape, split, k)):
+    for got in (_PointEvaluator(columns, kernel, math.prod(shape)).sums(x, y, split),
+                _PointEvaluator(columns, kernel, math.prod(shape), k).sums(x, y, split)):
         for part, reference in zip(got, want):
             if reference is not None:
                 assert part.shape == shape
@@ -524,11 +523,20 @@ def test_grids_of_block_size_or_more_sum_one_amenity_at_a_time(cells):
     assert _block_rows(cells) == 1
 
 
+@given(st.integers(0, _BLOCK_SAMPLES))
+def test_only_queries_with_blocks_of_two_or_more_get_doubled_blocks(samples):
+    # a query of 2**12 + 1 to 2**13 samples stays one amenity at a time:
+    # only blocks of at least two amenities were timed doubled
+    single = _BLOCK_SAMPLES // max(samples, 1)
+    assert _block_rows(samples) == (1 if single <= 1 else 2 * single)
+    assert (_block_rows(samples) == 1) is (samples > _BLOCK_SAMPLES // 2)
+
+
 @pytest.mark.parametrize("ncols, nrows", [(128, 128), (384, 384), (_BLOCK_SAMPLES, 1)])
 def test_grid_fields_never_take_the_blocked_path(monkeypatch, ncols, nrows):
     def refuse(*args):
         raise AssertionError("a grid of at least _BLOCK_SAMPLES cells was summed in blocks")
 
-    monkeypatch.setattr("isobenefit.field._sum_in_blocks", refuse)
+    monkeypatch.setattr("isobenefit.field._PointEvaluator._blocks", refuse)
     evaluate_field_parts(Scene(MIXED), Kernel("gaussian", 0.8),
                          GridSpec(-2.0, -2.0, 0.01, ncols, nrows))

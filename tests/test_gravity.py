@@ -260,15 +260,16 @@ def test_numeric_agrees_with_dense_sampling(a1, a2, d):
 
 
 def test_coarse_samples_come_from_one_array_query(monkeypatch):
-    import isobenefit.gravity as gravity
+    from isobenefit.field import _PointEvaluator
 
     shapes = []
+    evaluate = _PointEvaluator.__call__
 
-    def counting(amenities, kernel, x, y):
+    def counting(self, x, y, split=False):
         shapes.append(np.shape(x))
-        return point_benefit(amenities, kernel, x, y)
+        return evaluate(self, x, y, split)
 
-    monkeypatch.setattr(gravity, "point_benefit", counting)
+    monkeypatch.setattr(_PointEvaluator, "__call__", counting)
     a = Amenity("a", 0.0, 0.0, 3.0)
     b = Amenity("b", 5.0, 1.0, 2.0)
     bp = numeric_breakpoint(a, b, Kernel("exponential", 1.0), resolution=101)
@@ -277,6 +278,29 @@ def test_coarse_samples_come_from_one_array_query(monkeypatch):
     assert len(shapes) <= 6
     assert all(type(v) is float for v in (*bp.position, bp.distance_from_1,
                                            bp.distance_from_2, bp.benefit_at_point))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10),
+                          st.sampled_from((-2.0, -0.5, 0.5, 1.0, 3.0))),
+                min_size=2, max_size=30),
+       st.sampled_from(("rational", "gaussian", "exponential")), st.floats(0.05, 5.0),
+       st.integers(3, 500), st.booleans(), st.data())
+def test_breakpoint_benefit_is_the_point_benefit_at_its_position(entries, family, efficiency,
+                                                                 resolution, far, data):
+    # far: coordinates beyond the 2**499 guard of the squared form, where the
+    # sums take np.hypot distances
+    scale = 2.0 ** 500 if far else 1.0
+    context = [Amenity(f"a{k}", x * scale, y * scale, a) for k, (x, y, a) in enumerate(entries)]
+    i, j = data.draw(st.lists(st.integers(0, len(context) - 1), min_size=2, max_size=2,
+                              unique=True), label="pair")
+    kernel = Kernel(family, efficiency)
+    try:
+        bp = numeric_breakpoint(context[i], context[j], kernel, context, resolution=resolution)
+    except (NoInteriorMinimumError, CoincidentAmenitiesError):
+        return
+    want = point_benefit(context, kernel, *bp.position).total
+    assert np.float64(bp.benefit_at_point).tobytes() == np.float64(want).tobytes()
 
 
 def test_resolution_above_the_grid_cap_is_refused_before_sampling(monkeypatch):

@@ -3,7 +3,8 @@ the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints and
 writes files; a valid scene loads without a per-value check and a valid
-raster without the per-line parser; a call that writes no large table
+raster without the per-line parser; a numeric breakpoint builds its
+amenity columns once, not once per pass; a call that writes no large table
 imports no ``subprocess``; and the row-formatting helper interpreter needs
 nothing but the standard library."""
 
@@ -22,7 +23,9 @@ import sys
 import numpy as np
 import pytest
 
-from isobenefit import SceneFormatError, SceneValidationError, cli
+from isobenefit import (Amenity, Kernel, SceneFormatError, SceneValidationError, cli,
+                        numeric_breakpoint)
+from isobenefit import field
 from isobenefit import io as scene_io
 from isobenefit import scene as scene_model
 
@@ -163,6 +166,21 @@ def test_a_refused_profile_value_is_named_by_a_per_value_check(tmp_path, monkeyp
     refusal, calls = load_counting_checks(tmp_path, monkeypatch, where, bad)
     assert type(refusal) is error
     assert calls["_finite_number" if error is SceneValidationError else "_require_number"] > 0
+
+
+@pytest.mark.parametrize("family, efficiency",
+                         [("rational", 0.2), ("gaussian", 4.0), ("exponential", 4.0)])
+def test_a_breakpoint_builds_its_amenity_columns_once(monkeypatch, family, efficiency):
+    # one evaluator serves every pass of the sampling loop
+    rng = random.Random(5)
+    context = [Amenity(f"a{k}", rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.5, 3.0))
+               for k in range(200)]
+    context[:2] = [Amenity("a0", 2.0, 5.0, 1.0), Amenity("a1", 8.0, 5.0, 1.0)]
+    calls = {"_amenity_columns": 0}
+    counting(monkeypatch, field, "_amenity_columns", calls)
+    bp = numeric_breakpoint(context[0], context[1], Kernel(family, efficiency), context)
+    assert 0.0 < bp.distance_from_1 < 6.0
+    assert calls == {"_amenity_columns": 1}
 
 
 @pytest.mark.parametrize("name", ["r.csv", "r.asc"])
