@@ -40,7 +40,7 @@ from .errors import (
     SumOverflowError,
     ZeroMeanError,
 )
-from .field import evaluate_field, evaluate_field_parts, kernel_benefit
+from .field import _amenity_columns, evaluate_field, evaluate_field_parts, kernel_benefit
 from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
 from .indicators import UniformityResult, pgg_field, summary, uniformity
 from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name)
@@ -56,7 +56,7 @@ from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name
     write_raster,
 )
 from .isolines import extract_isolines
-from .scene import KERNEL_FAMILIES, MAX_GRID_CELLS, GridSpec, Kernel, Scene
+from .scene import KERNEL_FAMILIES, MAX_GRID_CELLS, Amenity, GridSpec, Kernel, Scene
 
 __all__ = ["main"]
 
@@ -141,11 +141,12 @@ _REPORT_OUT = _flag("--out", dest="report", default=None, metavar="PATH",
                     help="JSON report file")
 
 
-def _amenity_by_id(scene: Scene, ident: str, flag: str):
-    for am in scene.amenities:
-        if am.id == ident:
-            return am
-    raise IsobenefitError(f"{flag}: no amenity with id {ident!r} in the scene")
+def _amenity_by_id(scene: Scene, ident: str, flag: str) -> Amenity:
+    """The amenity ``ident`` of a loaded scene, built alone from the scene's
+    columns."""
+    if ident not in scene._ids:
+        raise IsobenefitError(f"{flag}: no amenity with id {ident!r} in the scene")
+    return Amenity(ident, *_amenity_columns(scene)[:, scene._ids.index(ident)].tolist())
 
 
 # ---------------------------------------------------------- serialization
@@ -271,7 +272,7 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
     scene, kernel = _scene_and_kernel(args)
     amenity1 = _amenity_by_id(scene, args.pair[0], "--pair")
     amenity2 = _amenity_by_id(scene, args.pair[1], "--pair")
-    context = scene.amenities if args.with_context else None
+    context = scene if args.with_context else None
     reilly = reilly_breakpoint(amenity1, amenity2)
     distance = reilly.distance_from_1 + reilly.distance_from_2
     report = {
@@ -306,7 +307,7 @@ def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     # with a finite origin, every value error is the exponent's: not finite,
     # or weights that overflow even in log form
     result = _checked("--distance-exponent", huff_probabilities, args.origin,
-                      scene.amenities, args.distance_exponent)
+                      scene, args.distance_exponent)
     return [f"{ident}\t{p!r}" for ident, p in result.probabilities.items()], {
         "origin": [args.origin[0], args.origin[1]],
         "distance_exponent": args.distance_exponent,

@@ -19,7 +19,10 @@ One accumulator serves every caller: it adds the amenities' contributions
 in index order, in double precision, over the broadcast of the sample
 coordinates (a grid's x row against its y column, or point coordinates).
 It reads the amenities as three float columns (x, y, A) built once per
-call; a non-finite column value is refused up front, so that an error from
+scene: the scene's own read-only array (see :mod:`isobenefit.scene`),
+which a profile's overrides replace in a copy of the A row only. A plain
+sequence of amenities, as ``point_benefit`` takes, is converted once per
+call. A non-finite column value is refused up front, so that an error from
 the sum means overflow only.
 
 A query of fewer than 2**13 samples spends its time in per-amenity numpy
@@ -38,7 +41,10 @@ order as one amenity at a time; numpy sums pairwise only along the
 innermost axis, which is why no other axis is reduced, and why a
 single-sample query (whose rows are one value each) accumulates instead.
 ``numeric_breakpoint`` builds one evaluator per breakpoint and calls it once
-per pass, so its passes share the columns and the buffers.
+per pass, so its passes share the columns and the buffers. The evaluator
+also works out the amenity side of the range guard below (the largest
+amenity coordinate magnitude) and whether every A > 0 when it is built,
+not on every pass.
 
 A query of at most 2**12 samples sums blocks of k = 2 * (2**13 // samples)
 amenities, or all of them if fewer. The buffers then hold at most 4
@@ -125,8 +131,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import (GridSpec, Kernel, Raster, Scene, _finite_columns, _finite_number,
-                    resolve_profile)
+from .scene import (GridSpec, Kernel, Raster, Scene, _find_profile, _finite_number,
+                    _profile_kernel)
 
 __all__ = [
     "PointBenefit",
@@ -186,15 +192,24 @@ _LOG2_E = math.log2(math.e)
 _BLOCK_SAMPLES = 2 ** 13
 
 
-def _squared_form_applies(columns: np.ndarray, kernel: Kernel, x, y) -> bool:
-    # every test is written as "<=" so that a NaN coordinate takes the hypot form
+def _coordinate_magnitude(columns: np.ndarray):
+    """The largest magnitude of an amenity coordinate, 0 without amenities."""
+    return np.max(np.abs(columns[:2]), initial=0.0)
+
+
+def _squared_form_applies(columns: np.ndarray, kernel: Kernel, x, y,
+                          amenity_magnitude=None) -> bool:
+    # every test is written as "<=" so that a NaN coordinate takes the hypot
+    # form; ``amenity_magnitude`` is _coordinate_magnitude(columns), if known
+    if amenity_magnitude is None:
+        amenity_magnitude = _coordinate_magnitude(columns)
     limit = _SQUARED_MAX_COORDINATE
     if kernel.family == "rational":  # it squares the offsets over E
         limit *= min(kernel.efficiency, 1.0)
     return (_SQUARED_MIN_EFFICIENCY <= kernel.efficiency <= _SQUARED_MAX_EFFICIENCY
             and np.max(np.abs(x), initial=0.0) <= limit
             and np.max(np.abs(y), initial=0.0) <= limit
-            and np.max(np.abs(columns[:2]), initial=0.0) <= limit)
+            and amenity_magnitude <= limit)
 
 
 def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
@@ -215,11 +230,31 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     return out
 
 
-def _amenity_columns(amenities) -> np.ndarray:
+def _finite_columns(amenities) -> np.ndarray | None:
     """x, y and attractiveness of the amenities as the rows of a (3, n)
-    float array. Raises :class:`InvalidValueError` naming the first amenity
-    with a value that is not a finite float: non-finite, or an integer
-    beyond the float range."""
+    float array if every value is finite, else None: one conversion and one
+    ``np.isfinite`` for them all. An int beyond the float range gives None."""
+    try:
+        columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
+                            [am.attractiveness for am in amenities]], dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return columns if np.isfinite(columns).all() else None
+
+
+def _amenity_columns(amenities) -> np.ndarray:
+    """x, y and attractiveness of the amenities, a :class:`Scene`'s or a
+    sequence of :class:`Amenity`, as the rows of a (3, n) float array: a
+    scene's own read-only columns where it has them. Raises
+    :class:`InvalidValueError` naming the first amenity with a value that
+    is not a finite float: non-finite, or an integer beyond the float
+    range."""
+    if isinstance(amenities, Scene):
+        columns = amenities._columns
+        if columns is not None and np.isfinite(columns).all():
+            return columns
+        amenities = amenities.amenities
+    amenities = tuple(amenities)
     columns = _finite_columns(amenities)
     if columns is not None:
         return columns
@@ -307,6 +342,8 @@ class _PointEvaluator:
                  k: int | None = None):
         self.columns = columns
         self.kernel = kernel
+        self._magnitude = _coordinate_magnitude(columns)
+        self._all_positive = bool((columns[2] > 0).all())
         # amenities per block; a given ``k`` replaces _block_rows' choice
         self.k = max(1, min(_block_rows(samples) if k is None else k, columns.shape[1]))
         if self.k > 1:
@@ -332,9 +369,9 @@ class _PointEvaluator:
         call overwrites."""
         columns = self.columns
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        squared = _squared_form_applies(columns, self.kernel, x, y)
+        squared = _squared_form_applies(columns, self.kernel, x, y, self._magnitude)
         # with every A > 0 the positive part is the total, added in the same order
-        parts = split and not (columns[2] > 0).all()
+        parts = split and not self._all_positive
         # an overflowing sum is a named error below, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             if self.k == 1:
@@ -434,10 +471,31 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
     return PointBenefit(total=total, positive_part=pos, negative_part=neg)
 
 
+def _resolved_scene(scene: Scene, kernel: Kernel,
+                    profile: str | None) -> tuple[Scene, Kernel]:
+    """The amenities and the kernel of ``scene`` under a profile, as
+    :func:`~isobenefit.scene.resolve_profile` resolves them, with the
+    amenities as a scene of columns: each override replaces the
+    attractiveness of the amenities with its id, in a copy of the scene's
+    columns. Without overrides it is ``scene`` itself. The override values
+    are not checked here; the evaluation refuses a non-finite one."""
+    if profile is None:
+        return scene, kernel
+    found = _find_profile(scene, profile)
+    kernel = _profile_kernel(found, kernel)
+    if not found.overrides:
+        return scene, kernel
+    columns = _amenity_columns(scene).copy()
+    for k, ident in enumerate(scene._ids):
+        if ident in found.overrides:
+            columns[2, k] = float(found.overrides[ident])
+    return Scene._from_columns(scene._ids, columns), kernel
+
+
 def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
-    amenities, kern = resolve_profile(scene, kernel, profile)
-    evaluate = _PointEvaluator(_amenity_columns(amenities), kern, grid.ncols * grid.nrows)
+    resolved, kern = _resolved_scene(scene, kernel, profile)
+    evaluate = _PointEvaluator(_amenity_columns(resolved), kern, grid.ncols * grid.nrows)
     return evaluate.sums(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
 
 

@@ -12,9 +12,14 @@ point where a marble resting on the benefit surface would settle. It is
 found by one sampling loop: each pass evaluates evenly spaced points of an
 interval in one array query, and the next pass zooms in on the lowest
 sample. One point evaluator of the field module serves every pass of a
-breakpoint: the amenity columns and the block buffers are built once, and
-each pass asks for the total only. The two do not coincide in general;
-both are reported.
+breakpoint: the block buffers are built once, and each pass asks for the
+total only. The two do not coincide in general; both are reported.
+
+Both the Huff probabilities and the breakpoint's context take a
+:class:`~isobenefit.scene.Scene` as well as a sequence of amenities, and
+read a scene's own amenity columns: a call on a loaded scene builds no
+``Amenity`` object for the amenities it only sums over. A sequence is
+converted to columns once per call.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
 )
 from . import field
 from .field import point_benefit  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .scene import MAX_GRID_CELLS, Amenity, Kernel
+from .scene import MAX_GRID_CELLS, Amenity, Kernel, Scene
 
 __all__ = [
     "HuffResult",
@@ -75,7 +80,7 @@ class BreakPoint:
 
 def huff_probabilities(
     origin: tuple[float, float],
-    amenities: Sequence[Amenity],
+    amenities: Scene | Sequence[Amenity],
     distance_exponent: float = 1.0,
 ) -> HuffResult:
     """Probability that a citizen at ``origin`` visits each amenity:
@@ -86,9 +91,12 @@ def huff_probabilities(
     ``distance_exponent`` generalizes d_j to d_j**exponent as an
     experimentation hook; the default of 1 is the model itself. All
     attractiveness values must be strictly positive and the origin must not
-    sit on an amenity.
+    sit on an amenity. ``amenities`` is a scene or a sequence of amenities;
+    a non-finite amenity value raises :class:`InvalidValueError`.
     """
-    if len(amenities) == 0:
+    scene = amenities if isinstance(amenities, Scene) else Scene(amenities)
+    ids = scene._ids
+    if len(ids) == 0:
         raise EmptyChoiceSetError("huff probabilities need at least one amenity")
     ox, oy = float(origin[0]), float(origin[1])
     g = float(distance_exponent)
@@ -96,28 +104,28 @@ def huff_probabilities(
         raise InvalidValueError(f"origin must be finite, got {origin!r}")
     if not math.isfinite(g):
         raise InvalidValueError(f"distance exponent must be finite, got {distance_exponent!r}")
+    xs, ys, attractiveness = field._amenity_columns(scene).tolist()
     distances: list[float] = []
-    for am in amenities:
-        if not am.attractiveness > 0:
+    for ident, x, y, a in zip(ids, xs, ys, attractiveness):
+        if not a > 0:
             raise NonPositiveAttractivenessError(
-                f"amenity {am.id!r} has attractiveness {am.attractiveness}; "
+                f"amenity {ident!r} has attractiveness {a}; "
                 "the probability model needs A > 0"
             )
-        d = math.hypot(ox - am.x, oy - am.y)
+        d = math.hypot(ox - x, oy - y)
         if d == 0.0:
             raise OriginOnAmenityError(
-                f"origin {origin!r} coincides with amenity {am.id!r}"
+                f"origin {origin!r} coincides with amenity {ident!r}"
             )
         distances.append(d)
     try:
-        weights = [am.attractiveness / d ** g for am, d in zip(amenities, distances)]
+        weights = [a / d ** g for a, d in zip(attractiveness, distances)]
         if not 0.0 < sum(weights) < math.inf:
             raise OverflowError("every weight underflowed, or their sum overflowed")
     except (ZeroDivisionError, OverflowError):
         # d ** g or A / d ** g left the float range at an extreme distance:
         # take the weights in log form, shifted so that the largest is 1
-        logs = [math.log(am.attractiveness) - g * math.log(d)
-                for am, d in zip(amenities, distances)]
+        logs = [math.log(a) - g * math.log(d) for a, d in zip(attractiveness, distances)]
         top = max(logs)
         if not math.isfinite(top):
             raise InvalidValueError(
@@ -126,7 +134,7 @@ def huff_probabilities(
         weights = [math.exp(v - top) for v in logs]
     total = sum(weights)
     return HuffResult(probabilities={
-        am.id: w / total for am, w in zip(amenities, weights)
+        ident: w / total for ident, w in zip(ids, weights)
     })
 
 
@@ -174,7 +182,7 @@ def numeric_breakpoint(
     amenity1: Amenity,
     amenity2: Amenity,
     kernel: Kernel,
-    scene_context: Sequence[Amenity] | None = None,
+    scene_context: Scene | Sequence[Amenity] | None = None,
     resolution: int = 101,
 ) -> BreakPoint:
     """Breaking point as the minimum of the benefit surface along the
@@ -193,14 +201,15 @@ def numeric_breakpoint(
     distance from the true minimum is within 1e-6 of the pair distance.
 
     ``scene_context``, when given, is used as the complete amenity list for
-    the benefit sum (it should include the pair); otherwise only the two
+    the benefit sum (it should include the pair): a scene, whose own amenity
+    columns are summed, or a sequence of amenities. Otherwise only the two
     amenities contribute. ``resolution`` must lie in [3, MAX_GRID_CELLS].
     """
     if not 3 <= resolution <= MAX_GRID_CELLS:
         raise InvalidValueError(
             f"resolution must be between 3 and {MAX_GRID_CELLS}, got {resolution}")
     d = _pair_geometry(amenity1, amenity2)
-    contributors = tuple(scene_context) if scene_context is not None else (amenity1, amenity2)
+    contributors = scene_context if scene_context is not None else (amenity1, amenity2)
     n = resolution + 1  # intervals per pass
     evaluate = field._PointEvaluator(field._amenity_columns(contributors), kernel, n + 1)
 

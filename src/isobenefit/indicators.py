@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
-from .field import evaluate_field
-from .scene import GridSpec, Kernel, Raster, Scene, resolve_profile
+from .field import _amenity_columns, _resolved_scene, evaluate_field
+from .scene import GridSpec, Kernel, Raster, Scene
 
 __all__ = [
     "SummaryStats",
@@ -144,20 +144,25 @@ def pgg_field(
     give exactly 0, and the result agrees with the difference of the two
     full fields within 1e-12 of their magnitude. With different E every
     amenity counts and both full fields are evaluated. Either way swapping
-    the person and the majority negates the raster exactly.
+    the person and the majority negates the raster exactly. A difference
+    that leaves the float range raises :class:`SumOverflowError`.
     """
     if majority is None:
         majority = scene.majority
-    mine, my_kernel = resolve_profile(scene, kernel, person)
-    theirs, their_kernel = resolve_profile(scene, kernel, majority)
+    mine, my_kernel = _resolved_scene(scene, kernel, person)
+    theirs, their_kernel = _resolved_scene(scene, kernel, majority)
     if my_kernel == their_kernel:
-        # object columns compare as Python numbers do: exactly, and without
-        # converting (or refusing) any value
-        changed = np.flatnonzero(
-            np.array([am.attractiveness for am in mine], dtype=object)
-            != np.array([am.attractiveness for am in theirs], dtype=object))
-        mine = tuple(mine[k] for k in changed)
-        theirs = tuple(theirs[k] for k in changed)
-    person_field = evaluate_field(Scene(mine), my_kernel, grid)
-    majority_field = evaluate_field(Scene(theirs), their_kernel, grid)
-    return Raster(grid, person_field.values - majority_field.values)
+        my_columns, their_columns = _amenity_columns(mine), _amenity_columns(theirs)
+        changed = np.flatnonzero(my_columns[2] != their_columns[2])
+        ids = [scene._ids[k] for k in changed]
+        mine = Scene._from_columns(ids, my_columns[:, changed])
+        theirs = Scene._from_columns(ids, their_columns[:, changed])
+    person_field = evaluate_field(mine, my_kernel, grid)
+    majority_field = evaluate_field(theirs, their_kernel, grid)
+    with np.errstate(over="ignore"):
+        gap = person_field.values - majority_field.values
+    if not np.isfinite(gap).all():
+        raise SumOverflowError(
+            "the preference gap leaves the float range: the person's and the "
+            "majority's benefit differ by more than the largest float")
+    return Raster(grid, gap)

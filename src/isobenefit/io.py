@@ -35,7 +35,9 @@ and types (a bool or a numeric string is refused as a number), then
 :func:`~isobenefit.scene.validate_scene` checks values (finite, with
 distinct non-empty ids), profiles included. Each checks a whole scene at
 once and loops over the entries only when that check fails, to name the
-culprit with the message of a value-by-value check.
+culprit with the message of a value-by-value check. The parser hands the
+scene its amenity ids and its (3, n) float columns and builds no
+``Amenity`` object; validation checks those columns.
 
 Rasters are read in one C pass: the data lines go to one ``np.loadtxt``
 call, whose tokenizer converts each cell as ``float()`` does, and shape
@@ -90,7 +92,7 @@ import numpy as np
 from . import _rows
 from .errors import InvalidValueError, SceneFormatError
 from .isolines import ContourLine, ContourSet
-from .scene import Amenity, GridSpec, Profile, Raster, Scene, _finite_number, validate_scene
+from .scene import GridSpec, Profile, Raster, Scene, _finite_number, validate_scene
 
 __all__ = [
     "load_scene",
@@ -333,7 +335,7 @@ def _scene_from_json(path: str) -> Scene:
     if not isinstance(raw_amenities, list):
         raise _format_error(path, 'scene needs an "amenities" list')
 
-    amenities = _json_amenities(raw_amenities, path)
+    ids, columns = _json_amenities(raw_amenities, path)
 
     raw_profiles = doc.get("profiles", {})
     if not isinstance(raw_profiles, dict):
@@ -344,13 +346,14 @@ def _scene_from_json(path: str) -> Scene:
     if majority is not None and not isinstance(majority, str):
         raise _format_error(path, f'"majority" must be a profile name, got {majority!r}')
 
-    return Scene(amenities=amenities, profiles=profiles, majority=majority)
+    return Scene._from_columns(ids, columns, profiles, majority)
 
 
-def _json_amenities(raw_amenities: list, path: str) -> tuple[Amenity, ...]:
-    """The amenities of a scene's JSON ``"amenities"`` list, type-checked
-    and converted in bulk. Only when the bulk check fails does the
-    per-entry loop run, to name the first culprit; finiteness is left to
+def _json_amenities(raw_amenities: list, path: str) -> tuple[list[str], np.ndarray]:
+    """The ids and the (3, n) float columns x, y, A of a scene's JSON
+    ``"amenities"`` list, type-checked and converted in bulk. Only when the
+    bulk check fails does the per-entry loop run, to name the first culprit
+    with a format error; finiteness is left to
     :func:`~isobenefit.scene.validate_scene`."""
     try:
         ids = [entry["id"] for entry in raw_amenities]
@@ -358,12 +361,10 @@ def _json_amenities(raw_amenities: list, path: str) -> tuple[Amenity, ...]:
         # the type check comes first: np.array takes True and "1.5" as numbers
         if (set(map(type, ids)) <= {str}
                 and set(map(type, itertools.chain(*numbers))) <= {float, int}):
-            columns = np.array(numbers, dtype=float).tolist()
-            return tuple(map(Amenity, ids, *columns))
+            return ids, np.array(numbers, dtype=float)
     except (TypeError, KeyError, OverflowError):  # not an object, a missing key, a huge int
         pass
-    amenities = []
-    for k, entry in enumerate(raw_amenities):
+    for k, entry in enumerate(raw_amenities):  # name the first culprit
         if not isinstance(entry, dict):
             raise _format_error(path, f"amenity #{k} must be an object, got {entry!r}")
         missing = [key for key in ("id", "x", "y", "A") if key not in entry]
@@ -371,13 +372,9 @@ def _json_amenities(raw_amenities: list, path: str) -> tuple[Amenity, ...]:
             raise _format_error(path, f"amenity #{k} is missing {', '.join(missing)}")
         if not isinstance(entry["id"], str):
             raise _format_error(path, f"amenity #{k} id must be a string, got {entry['id']!r}")
-        amenities.append(Amenity(
-            id=entry["id"],
-            x=_require_number(entry["x"], path, "amenity #{} x", k),
-            y=_require_number(entry["y"], path, "amenity #{} y", k),
-            attractiveness=_require_number(entry["A"], path, "amenity #{} A", k),
-        ))
-    return tuple(amenities)
+        for key in ("x", "y", "A"):
+            _require_number(entry[key], path, "amenity #{} " + key, k)
+    raise AssertionError("a refused amenity list without a culprit")
 
 
 def _json_profiles(raw_profiles: dict, path: str) -> dict[str, Profile]:
@@ -424,11 +421,14 @@ def _scene_from_csv(path: str) -> Scene:
     if [cell.strip() for cell in header] != ["id", "x", "y", "A"]:
         raise _format_error(path, 'header must be exactly "id,x,y,A"', header_line)
     try:
-        return Scene(amenities=tuple(
-            Amenity(ident.strip(), float(x), float(y), float(a))
-            for _, (ident, x, y, a) in rows[1:]))
+        parsed = [(ident.strip(), float(x), float(y), float(a))
+                  for _, (ident, x, y, a) in rows[1:]]
     except ValueError:  # a row without 4 fields, or a cell that is not a number
         pass
+    else:
+        ids = [row[0] for row in parsed]
+        columns = np.array([[row[k] for row in parsed] for k in (1, 2, 3)], dtype=float)
+        return Scene._from_columns(ids, columns)
     for n, row in rows[1:]:  # name the first culprit
         if len(row) != 4:
             raise _format_error(path, f"expected 4 fields, got {len(row)}", n)

@@ -5,15 +5,30 @@ All types are immutable after construction and safe to share across threads.
 :func:`validate_scene` can report *every* violation in one pass; ``Kernel``,
 ``GridSpec`` and ``Raster`` are plumbing types and reject bad values
 immediately.
+
+A ``Scene`` carries its amenities as their ids and one read-only (3, n)
+float array whose rows are x, y and attractiveness. Validation, fields,
+Huff, breakpoint contexts and PGG read the numbers from that array. The
+scene loaders build it straight from the file, and build no
+``Amenity`` object: ``scene.amenities`` is made from the columns when it is
+first read, and then kept. A scene built the public way,
+``Scene(amenities=...)``, holds its ``Amenity`` objects and makes its
+columns when they are first read; they are None if some coordinate or
+attractiveness is not a float or an int within the float range, and then
+each reader converts or refuses the values as it did before. Either cache
+is filled at most once, with values computed from the scene's own
+immutable fields, so two threads that fill it at once store equal values.
+A scene's ``profiles`` and a profile's ``overrides`` are read-only dicts,
+which ``dataclasses.asdict`` and ``copy.deepcopy`` can copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -159,6 +174,19 @@ class Raster:
         return float(self.values[j * self.grid.ncols + i])
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change after construction."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} does not support item assignment")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not item by item
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Profile:
     """A named preference set: optional personal efficiency E and per-amenity
@@ -169,7 +197,7 @@ class Profile:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
+        object.__setattr__(self, "overrides", _ReadOnlyDict(self.overrides))
 
 
 @dataclass(frozen=True)
@@ -178,7 +206,8 @@ class Scene:
 
     ``majority`` optionally names the profile that stands for the baseline
     preferences of most citizens; when unset, the unmodified scene is the
-    baseline.
+    baseline. The amenity ids and columns are cached as the module
+    docstring describes.
     """
 
     amenities: tuple[Amenity, ...]
@@ -187,7 +216,43 @@ class Scene:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amenities", tuple(self.amenities))
-        object.__setattr__(self, "profiles", MappingProxyType(dict(self.profiles)))
+        object.__setattr__(self, "profiles", _ReadOnlyDict(self.profiles))
+
+    @classmethod
+    def _from_columns(cls, ids, columns: np.ndarray,
+                      profiles: Mapping[str, Profile] = _ReadOnlyDict(),
+                      majority: str | None = None) -> Scene:
+        """A scene of the amenities with these ids whose x, y and
+        attractiveness are the rows of ``columns``, a (3, n) float array
+        that the scene makes read-only and keeps. Its ``Amenity`` objects
+        are built when ``amenities`` is first read."""
+        scene = object.__new__(cls)
+        columns.flags.writeable = False
+        for name, value in (("_ids", tuple(ids)), ("_columns", columns),
+                            ("profiles", _ReadOnlyDict(profiles)), ("majority", majority)):
+            object.__setattr__(scene, name, value)
+        return scene
+
+    def __setstate__(self, state: dict) -> None:
+        # a copied or unpickled scene keeps its columns read-only
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        if state.get("_columns") is not None:
+            self._columns.flags.writeable = False
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet: a part built on first use
+        state = self.__dict__
+        if name == "amenities" and "_columns" in state:
+            value = tuple(map(Amenity, state["_ids"], *state["_columns"].tolist()))
+        elif name == "_ids" and "amenities" in state:
+            value = tuple(am.id for am in state["amenities"])
+        elif name == "_columns" and "amenities" in state:
+            value = _float_columns(state["amenities"])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
 
 def _check_finite(code: str, subject: str, what: str, value: object,
@@ -196,31 +261,33 @@ def _check_finite(code: str, subject: str, what: str, value: object,
         out.append(Violation(code, subject, f"{what} is not a finite number: {value!r}"))
 
 
-def _finite_columns(amenities) -> np.ndarray | None:
-    """x, y and attractiveness of the amenities as the rows of a (3, n)
-    float array if every value is finite, else None: one conversion and one
-    ``np.isfinite`` for them all. An int beyond the float range gives None;
-    numpy converts ``True`` and ``"1.5"``, so a caller that refuses those
-    checks types first."""
+def _float_columns(amenities: tuple[Amenity, ...]) -> np.ndarray | None:
+    """x, y and attractiveness of the amenities as the rows of a read-only
+    (3, n) float array, or None if some value is not a float or an int
+    within the float range. numpy converts ``True`` and ``"1.5"``, so the
+    types are checked first."""
+    values = ([am.x for am in amenities], [am.y for am in amenities],
+              [am.attractiveness for am in amenities])
+    if not set(map(type, itertools.chain(*values))) <= {float, int}:
+        return None
     try:
-        columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
-                            [am.attractiveness for am in amenities]], dtype=float)
+        columns = np.array(values, dtype=float)
     except OverflowError:  # an int beyond the float range
         return None
-    return columns if np.isfinite(columns).all() else None
+    columns.flags.writeable = False
+    return columns
 
 
-def _sound_amenity_ids(amenities: tuple[Amenity, ...]) -> set[str] | None:
+def _sound_amenity_ids(scene: Scene) -> set[str] | None:
     """The set of amenity ids if every id is distinct non-empty text and
     every coordinate and attractiveness a finite float or int, else None.
-    Checked in bulk: types first, then :func:`_finite_columns`."""
-    ids = [am.id for am in amenities]
-    kinds = ({type(am.x) for am in amenities} | {type(am.y) for am in amenities}
-             | {type(am.attractiveness) for am in amenities})
-    if not (set(map(type, ids)) <= {str} and kinds <= {float, int}):
+    Checked in bulk on the scene's ids and columns."""
+    ids = scene._ids
+    columns = scene._columns
+    if columns is None or not set(map(type, ids)) <= {str}:
         return None
     seen = set(ids)
-    if len(seen) != len(ids) or "" in seen or _finite_columns(amenities) is None:
+    if len(seen) != len(ids) or "" in seen or not np.isfinite(columns).all():
         return None
     return seen
 
@@ -252,7 +319,7 @@ def validate_scene(scene: Scene) -> Scene:
     """
     violations: list[Violation] = []
 
-    seen = _sound_amenity_ids(scene.amenities)
+    seen = _sound_amenity_ids(scene)
     if seen is None:  # some amenity is at fault: name every culprit, in order
         seen = set()
         for am in scene.amenities:
@@ -308,17 +375,26 @@ def resolve_profile(
     """
     if profile_name is None:
         return scene.amenities, kernel
+    profile = _find_profile(scene, profile_name)
+    amenities = tuple(
+        dataclasses.replace(am, attractiveness=float(profile.overrides[am.id]))
+        if am.id in profile.overrides else am
+        for am in scene.amenities
+    )
+    return amenities, _profile_kernel(profile, kernel)
+
+
+def _find_profile(scene: Scene, profile_name: str) -> Profile:
     profile = scene.profiles.get(profile_name)
     if profile is None:
         raise UnknownProfileError(
             f"profile {profile_name!r} not found; scene has "
             f"{sorted(scene.profiles) or 'no profiles'}"
         )
-    amenities = tuple(
-        dataclasses.replace(am, attractiveness=float(profile.overrides[am.id]))
-        if am.id in profile.overrides else am
-        for am in scene.amenities
-    )
-    if profile.efficiency is not None:
-        kernel = dataclasses.replace(kernel, efficiency=float(profile.efficiency))
-    return amenities, kernel
+    return profile
+
+
+def _profile_kernel(profile: Profile, kernel: Kernel) -> Kernel:
+    if profile.efficiency is None:
+        return kernel
+    return dataclasses.replace(kernel, efficiency=float(profile.efficiency))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1021,3 +1022,21 @@ def test_mutated_flag_value_ends_in_an_exit_code(tmp_path_factory, case):
             cells = [cell for line in out.read_text().splitlines()[1:]
                      for cell in line.split(",")]
             assert all(math.isfinite(float(cell)) for cell in cells), (argv, out.name)
+
+
+def test_a_pgg_beyond_the_float_range_names_the_scene(tmp_path, capsys):
+    scene = tmp_path / "gap.json"
+    scene.write_text(json.dumps({
+        "amenities": [{"id": "a", "x": 0, "y": 0, "A": 1}, {"id": "b", "x": 3, "y": 0, "A": 1}],
+        "profiles": {"p": {"overrides": {"a": 1.7e308}}, "m": {"overrides": {"a": -1.7e308}}},
+    }))
+    out = tmp_path / "pgg.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would surface as an error
+        assert run("pgg", "--scene", scene, "--grid", "0,0,1,2,2", "--person", "p",
+                   "--majority", "m", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {scene}: the preference gap ")
+    assert not out.exists()

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from isobenefit import (
     SumOverflowError,
     ZeroMeanError,
     evaluate_field,
+    load_scene,
     pgg_field,
     summary,
     uniformity,
@@ -201,3 +204,33 @@ def test_shared_e_pgg_sums_only_the_changed_amenities(monkeypatch):
     pgg_field(scene, KERNEL, GRID, person="bob")
     everyone = [f"a{k}" for k in range(6)]
     assert calls == [(everyone, Kernel("rational", 1.7), None), (everyone, KERNEL, None)]
+
+
+@pytest.mark.parametrize("person", ["alice", "bob"])
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+def test_pgg_of_a_loaded_scene_equals_that_of_the_eager_one(tmp_path, person, family):
+    # a loaded scene resolves its profiles on its own columns, an eager one
+    # on the columns of its Amenity objects: the same bytes either way
+    eager = wide_pgg_scene()
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "amenities": [{"id": am.id, "x": am.x, "y": am.y, "A": am.attractiveness}
+                      for am in eager.amenities],
+        "profiles": {name: {"E": p.efficiency, "overrides": dict(p.overrides)}
+                     for name, p in eager.profiles.items()},
+        "majority": eager.majority}))
+    loaded = load_scene(str(path))
+    kernel = Kernel(family, 0.8)
+    got = pgg_field(loaded, kernel, GRID, person=person)
+    assert got.values.tobytes() == pgg_field(eager, kernel, GRID, person=person).values.tobytes()
+    assert loaded == eager
+
+
+def test_a_pgg_beyond_the_float_range_is_a_sum_overflow():
+    scene = Scene(amenities=(Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 3.0, 0.0, 1.0)),
+                  profiles={"up": Profile("up", overrides={"a": 1.7e308}),
+                            "down": Profile("down", overrides={"a": -1.7e308})})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SumOverflowError, match="preference gap leaves the float range"):
+            pgg_field(scene, KERNEL, GRID, person="up", majority="down")

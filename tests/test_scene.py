@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +20,10 @@ from isobenefit import (
     Scene,
     SceneValidationError,
     UnknownProfileError,
+    evaluate_field,
+    huff_probabilities,
+    load_scene,
+    numeric_breakpoint,
     resolve_profile,
     validate_scene,
 )
@@ -243,3 +250,84 @@ def test_numpy_scalars_and_huge_ints_in_a_scene():
     with pytest.raises(SceneValidationError) as excinfo:
         validate_scene(scene)
     assert codes(excinfo) == {("NonFiniteValue", "b")}
+
+
+# -- a scene carries its amenity columns: loaded and eager scenes agree
+
+
+AMENITY_ROWS = [("park", 0, 0.5, 3), ("dump", 2.5, -1, -0.5), ("shop", -4, 7.25, 1)]
+
+
+def three_scenes(tmp_path):
+    """The same amenities loaded from JSON (ints where the file has them),
+    loaded from CSV, and built as ``Amenity`` objects."""
+    json_path = tmp_path / "scene.json"
+    json_path.write_text(json.dumps({"amenities": [
+        {"id": i, "x": x, "y": y, "A": a} for i, x, y, a in AMENITY_ROWS]}))
+    csv_path = tmp_path / "scene.csv"
+    csv_path.write_text("id,x,y,A\n" + "".join(f"{i},{x},{y},{a}\n" for i, x, y, a in AMENITY_ROWS))
+    eager = Scene(amenities=tuple(Amenity(i, float(x), float(y), float(a))
+                                  for i, x, y, a in AMENITY_ROWS))
+    return {"json": load_scene(str(json_path)), "csv": load_scene(str(csv_path)), "eager": eager}
+
+
+def test_loaded_and_eager_scenes_are_equal_with_the_same_repr(tmp_path):
+    scenes = three_scenes(tmp_path)
+    first = scenes["eager"]
+    for scene in scenes.values():
+        assert scene == first and repr(scene) == repr(first)
+        assert scene.amenities == first.amenities
+        assert isinstance(scene.amenities, tuple)
+        assert all(type(value) is float for am in scene.amenities
+                   for value in (am.x, am.y, am.attractiveness))
+    assert Scene(first.amenities) == first  # positional amenities
+
+
+def test_replace_asdict_and_copies_work_on_every_scene(tmp_path):
+    profile = Profile("alice", efficiency=2.0, overrides={"park": 5.0})
+    for name, scene in three_scenes(tmp_path).items():
+        changed = dataclasses.replace(scene, profiles={"alice": profile}, majority="alice")
+        assert validate_scene(changed) is changed, name
+        assert changed.amenities == scene.amenities and changed.majority == "alice"
+        assert dataclasses.asdict(changed) == {
+            "amenities": tuple({"id": i, "x": x, "y": y, "attractiveness": a}
+                               for i, x, y, a in AMENITY_ROWS),
+            "profiles": {"alice": {"name": "alice", "efficiency": 2.0,
+                                   "overrides": {"park": 5.0}}},
+            "majority": "alice",
+        }
+        for copied in (copy.copy(scene), copy.deepcopy(changed), pickle.loads(pickle.dumps(scene))):
+            assert copied in (scene, changed)
+            assert not copied._columns.flags.writeable
+        with pytest.raises(TypeError):
+            changed.profiles["alice"].overrides["park"] = 1.0
+
+
+def test_the_cached_columns_are_read_only(tmp_path):
+    for scene in three_scenes(tmp_path).values():
+        columns = scene._columns
+        assert columns.shape == (3, len(AMENITY_ROWS)) and columns.dtype == float
+        with pytest.raises(ValueError):
+            columns[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            columns[2] += 1.0
+        assert scene._columns.tolist() == [list(row) for row in zip(*AMENITY_ROWS)][1:]
+
+
+def test_an_invalid_library_scene_is_refused_naming_the_amenity():
+    good = (Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 4.0, 0.0, 2.0))
+    scene = Scene(amenities=good + (Amenity("c", 1.0, math.inf, 1.0),))
+    with pytest.raises(SceneValidationError) as excinfo:
+        validate_scene(scene)
+    assert codes(excinfo) == {("NonFiniteValue", "c")}
+    message = "amenity 'c' y must be finite, got inf"
+    with pytest.raises(InvalidValueError, match=message):
+        evaluate_field(scene, Kernel("rational", 1.0), GridSpec(0.0, 0.0, 1.0, 2, 2))
+    with pytest.raises(InvalidValueError, match=message):
+        huff_probabilities((1.0, 1.0), scene)
+    with pytest.raises(InvalidValueError, match=message):
+        numeric_breakpoint(*good, Kernel("rational", 1.0), scene_context=scene)
+    # a profile's override values are checked once they are applied
+    scene = Scene(amenities=good, profiles={"p": Profile("p", overrides={"b": math.nan})})
+    with pytest.raises(InvalidValueError, match="amenity 'b' attractiveness must be finite"):
+        evaluate_field(scene, Kernel("rational", 1.0), GridSpec(0.0, 0.0, 1.0, 2, 2), "p")

@@ -4,9 +4,10 @@ name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints and
 writes files; a valid scene loads without a per-value check and a valid
 raster without the per-line parser; a numeric breakpoint builds its
-amenity columns once, not once per pass; a call that writes no large table
-imports no ``subprocess``; and the row-formatting helper interpreter needs
-nothing but the standard library."""
+amenity columns once, not once per pass; a loaded scene's point queries
+build no Amenity object beyond the pair they name; a call that writes no
+large table imports no ``subprocess``; and the row-formatting helper
+interpreter needs nothing but the standard library."""
 
 import ast
 import importlib
@@ -181,6 +182,31 @@ def test_a_breakpoint_builds_its_amenity_columns_once(monkeypatch, family, effic
     bp = numeric_breakpoint(context[0], context[1], Kernel(family, efficiency), context)
     assert 0.0 < bp.distance_from_1 < 6.0
     assert calls == {"_amenity_columns": 1}
+
+
+def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkeypatch):
+    # a loaded scene carries the amenity columns its loader built: validation
+    # and the sums read them, a breakpoint builds the Amenity objects of its
+    # pair alone and huff builds none
+    rng = random.Random(3)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"amenities": [
+        {"id": f"a{k}", "x": rng.uniform(0, 10), "y": rng.uniform(0, 10),
+         "A": rng.uniform(0.5, 3.0)} for k in range(200)]}))
+    calls = {"__init__": 0, "_float_columns": 0, "_finite_columns": 0}
+    counting(monkeypatch, Amenity, "__init__", calls)
+    counting(monkeypatch, scene_model, "_float_columns", calls)
+    counting(monkeypatch, field, "_finite_columns", calls)
+    scene = scene_io.load_scene(str(path))
+    assert field._amenity_columns(scene) is scene._columns
+    assert calls == {"__init__": 0, "_float_columns": 0, "_finite_columns": 0}
+    assert cli.main(["breakpoint", "--scene", str(path), "--pair", "a0,a1",
+                     "--with-context", "--out", str(tmp_path / "b.json")]) == 0
+    assert calls == {"__init__": 2, "_float_columns": 0, "_finite_columns": 0}
+    calls["__init__"] = 0
+    assert cli.main(["huff", "--scene", str(path), "--origin", "-1,-1",
+                     "--out", str(tmp_path / "h.json")]) == 0
+    assert calls == {"__init__": 0, "_float_columns": 0, "_finite_columns": 0}
 
 
 @pytest.mark.parametrize("name", ["r.csv", "r.asc"])
