@@ -34,6 +34,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import (
+    CoincidentAmenitiesError,
     InvalidValueError,
     IsobenefitError,
     NoInteriorMinimumError,
@@ -273,7 +274,10 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
     amenity1 = _amenity_by_id(scene, args.pair[0], "--pair")
     amenity2 = _amenity_by_id(scene, args.pair[1], "--pair")
     context = scene if args.with_context else None
-    reilly = reilly_breakpoint(amenity1, amenity2)
+    try:
+        reilly = reilly_breakpoint(amenity1, amenity2)
+    except (CoincidentAmenitiesError, InvalidValueError) as exc:  # the pair's geometry
+        raise IsobenefitError(f"--pair: {exc}") from None
     distance = reilly.distance_from_1 + reilly.distance_from_2
     report = {
         "pair": [amenity1.id, amenity2.id],

@@ -15,79 +15,45 @@ decay semantics. For the rational family a larger E means *slower* decay
 exponential families a larger E means *faster* decay. Both conventions are
 kept exactly as stated above; do not port an E value across families.
 
-One accumulator serves every caller: it adds the amenities' contributions
-in index order, in double precision, over the broadcast of the sample
-coordinates (a grid's x row against its y column, or point coordinates).
-It reads the amenities as three float columns (x, y, A) built once per
-scene: the scene's own read-only array (see :mod:`isobenefit.scene`),
-which a profile's overrides replace in a copy of the A row only. A plain
-sequence of amenities, as ``point_benefit`` takes, is converted once per
-call. A non-finite column value is refused up front, so that an error from
-the sum means overflow only.
+One accumulator serves every caller, grids and points alike: it adds the
+amenities' terms in index order, in double precision, over the broadcast of
+the sample coordinates (a grid's x row against its y column, or point
+coordinates). It reads the amenities as three float columns (x, y, A): a
+scene's own read-only array (see :mod:`isobenefit.scene`, which also states
+the one rule for the values it may hold), which a profile's overrides
+replace in a copy of the A row only. A plain sequence of amenities, as
+``point_benefit`` takes, is made a scene once per call. A non-finite column
+value is refused up front, so that an error from the sum means overflow
+only.
 
-A query of fewer than 2**13 samples spends its time in per-amenity numpy
-calls, not in arithmetic, so it is summed in blocks of amenities by one
-point evaluator (``_PointEvaluator``), built from the amenity columns, the
-kernel and the sample count. It builds its buffers once: a fold buffer of
-k + 1 sample rows and one spare block of k rows (two for the gaussian, whose
-x and y factors are alive at once). Each call computes a block's terms with
-every step in place (``out=``), straight into rows 1..k of the fold buffer,
-whose row 0 holds the running total, and reduces that buffer over its
-leading axis into row 0. The positive and negative parts compress their
-terms (A > 0, A < 0) into fold buffers of their own and fold them the same
-way. A reduce over the leading axis of a C-contiguous buffer adds whole rows
-one after another, so every sample gets the same additions in the same
-order as one amenity at a time; numpy sums pairwise only along the
-innermost axis, which is why no other axis is reduced, and why a
-single-sample query (whose rows are one value each) accumulates instead.
-``numeric_breakpoint`` builds one evaluator per breakpoint and calls it once
-per pass, so its passes share the columns and the buffers. The evaluator
-also works out the amenity side of the range guard below (the largest
-amenity coordinate magnitude) and whether every A > 0 when it is built,
-not on every pass.
+The terms come from one function, ``_terms``, which branches once, on
+where the offsets dx = x - x_i and dy = y - y_i live:
 
-A query of at most 2**12 samples sums blocks of k = 2 * (2**13 // samples)
-amenities, or all of them if fewer. The buffers then hold at most 4
-(gaussian: 6) times 2**13 values plus one row, and a breakpoint's peak
-traced memory stays at or below that of blocks of 2**13 // samples
-amenities built from temporaries, at every resolution. The doubling was
-timed on breakpoint passes only, so a larger query, whose 2**13 // samples
-is 1, is still summed one amenity at a time.
-On 200 amenities and 103 samples one pass took, at best, 237-260 us over
-the three families with temporaries in blocks of 79 (2**13 // samples),
-193-234 us in place with fresh buffers, 188-206 us with the buffers reused
-and 177-179 us in blocks of 158 (numpy 2.4, a shared 2-vCPU x86 host).
-One block of all 200 was a few percent faster still, but its gaussian
-buffers would exceed that memory bound. The offsets are formed by copying
-the sample row in and subtracting the amenity column: faster than one
-broadcast subtract into the buffer, for which numpy's iterator allocates
-two 64 KiB buffers instead of one.
+- for one amenity they are temporaries of the samples' shapes, on a grid a
+  1-D row and a column;
+- for a block of amenities they fill the block's buffers, dx in the output.
 
-When k is 1, i.e. for every query of more than 2**12 samples, the terms
-go straight into the total one amenity at a time, without a block buffer:
-there the per-call overhead is small against the arithmetic, and a buffer
-would only add copies (blocks of k = 2 on a 128x128 grid doubled the
-field's evaluation time). A 103-sample breakpoint's buffers (130 KiB each)
-lie above glibc's default mmap threshold of 128 KiB, so their pages fault in
-once per breakpoint, not once per pass. When every A > 0 the positive part
-is a copy of the total (the same additions in the same order) and is not
-summed again.
-
-Per amenity (or block) it forms the offsets dx = x - x_i and dy = y - y_i
-(on a grid still a 1-D row and column) and evaluates each family with as
-few passes over the broadcast shape as it allows:
+Every later step is shared and runs in place, with as few passes over the
+broadcast shape as each family allows:
 
     rational:     A / (1 + sqrt((dx*c)^2 + (dy*c)^2)),  c = 1/E
     gaussian:     ((2**(64 - r*dx*dx) * 2**(64 - r*dy*dy)) * 2**-128) * A,
                   r = E * log2(e)
     exponential:  A * exp(-E * sqrt(dx*dx + dy*dy))
 
+The squares of dx are copied into the output unless they are already there,
+and those of dy are added. On a grid the row is squared before it is copied
+in, and the column is added: at 128x128 a broadcast row copy took about
+half the time of a row-broadcast multiply, and copy-then-add-column less
+than an outer add. No amenity allocates a temporary of the grid's size.
+
 The rational offsets are scaled by 1/E before they are squared, so no cell
 is divided by E. The gaussian is separable: a grid takes nx + ny
 exponentials and three multiplies per cell instead of nx * ny exponentials
 (numpy's exp and exp2 are also slow where their result is subnormal, and
-now run on few values). Its factors carry 2**64 each, so neither is
-subnormal where their product is a nonzero term; 2**-128 then rounds the
+now run on few values). Each offset becomes its factor in place, with r*d
+in a spare buffer or a temporary. The factors carry 2**64 each, so neither
+is subnormal where their product is a nonzero term; 2**-128 then rounds the
 product once, as exp rounds exp(-E d^2), and A multiplies the result, as
 in the plain form A * exp(-E d^2). Where terms are subnormal only their
 last bits differ, and there this keeps as close to the independent form
@@ -95,21 +61,54 @@ last bits differ, and there this keeps as close to the independent form
 that range each differed from it in ~0.13% of them, against 36% with A
 multiplied first and 0.8% with unscaled factors. exp2 returns exactly
 2**64 at dx = 0, so a sample on an amenity still gets exactly A.
-The full-shape steps (the squares of the row copied in and those of the
-column added, sqrt, exp, the multiplies or the divide) run in place in one
-work buffer of the grid's shape allocated per call, or, for point queries,
-in the evaluator's block buffers, where the offsets are formed in place too;
-copying the row and adding the column was faster than a broadcast add, and
-no amenity allocates a temporary of the grid's size.
 
 These squared forms are used only when every sample and amenity
 coordinate has magnitude <= 2**499 and 2**-400 <= E <= 2**400, and, for
 the rational family with E < 1, magnitude <= 2**499 * E, since its
 squared offsets are over E: there no square can overflow, and an offset
 whose square underflows is too small to move any kernel by an ulp.
-Outside that range the call falls back to np.hypot distances and the
+Outside that range ``_terms`` falls back to np.hypot distances and the
 forms at the top. The choice is made once per call from its inputs, so
 every sample of one call sees the same arithmetic.
+
+Summing. A point evaluator (``_PointEvaluator``), built from the amenity
+columns, the kernel and the sample count, serves every caller. It works out
+the amenity side of the range guard (the largest amenity coordinate
+magnitude) and whether every A > 0 once, when it is built, and
+``numeric_breakpoint`` builds one per breakpoint and calls it once per pass.
+
+- A query of more than 2**12 samples (more cells than a 64x64 grid) is
+  summed one amenity at a time (``_sum_one_by_one``): each amenity's terms
+  go into one work buffer and are added to the total. There the per-call
+  overhead is small against the arithmetic, and a block buffer would only
+  add copies: blocks of 2 doubled the evaluation time of a 128x128 field.
+- A smaller query spends its time in per-amenity numpy calls, not in
+  arithmetic, so it is summed in blocks of k = 2 * (2**13 // samples)
+  amenities, or all of them if fewer. The evaluator builds its buffers
+  once: a fold buffer of k + 1 sample rows and one spare block of k rows
+  (two for the gaussian, whose r*d is alive beside both offsets). A block's
+  terms go into rows 1..k of the fold buffer, whose row 0 holds the running
+  total, and that buffer is reduced over its leading axis into row 0. The
+  positive and negative parts compress their terms (A > 0, A < 0) into fold
+  buffers of their own and fold them the same way. The buffers hold at most
+  4 (gaussian: 6) times 2**13 values plus one row, so a breakpoint's peak
+  traced memory stays at or below that of blocks of 2**13 // samples
+  amenities built from temporaries, at every resolution; one block of all
+  amenities was a few percent faster still, but would exceed that bound. A
+  103-sample breakpoint's buffers (130 KiB each) lie above glibc's default
+  mmap threshold of 128 KiB, so their pages fault in once per breakpoint,
+  not once per pass. A block's offsets are formed by copying the sample
+  row in and subtracting the amenity column: faster than one broadcast
+  subtract into the buffer, for which numpy's iterator allocates two
+  64 KiB buffers instead of one.
+
+A reduce over the leading axis of a C-contiguous buffer adds whole rows one
+after another, so every sample gets the same additions in the same order as
+one amenity at a time; numpy sums pairwise only along the innermost axis,
+which is why no other axis is reduced, and why a single-sample query (whose
+rows are one value each) accumulates instead. When every A > 0 the positive
+part is a copy of the total (the same additions in the same order) and is
+not summed again.
 
 Each sample sees the same additions in the same order however samples are
 grouped, so identical inputs give bit-identical values for any grid
@@ -122,7 +121,6 @@ well inside the 1e-12 relative tolerance of the kernel forms, which the
 tests pin on points and grids. At a sample whose every term is subnormal,
 1e-12 of their sum is below one ulp, and no form meets it for certain.
 """
-
 from __future__ import annotations
 
 import math
@@ -230,35 +228,18 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     return out
 
 
-def _finite_columns(amenities) -> np.ndarray | None:
-    """x, y and attractiveness of the amenities as the rows of a (3, n)
-    float array if every value is finite, else None: one conversion and one
-    ``np.isfinite`` for them all. An int beyond the float range gives None."""
-    try:
-        columns = np.array([[am.x for am in amenities], [am.y for am in amenities],
-                            [am.attractiveness for am in amenities]], dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return None
-    return columns if np.isfinite(columns).all() else None
-
-
 def _amenity_columns(amenities) -> np.ndarray:
     """x, y and attractiveness of the amenities, a :class:`Scene`'s or a
-    sequence of :class:`Amenity`, as the rows of a (3, n) float array: a
-    scene's own read-only columns where it has them. Raises
-    :class:`InvalidValueError` naming the first amenity with a value that
-    is not a finite float: non-finite, or an integer beyond the float
-    range."""
-    if isinstance(amenities, Scene):
-        columns = amenities._columns
-        if columns is not None and np.isfinite(columns).all():
-            return columns
-        amenities = amenities.amenities
-    amenities = tuple(amenities)
-    columns = _finite_columns(amenities)
-    if columns is not None:
+    sequence of :class:`Amenity`, as the rows of a read-only (3, n) float
+    array: the scene's own columns (see :mod:`isobenefit.scene`). Raises
+    :class:`InvalidValueError` naming the first amenity with a value that is
+    not a finite real number: non-finite, a bool, text, or an integer beyond
+    the float range."""
+    scene = amenities if isinstance(amenities, Scene) else Scene(amenities)
+    columns = scene._columns
+    if columns is not None and np.isfinite(columns).all():
         return columns
-    for am in amenities:
+    for am in scene.amenities:
         for name in ("x", "y", "attractiveness"):
             value = getattr(am, name)
             if not _finite_number(value):
@@ -273,35 +254,54 @@ def _block_rows(samples: int) -> int:
     return 1 if k <= 1 else 2 * k
 
 
-def _contributions(ax, ay, a, kernel: Kernel, x, y, squared: bool, out: np.ndarray):
-    # one amenity's terms from scalars, written into ``out`` (of the broadcast
-    # shape), or on the hypot path returned; a block's hypot terms come from
-    # columns shaped to broadcast ahead of the samples
-    dx = x - ax
-    dy = y - ay
+def _terms(ax, ay, a, kernel: Kernel, x, y, squared: bool, out: np.ndarray, spares=None):
+    # the terms of one amenity (scalars ax, ay, a) or of a block (columns
+    # shaped to broadcast ahead of the samples) at the samples (x, y),
+    # written into ``out`` of the broadcast shape; a block also brings its
+    # spare buffers of that shape (see the module docstring)
     if not squared:
-        return _kernel_values(a, np.hypot(dx, dy), kernel)
+        out[...] = _kernel_values(a, np.hypot(x - ax, y - ay), kernel)
+        return
+    if spares is None:  # the offsets are temporaries: on a grid a 1-D row and column
+        # (arrays also for a scalar query, for the in-place steps)
+        dx, dy, spare = np.asarray(x - ax), np.asarray(y - ay), None
+    else:  # the offsets fill the block's buffers, dx in ``out``
+        dx, dy, spare = out, spares[0], spares[-1]
+        np.copyto(dx, x)
+        dx -= ax
+        np.copyto(dy, y)
+        dy -= ay
     efficiency = kernel.efficiency
     if kernel.family == "gaussian":
+        # each offset becomes its factor 2**(64 - rate*d*d) in place, with
+        # rate*d in the last spare or a temporary: d * (rate*d) equals
+        # (rate*d) * d bit for bit
         rate = efficiency * _LOG2_E
-        np.multiply(np.exp2(64.0 - rate * dx * dx), np.exp2(64.0 - rate * dy * dy), out=out)
+        for d in (dx, dy):
+            d *= np.multiply(rate, d, out=spare)
+            np.subtract(64.0, d, out=d)
+            np.exp2(d, out=d)
+        np.multiply(dx, dy, out=out)
         out *= 2.0 ** -128
         out *= a
-        return out
+        return
     if kernel.family == "rational":
         scale = 1.0 / efficiency
-        dx = dx * scale
-        dy = dy * scale
-    out[...] = dx * dx
-    out += dy * dy
+        dx *= scale
+        dy *= scale
+    dx *= dx
+    dy *= dy
+    if dx is not out:
+        out[...] = dx
+    out += dy
     np.sqrt(out, out=out)
     if kernel.family == "rational":
         out += 1.0
-        return np.divide(a, out, out=out)
+        np.divide(a, out, out=out)
+        return
     out *= -efficiency
     np.exp(out, out=out)
     out *= a
-    return out
 
 
 def _fold(rows: np.ndarray) -> None:
@@ -322,12 +322,12 @@ def _sum_one_by_one(columns, kernel, x, y, squared, shape, parts):
     neg = np.zeros(shape) if parts else None
     work = np.empty(shape)
     for ax, ay, a in zip(*columns.tolist()):
-        contrib = _contributions(ax, ay, a, kernel, x, y, squared, work)
-        total += contrib
+        _terms(ax, ay, a, kernel, x, y, squared, work)
+        total += work
         if parts and a > 0:
-            pos += contrib
+            pos += work
         elif parts and a < 0:
-            neg += contrib
+            neg += work
     return total, pos, neg
 
 
@@ -335,8 +335,8 @@ class _PointEvaluator:
     """Benefit sums of one amenity set under one kernel, at ``samples``
     points a call (x and y broadcast to that many), with the amenity columns
     and the block buffers built once (see the module docstring). A query of
-    at least _BLOCK_SAMPLES samples, or with at most one amenity, is summed
-    one amenity at a time and uses no block buffer."""
+    more than _BLOCK_SAMPLES // 2 samples, or with at most one amenity, is
+    summed one amenity at a time and uses no block buffer."""
 
     def __init__(self, columns: np.ndarray, kernel: Kernel, samples: int,
                  k: int | None = None):
@@ -400,56 +400,13 @@ class _PointEvaluator:
         for i in range(0, columns.shape[1], k):
             block = columns[:, i:i + k]
             m = block.shape[1]
-            self._terms(*block, x, y, squared, rows[1:m + 1], [s[:m] for s in spares])
+            _terms(*block, self.kernel, x, y, squared, rows[1:m + 1], [s[:m] for s in spares])
             _fold(rows[:m + 1])
             for sums, keep in zip(part_rows, selections):
                 picked = np.count_nonzero(keep[i:i + k])
                 np.compress(keep[i:i + k], rows[1:m + 1], axis=0, out=sums[1:picked + 1])
                 _fold(sums[:picked + 1])
         return (rows[0], *(sums[0] for sums in part_rows)) if parts else (rows[0], None, None)
-
-    def _terms(self, ax, ay, a, x, y, squared, out, spares):
-        # a block's terms, from columns shaped to broadcast ahead of the
-        # samples, written into ``out`` with every step in place: the
-        # operations of _contributions in the same order, bit for bit
-        if not squared:
-            out[...] = _contributions(ax, ay, a, self.kernel, x, y, False, None)
-            return
-        efficiency = self.kernel.efficiency
-        family = self.kernel.family
-        spare = spares[0]
-        if family == "gaussian":
-            rate = efficiency * _LOG2_E
-            for factor, coord, at in ((out, x, ax), (spares[1], y, ay)):
-                np.copyto(spare, coord)
-                spare -= at
-                np.multiply(rate, spare, out=factor)
-                factor *= spare
-                np.subtract(64.0, factor, out=factor)
-                np.exp2(factor, out=factor)
-            out *= spares[1]
-            out *= 2.0 ** -128
-            out *= a
-            return
-        np.copyto(out, x)
-        out -= ax
-        np.copyto(spare, y)
-        spare -= ay
-        if family == "rational":
-            scale = 1.0 / efficiency
-            out *= scale
-            spare *= scale
-        np.multiply(out, out, out=out)
-        np.multiply(spare, spare, out=spare)
-        out += spare
-        np.sqrt(out, out=out)
-        if family == "rational":
-            out += 1.0
-            np.divide(a, out, out=out)
-            return
-        out *= -efficiency
-        np.exp(out, out=out)
-        out *= a
 
 
 def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:

@@ -144,6 +144,11 @@ def _pair_geometry(amenity1: Amenity, amenity2: Amenity) -> float:
         raise CoincidentAmenitiesError(
             f"amenities {amenity1.id!r} and {amenity2.id!r} share a position"
         )
+    if d == math.inf:  # no point between them could be computed
+        raise InvalidValueError(
+            f"amenities {amenity1.id!r} and {amenity2.id!r} are farther apart "
+            f"than the float range"
+        )
     return d
 
 
@@ -208,10 +213,12 @@ def numeric_breakpoint(
     if not 3 <= resolution <= MAX_GRID_CELLS:
         raise InvalidValueError(
             f"resolution must be between 3 and {MAX_GRID_CELLS}, got {resolution}")
-    d = _pair_geometry(amenity1, amenity2)
     contributors = scene_context if scene_context is not None else (amenity1, amenity2)
+    # before the pair geometry, so that a bad value of the pair is named as such
+    columns = field._amenity_columns(contributors)
+    d = _pair_geometry(amenity1, amenity2)
     n = resolution + 1  # intervals per pass
-    evaluate = field._PointEvaluator(field._amenity_columns(contributors), kernel, n + 1)
+    evaluate = field._PointEvaluator(columns, kernel, n + 1)
 
     def lowest_sample(lo, hi):
         ts = lo + (hi - lo) * (np.arange(n + 1) / n)

@@ -13,9 +13,12 @@ scene loaders build it straight from the file, and build no
 ``Amenity`` object: ``scene.amenities`` is made from the columns when it is
 first read, and then kept. A scene built the public way,
 ``Scene(amenities=...)``, holds its ``Amenity`` objects and makes its
-columns when they are first read; they are None if some coordinate or
-attractiveness is not a float or an int within the float range, and then
-each reader converts or refuses the values as it did before. Either cache
+columns when they are first read. One rule decides which values a scene's
+columns can hold, that of :func:`validate_scene`: finite real numbers,
+bools excluded. The columns of a public scene are None if some coordinate
+or attractiveness breaks it; :func:`validate_scene` then reports every
+culprit, and the fields, point queries, Huff and the breakpoint refuse the
+first with an :class:`~isobenefit.errors.InvalidValueError`. Either cache
 is filled at most once, with values computed from the scene's own
 immutable fields, so two threads that fill it at once store equal values.
 A scene's ``profiles`` and a profile's ``overrides`` are read-only dicts,
@@ -162,7 +165,8 @@ class Raster:
             )
         if not np.isfinite(v).all():
             raise InvalidValueError("raster values must all be finite")
-        v = v.copy()  # decouple from the caller's buffer before freezing
+        if np.may_share_memory(v, self.values):  # decouple from the caller's buffer
+            v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -263,16 +267,20 @@ def _check_finite(code: str, subject: str, what: str, value: object,
 
 def _float_columns(amenities: tuple[Amenity, ...]) -> np.ndarray | None:
     """x, y and attractiveness of the amenities as the rows of a read-only
-    (3, n) float array, or None if some value is not a float or an int
-    within the float range. numpy converts ``True`` and ``"1.5"``, so the
-    types are checked first."""
+    (3, n) float array, or None unless :func:`_finite_number` accepts every
+    value. numpy would convert ``True`` and ``"1.5"`` too, so the values
+    are checked first: in bulk by type when all are exact floats and ints,
+    else one by one (numpy scalars, for example)."""
     values = ([am.x for am in amenities], [am.y for am in amenities],
               [am.attractiveness for am in amenities])
-    if not set(map(type, itertools.chain(*values))) <= {float, int}:
+    if not (set(map(type, itertools.chain(*values))) <= {float, int}
+            or all(map(_finite_number, itertools.chain(*values)))):
         return None
     try:
         columns = np.array(values, dtype=float)
     except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(columns).all():
         return None
     columns.flags.writeable = False
     return columns
@@ -280,7 +288,7 @@ def _float_columns(amenities: tuple[Amenity, ...]) -> np.ndarray | None:
 
 def _sound_amenity_ids(scene: Scene) -> set[str] | None:
     """The set of amenity ids if every id is distinct non-empty text and
-    every coordinate and attractiveness a finite float or int, else None.
+    every coordinate and attractiveness a finite real number, else None.
     Checked in bulk on the scene's ids and columns."""
     ids = scene._ids
     columns = scene._columns

@@ -394,6 +394,25 @@ def test_breakpoint_unknown_id_names_the_flag(tmp_path, pair, capsys):
     assert "--pair" in err and "ghost" in err
 
 
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+@pytest.mark.parametrize("xs, reason", [
+    ((-1.7e308, 1.7e308), "are farther apart than the float range"),
+    ((1.0, 1.0), "share a position")])
+@pytest.mark.parametrize("out", [None, "b.json"])
+def test_a_pair_without_a_segment_names_the_flag(tmp_path, capsys, family, xs, reason, out):
+    scene = tmp_path / "pair.json"
+    scene.write_text(json.dumps({"amenities": [
+        {"id": "a", "x": xs[0], "y": 0, "A": 1}, {"id": "b", "x": xs[1], "y": 0, "A": 1}]}))
+    argv = ["breakpoint", "--scene", scene, "--pair", "a,b", "--kernel", family]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would surface as an error
+        assert run(*argv, *(["--out", tmp_path / out] if out else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --pair: amenities 'a' and 'b' {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
+
+
 # -- huff
 
 

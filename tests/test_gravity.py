@@ -137,6 +137,11 @@ def test_reilly_rejects_bad_pairs():
         reilly_breakpoint(good, Amenity("twin", 0.0, 0.0, 2.0))
     with pytest.raises(NonPositiveAttractivenessError):
         reilly_breakpoint(good, Amenity("void", 1.0, 0.0, -1.0))
+    far = (Amenity("a", -1.7e308, 0.0, 1.0), Amenity("b", 1.7e308, 0.0, 1.0))
+    for breakpoint in (reilly_breakpoint,
+                       lambda *pair: numeric_breakpoint(*pair, Kernel("gaussian", 1.0))):
+        with pytest.raises(InvalidValueError, match="amenities 'a' and 'b' are farther apart"):
+            breakpoint(*far)
 
 
 @given(st.floats(0.1, 10), st.floats(0.1, 10),

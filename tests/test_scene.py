@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from isobenefit import (
     huff_probabilities,
     load_scene,
     numeric_breakpoint,
+    point_benefit,
     resolve_profile,
     validate_scene,
 )
@@ -331,3 +334,51 @@ def test_an_invalid_library_scene_is_refused_naming_the_amenity():
     scene = Scene(amenities=good, profiles={"p": Profile("p", overrides={"b": math.nan})})
     with pytest.raises(InvalidValueError, match="amenity 'b' attractiveness must be finite"):
         evaluate_field(scene, Kernel("rational", 1.0), GridSpec(0.0, 0.0, 1.0, 2, 2), "p")
+
+
+@pytest.mark.parametrize("value", [True, "2.5", np.float64(2.5), np.int64(2)],
+                         ids=["bool", "text", "float64", "int64"])
+@pytest.mark.parametrize("name", ["x", "y", "attractiveness"])
+@pytest.mark.parametrize("where", [1, 2])  # in the pair, in the context only
+def test_every_reader_of_amenity_values_follows_the_rule_of_validate_scene(value, name, where):
+    # a finite real number, bools excluded: numpy scalars are read as the
+    # floats they equal, True and text are refused naming the amenity
+    plain = [Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 10.0, 0.0, 1.0),
+             Amenity("c", 5.0, 8.0, 1.0)]
+    mixed = list(plain)
+    mixed[where] = dataclasses.replace(plain[where], **{name: value})
+    kernel, grid = Kernel("rational", 1.0), GridSpec(0.0, 0.0, 1.0, 3, 2)
+    readers = [lambda ams: point_benefit(ams, kernel, 1.0, np.array([1.0, -2.0])).total.tolist(),
+               lambda ams: evaluate_field(Scene(ams), kernel, grid).values.tolist(),
+               lambda ams: numeric_breakpoint(ams[0], ams[1], kernel, scene_context=ams),
+               lambda ams: huff_probabilities((1.0, 1.0), ams).probabilities]
+    if type(value) in (bool, str):
+        with pytest.raises(SceneValidationError):
+            validate_scene(Scene(mixed))
+        message = f"amenity {mixed[where].id!r} {name} must be finite, got {value!r}"
+        for read in readers:
+            with pytest.raises(InvalidValueError, match=re.escape(message)):
+                read(mixed)
+    else:
+        validate_scene(Scene(mixed))
+        plain[where] = dataclasses.replace(plain[where], **{name: float(value)})
+        for read in readers:
+            assert read(mixed) == read(plain)
+
+
+def test_a_raster_copies_a_file_view_once_and_decouples_the_callers_array():
+    grid = GridSpec(0.0, 0.0, 1.0, 256, 128)
+    table = np.random.default_rng(3).normal(size=(128, 256))
+    tracemalloc.start()
+    try:
+        raster = Raster(grid, table[::-1])  # as the raster readers pass a file's rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes  # one copy of the table, not two
+    assert raster.as_grid().tolist() == table[::-1].tolist()
+    values = table.reshape(-1)
+    raster = Raster(grid, values)
+    values[0] += 1.0
+    assert raster.values[0] == values[0] - 1.0
+    assert not np.shares_memory(raster.values, table)

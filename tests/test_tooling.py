@@ -95,7 +95,10 @@ assert cli.main(["breakpoint", "--scene", {str(scene)!r}, "--pair", "a,b",
 assert cli.main(["curve", "--efficiencies", "0.5,1", "--out", {str(tmp_path / "c.csv")!r}]) == 0
 print("subprocess" in sys.modules)
 """
-    done = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the run must leave no
+    # bytecode cache in the source tree
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", script], capture_output=True,
+                          text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "b.json").exists() and (tmp_path / "c.csv").exists()
@@ -193,20 +196,19 @@ def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkey
     path.write_text(json.dumps({"amenities": [
         {"id": f"a{k}", "x": rng.uniform(0, 10), "y": rng.uniform(0, 10),
          "A": rng.uniform(0.5, 3.0)} for k in range(200)]}))
-    calls = {"__init__": 0, "_float_columns": 0, "_finite_columns": 0}
+    calls = {"__init__": 0, "_float_columns": 0}
     counting(monkeypatch, Amenity, "__init__", calls)
     counting(monkeypatch, scene_model, "_float_columns", calls)
-    counting(monkeypatch, field, "_finite_columns", calls)
     scene = scene_io.load_scene(str(path))
     assert field._amenity_columns(scene) is scene._columns
-    assert calls == {"__init__": 0, "_float_columns": 0, "_finite_columns": 0}
+    assert calls == {"__init__": 0, "_float_columns": 0}
     assert cli.main(["breakpoint", "--scene", str(path), "--pair", "a0,a1",
                      "--with-context", "--out", str(tmp_path / "b.json")]) == 0
-    assert calls == {"__init__": 2, "_float_columns": 0, "_finite_columns": 0}
+    assert calls == {"__init__": 2, "_float_columns": 0}
     calls["__init__"] = 0
     assert cli.main(["huff", "--scene", str(path), "--origin", "-1,-1",
                      "--out", str(tmp_path / "h.json")]) == 0
-    assert calls == {"__init__": 0, "_float_columns": 0, "_finite_columns": 0}
+    assert calls == {"__init__": 0, "_float_columns": 0}
 
 
 @pytest.mark.parametrize("name", ["r.csv", "r.asc"])
