@@ -37,7 +37,10 @@ from .errors import (
     CoincidentAmenitiesError,
     InvalidValueError,
     IsobenefitError,
+    NoFiniteRangeError,
     NoInteriorMinimumError,
+    NonPositiveAttractivenessError,
+    OriginOnAmenityError,
     SumOverflowError,
     ZeroMeanError,
 )
@@ -85,6 +88,13 @@ def _checked(flag: str, make, *args):
         return make(*args)
     except InvalidValueError as exc:
         raise InvalidValueError(f"{flag}: {exc}") from None
+
+
+def _finite_flag(flag: str, value) -> None:
+    """Refuse a flag's number, or list or pair of numbers, unless every one
+    is finite."""
+    if not np.isfinite(value).all():
+        raise InvalidValueError(f"{flag} must be finite, got {value!r}")
 
 
 def _floats_arg(text: str) -> list[float]:
@@ -221,8 +231,8 @@ def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None, lis
     # before any input is read: a refused flag pair costs no evaluation
     if (args.levels is None) == (args.nlevels is None):
         raise IsobenefitError("pass exactly one of --levels or --nlevels")
-    if args.levels is not None and not np.isfinite(args.levels).all():
-        raise InvalidValueError(f"--levels must be finite, got {args.levels}")
+    if args.levels is not None:
+        _finite_flag("--levels", args.levels)
     if args.raster is not None:
         raster = read_raster(args.raster)
     else:
@@ -276,7 +286,8 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
     context = scene if args.with_context else None
     try:
         reilly = reilly_breakpoint(amenity1, amenity2)
-    except (CoincidentAmenitiesError, InvalidValueError) as exc:  # the pair's geometry
+    except (CoincidentAmenitiesError, InvalidValueError,
+            NonPositiveAttractivenessError) as exc:  # the pair's geometry or A
         raise IsobenefitError(f"--pair: {exc}") from None
     distance = reilly.distance_from_1 + reilly.distance_from_2
     report = {
@@ -306,12 +317,15 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
 
 def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene = load_scene(args.scene)
-    if not np.isfinite(args.origin).all():
-        raise InvalidValueError(f"--origin must be finite, got {args.origin!r}")
-    # with a finite origin, every value error is the exponent's: not finite,
-    # or weights that overflow even in log form
-    result = _checked("--distance-exponent", huff_probabilities, args.origin,
-                      scene, args.distance_exponent)
+    _finite_flag("--origin", args.origin)
+    try:
+        result = huff_probabilities(args.origin, scene, args.distance_exponent)
+    except OriginOnAmenityError as exc:
+        raise IsobenefitError(f"--origin: {exc}") from None
+    except InvalidValueError as exc:
+        # with a finite origin, every value error is the exponent's: not
+        # finite, or weights that overflow even in log form
+        raise InvalidValueError(f"--distance-exponent: {exc}") from None
     return [f"{ident}\t{p!r}" for ident, p in result.probabilities.items()], {
         "origin": [args.origin[0], args.origin[1]],
         "distance_exponent": args.distance_exponent,
@@ -342,9 +356,8 @@ def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
-    for flag, value in (("--attractiveness", args.attractiveness), ("--dmax", args.dmax)):
-        if not np.isfinite(value):
-            raise InvalidValueError(f"{flag} must be finite, got {value!r}")
+    _finite_flag("--attractiveness", args.attractiveness)
+    _finite_flag("--dmax", args.dmax)
     if args.dmax <= 0:
         raise IsobenefitError(f"--dmax must be > 0, got {args.dmax!r}")
     if not 2 <= args.samples <= MAX_GRID_CELLS:
@@ -494,6 +507,12 @@ def _join_minus_values(argv: list[str]) -> list[str]:
     return joined
 
 
+# errors that the values held by --scene or --raster cause, not a flag:
+# main prefixes them with the file's path
+_INPUT_VALUE_ERRORS = (SumOverflowError, NoFiniteRangeError, ZeroMeanError,
+                       NonPositiveAttractivenessError)
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     command = raw[0] if raw and raw[0] in _COMMAND_NAMES else None
@@ -510,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         write_all(products)
         print("\n".join(lines))
         return 0
-    except SumOverflowError as exc:
+    except _INPUT_VALUE_ERRORS as exc:  # the values of the input file are at fault
         source = getattr(args, "raster", None) or getattr(args, "scene", None)
         print(f"error: {source}: {exc}", file=sys.stderr)
         return 1

@@ -18,13 +18,14 @@ kept exactly as stated above; do not port an E value across families.
 One accumulator serves every caller, grids and points alike: it adds the
 amenities' terms in index order, in double precision, over the broadcast of
 the sample coordinates (a grid's x row against its y column, or point
-coordinates). It reads the amenities as three float columns (x, y, A): a
-scene's own read-only array (see :mod:`isobenefit.scene`, which also states
-the one rule for the values it may hold), which a profile's overrides
-replace in a copy of the A row only. A plain sequence of amenities, as
-``point_benefit`` takes, is made a scene once per call. A non-finite column
-value is refused up front, so that an error from the sum means overflow
-only.
+coordinates). This module only sums. It reads the amenities as three float
+columns (x, y, A), a scene's own read-only array, and a field under a
+profile reads the columns and the kernel that the profile resolves to; the
+scene module checks the columns, names a culprit and resolves profiles
+(see :mod:`isobenefit.scene`, which also states the one rule for the
+values they may hold). A plain sequence of amenities, as ``point_benefit``
+takes, is made a scene once per call. A non-finite column value is refused
+up front, so that an error from the sum means overflow only.
 
 The terms come from one function, ``_terms``, which branches once, on
 where the offsets dx = x - x_i and dy = y - y_i live:
@@ -129,8 +130,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import (GridSpec, Kernel, Raster, Scene, _find_profile, _finite_number,
-                    _profile_kernel)
+from .scene import GridSpec, Kernel, Raster, Scene, _checked_columns, _resolved_scene
 
 __all__ = [
     "PointBenefit",
@@ -231,20 +231,9 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
 def _amenity_columns(amenities) -> np.ndarray:
     """x, y and attractiveness of the amenities, a :class:`Scene`'s or a
     sequence of :class:`Amenity`, as the rows of a read-only (3, n) float
-    array: the scene's own columns (see :mod:`isobenefit.scene`). Raises
-    :class:`InvalidValueError` naming the first amenity with a value that is
-    not a finite real number: non-finite, a bool, text, or an integer beyond
-    the float range."""
-    scene = amenities if isinstance(amenities, Scene) else Scene(amenities)
-    columns = scene._columns
-    if columns is not None and np.isfinite(columns).all():
-        return columns
-    for am in scene.amenities:
-        for name in ("x", "y", "attractiveness"):
-            value = getattr(am, name)
-            if not _finite_number(value):
-                raise InvalidValueError(f"amenity {am.id!r} {name} must be finite, got {value!r}")
-    raise AssertionError("a non-finite amenity column without a non-finite value")
+    array: the scene's own columns, which
+    :func:`~isobenefit.scene._checked_columns` returns or refuses."""
+    return _checked_columns(amenities if isinstance(amenities, Scene) else Scene(amenities))
 
 
 def _block_rows(samples: int) -> int:
@@ -426,27 +415,6 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
         return PointBenefit(total=float(total), positive_part=float(pos),
                             negative_part=float(neg))
     return PointBenefit(total=total, positive_part=pos, negative_part=neg)
-
-
-def _resolved_scene(scene: Scene, kernel: Kernel,
-                    profile: str | None) -> tuple[Scene, Kernel]:
-    """The amenities and the kernel of ``scene`` under a profile, as
-    :func:`~isobenefit.scene.resolve_profile` resolves them, with the
-    amenities as a scene of columns: each override replaces the
-    attractiveness of the amenities with its id, in a copy of the scene's
-    columns. Without overrides it is ``scene`` itself. The override values
-    are not checked here; the evaluation refuses a non-finite one."""
-    if profile is None:
-        return scene, kernel
-    found = _find_profile(scene, profile)
-    kernel = _profile_kernel(found, kernel)
-    if not found.overrides:
-        return scene, kernel
-    columns = _amenity_columns(scene).copy()
-    for k, ident in enumerate(scene._ids):
-        if ident in found.overrides:
-            columns[2, k] = float(found.overrides[ident])
-    return Scene._from_columns(scene._ids, columns), kernel
 
 
 def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,

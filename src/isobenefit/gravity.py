@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
 )
 from . import field
 from .field import point_benefit  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .scene import MAX_GRID_CELLS, Amenity, Kernel, Scene
+from .scene import MAX_GRID_CELLS, Amenity, Kernel, Scene, _ReadOnlyDict, _refuse_bad_values
 
 __all__ = [
     "HuffResult",
@@ -54,13 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HuffResult:
-    """Visit probabilities by amenity id; they sum to 1."""
+    """Visit probabilities by amenity id; they sum to 1. ``probabilities``
+    is a read-only dict, which ``dataclasses.asdict``, ``copy.deepcopy`` and
+    pickle can copy."""
 
     probabilities: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities",
-                           MappingProxyType(dict(self.probabilities)))
+        object.__setattr__(self, "probabilities", _ReadOnlyDict(self.probabilities))
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,11 @@ def reilly_breakpoint(amenity1: Amenity, amenity2: Amenity) -> BreakPoint:
     Br = d / (1 + sqrt(A1/A2)), reported as the distance from amenity 2
     (the classical convention: the boundary sits nearer the weaker
     attraction). Swapping the arguments gives the complementary distance;
-    the two always add up to d.
+    the two always add up to d. A coordinate or attractiveness that is not
+    a finite real number raises :class:`InvalidValueError` naming the
+    amenity.
     """
+    _refuse_bad_values((amenity1, amenity2))
     for am in (amenity1, amenity2):
         if not am.attractiveness > 0:
             raise NonPositiveAttractivenessError(
@@ -209,12 +212,15 @@ def numeric_breakpoint(
     the benefit sum (it should include the pair): a scene, whose own amenity
     columns are summed, or a sequence of amenities. Otherwise only the two
     amenities contribute. ``resolution`` must lie in [3, MAX_GRID_CELLS].
+    A coordinate or attractiveness of the pair or the context that is not a
+    finite real number raises :class:`InvalidValueError` naming the amenity.
     """
+    # before the pair geometry, so that a bad value of the pair is named as such
+    _refuse_bad_values((amenity1, amenity2))
     if not 3 <= resolution <= MAX_GRID_CELLS:
         raise InvalidValueError(
             f"resolution must be between 3 and {MAX_GRID_CELLS}, got {resolution}")
     contributors = scene_context if scene_context is not None else (amenity1, amenity2)
-    # before the pair geometry, so that a bad value of the pair is named as such
     columns = field._amenity_columns(contributors)
     d = _pair_geometry(amenity1, amenity2)
     n = resolution + 1  # intervals per pass

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
-from .field import _amenity_columns, _resolved_scene, evaluate_field
-from .scene import GridSpec, Kernel, Raster, Scene
+from .field import evaluate_field
+from .scene import GridSpec, Kernel, Raster, Scene, _checked_columns, _resolved_scene
 
 __all__ = [
     "SummaryStats",
@@ -152,7 +152,7 @@ def pgg_field(
     mine, my_kernel = _resolved_scene(scene, kernel, person)
     theirs, their_kernel = _resolved_scene(scene, kernel, majority)
     if my_kernel == their_kernel:
-        my_columns, their_columns = _amenity_columns(mine), _amenity_columns(theirs)
+        my_columns, their_columns = _checked_columns(mine), _checked_columns(theirs)
         changed = np.flatnonzero(my_columns[2] != their_columns[2])
         ids = [scene._ids[k] for k in changed]
         mine = Scene._from_columns(ids, my_columns[:, changed])

@@ -17,12 +17,25 @@ columns when they are first read. One rule decides which values a scene's
 columns can hold, that of :func:`validate_scene`: finite real numbers,
 bools excluded. The columns of a public scene are None if some coordinate
 or attractiveness breaks it; :func:`validate_scene` then reports every
-culprit, and the fields, point queries, Huff and the breakpoint refuse the
-first with an :class:`~isobenefit.errors.InvalidValueError`. Either cache
-is filled at most once, with values computed from the scene's own
-immutable fields, so two threads that fill it at once store equal values.
-A scene's ``profiles`` and a profile's ``overrides`` are read-only dicts,
-which ``dataclasses.asdict`` and ``copy.deepcopy`` can copy.
+culprit. Either cache is filled at most once, with values computed from
+the scene's own immutable fields, so two threads that fill it at once store
+equal values. A scene's ``profiles`` and a profile's ``overrides`` are
+read-only dicts, which ``dataclasses.asdict`` and ``copy.deepcopy`` can
+copy.
+
+This module is also the one gate between a scene's values and the
+arithmetic of the other modules, under the same rule:
+
+- ``_checked_columns`` hands out a scene's columns, and
+  ``_refuse_bad_values`` is the one culprit-namer: the fields, point
+  queries, Huff and both breakpoints (whose pair it checks first) refuse
+  the first bad value with an :class:`~isobenefit.errors.InvalidValueError`
+  naming the amenity.
+- ``_resolved_scene`` is the one profile resolver, behind the fields, PGG
+  and :func:`resolve_profile`: it applies the overrides to a copy of the
+  columns and the personal E to the kernel, and refuses a value that
+  :func:`validate_scene` would refuse, naming the profile (and the
+  amenity).
 """
 
 from __future__ import annotations
@@ -375,34 +388,72 @@ def resolve_profile(
     profile_name: str | None = None,
 ) -> tuple[tuple[Amenity, ...], Kernel]:
     """Apply a profile to the scene: per-amenity attractiveness overrides and
-    the personal efficiency, where present.
+    the personal efficiency, where present, as :func:`_resolved_scene`
+    checks and applies them.
 
     ``profile_name=None`` (or a profile with no overrides and no personal E)
     returns the baseline unchanged. Positions and the set of amenity ids are
     never altered.
     """
+    resolved, kernel = _resolved_scene(scene, kernel, profile_name)
+    return resolved.amenities, kernel
+
+
+def _refuse_bad_values(amenities) -> None:
+    """Raise :class:`InvalidValueError` naming the first amenity with an x,
+    y or attractiveness that :func:`_finite_number` refuses: non-finite, a
+    bool, text, or an integer beyond the float range."""
+    for am in amenities:
+        for name in ("x", "y", "attractiveness"):
+            value = getattr(am, name)
+            if not _finite_number(value):
+                raise InvalidValueError(f"amenity {am.id!r} {name} must be finite, got {value!r}")
+
+
+def _checked_columns(scene: Scene) -> np.ndarray:
+    """The scene's read-only (3, n) columns of x, y and attractiveness, once
+    every value is finite; else the first culprit is refused by
+    :func:`_refuse_bad_values`."""
+    columns = scene._columns
+    if columns is not None and np.isfinite(columns).all():
+        return columns
+    _refuse_bad_values(scene.amenities)
+    raise AssertionError("a non-finite amenity column without a non-finite value")
+
+
+def _resolved_scene(scene: Scene, kernel: Kernel,
+                    profile_name: str | None) -> tuple[Scene, Kernel]:
+    """The amenities and the kernel of ``scene`` under a profile, with the
+    amenities as a scene of columns: each override replaces the
+    attractiveness of the amenities with its id, in a copy of the scene's
+    columns, and a personal E replaces the kernel's. Without overrides the
+    scene is ``scene`` itself. A personal E or an override value that
+    :func:`validate_scene` would refuse raises :class:`InvalidValueError`
+    naming the profile (and the amenity); an override of an id the scene
+    does not hold is ignored."""
     if profile_name is None:
-        return scene.amenities, kernel
-    profile = _find_profile(scene, profile_name)
-    amenities = tuple(
-        dataclasses.replace(am, attractiveness=float(profile.overrides[am.id]))
-        if am.id in profile.overrides else am
-        for am in scene.amenities
-    )
-    return amenities, _profile_kernel(profile, kernel)
-
-
-def _find_profile(scene: Scene, profile_name: str) -> Profile:
+        return scene, kernel
     profile = scene.profiles.get(profile_name)
     if profile is None:
         raise UnknownProfileError(
             f"profile {profile_name!r} not found; scene has "
             f"{sorted(scene.profiles) or 'no profiles'}"
         )
-    return profile
-
-
-def _profile_kernel(profile: Profile, kernel: Kernel) -> Kernel:
-    if profile.efficiency is None:
-        return kernel
-    return dataclasses.replace(kernel, efficiency=float(profile.efficiency))
+    efficiency = profile.efficiency
+    if efficiency is not None:
+        if not _finite_number(efficiency, positive=True):
+            raise InvalidValueError(f"profile {profile_name!r} efficiency must be finite "
+                                    f"and > 0, got {efficiency!r}")
+        kernel = dataclasses.replace(kernel, efficiency=float(efficiency))
+    overrides = profile.overrides
+    if not overrides:
+        return scene, kernel
+    columns = _checked_columns(scene).copy()
+    for k, ident in enumerate(scene._ids):
+        if ident in overrides:
+            value = overrides[ident]
+            if not _finite_number(value):
+                raise InvalidValueError(f"profile {profile_name!r}: amenity {ident!r} "
+                                        f"attractiveness must be finite, got {value!r}")
+            columns[2, k] = float(value)
+    return Scene._from_columns(scene._ids, columns), kernel

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isobenefit import (
@@ -619,6 +619,28 @@ def test_bad_argument_is_a_named_error(tmp_path, monkeypatch, capsys, profiled, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "profiled.json"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("isolines --scene SCENE --grid 0,0,1,3,3 --levels 1,nan --out l.geojson",
+     "--levels must be finite, got [1.0, nan]"),
+    ("isolines --scene SCENE --grid 0,0,1,3,3 --levels=-inf --out l.geojson",
+     "--levels must be finite, got [-inf]"),
+    ("huff --scene SCENE --origin nan,1 --out h.json", "--origin must be finite, got (nan, 1.0)"),
+    ("huff --scene SCENE --origin 1,inf --out h.json", "--origin must be finite, got (1.0, inf)"),
+    ("curve --efficiencies 1 --attractiveness inf --out c.csv",
+     "--attractiveness must be finite, got inf"),
+    ("curve --efficiencies 1 --attractiveness=-inf --out c.csv",
+     "--attractiveness must be finite, got -inf"),
+    ("curve --efficiencies 1 --dmax nan --out c.csv", "--dmax must be finite, got nan"),
+])
+def test_a_non_finite_flag_value_is_refused_by_one_line_naming_it(
+        tmp_path, monkeypatch, capsys, profiled, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(*(str(profiled) if token == "SCENE" else token for token in argv.split())) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profiled.json"]
+
+
 def test_non_finite_report_is_a_named_error(tmp_path, capsys):
     # the indicators refuse the overflowing mean before any report is written
     raster_path = tmp_path / "huge.csv"
@@ -1059,3 +1081,114 @@ def test_a_pgg_beyond_the_float_range_names_the_scene(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {scene}: the preference gap ")
     assert not out.exists()
+
+
+# -- extreme finite inputs through every subcommand
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+# attractiveness and overrides near the float range, coordinates around the
+# 2**499 guard of the squared distance forms, E around 2**-400 and 2**400;
+# ordinary values ride along, so that extremes meet plain neighbours
+EXTREME_A = _signed(st.floats(1e307, 1.7976931348623157e308) | st.floats(0.5, 4.0))
+EXTREME_XY = _signed(st.floats(2.0 ** 497, 2.0 ** 501) | st.floats(0.0, 4.0))
+EXTREME_E = (st.floats(2.0 ** -402, 2.0 ** -398) | st.floats(2.0 ** 398, 2.0 ** 402)
+             | st.floats(0.5, 2.0))
+
+# every subcommand that reads a scene or a number; SCENE and OUT are placeholders
+EXTREME_COMMANDS = [
+    "field --scene=SCENE {kernel} --grid={grid} --profile=p --out=OUT.csv",
+    "field --scene=SCENE {kernel} --grid={grid} --profile=p --parts --out=OUT.csv",
+    "pgg --scene=SCENE {kernel} --grid={grid} --person=p --out=OUT.csv --report=OUT.json",
+    "uniformity --scene=SCENE {kernel} --grid={grid} --profile=p --out=OUT.json",
+    "isolines --scene=SCENE {kernel} --grid={grid} --profile=p --nlevels=3 --out=OUT.geojson",
+    "sweep --scene=SCENE --kernel={family} --efficiencies={e1!r},{e2!r} --grid={grid} "
+    "--profile=p --out=OUT.json",
+    "breakpoint --scene=SCENE {kernel} --pair=a0,a1 --with-context --out=OUT.json",
+    "huff --scene=SCENE --origin={ox!r},{oy!r} --out=OUT.json",
+    "curve --kernel={family} --attractiveness={a!r} --efficiencies={e1!r},{e2!r} "
+    "--dmax={dmax!r} --samples=5 --out=OUT.csv",
+]
+
+
+def _extreme_case(rows, overrides, person_e=None, family="rational", e=1.0,
+                  grid=(0.0, 0.0, 1.0), e1=1.0, e2=2.0, origin=(7.0, 7.0), a=3.0, dmax=10.0):
+    """The scene of amenities a0, a1, ... at ``rows`` (x, y, A), whose
+    profile p (the person) overrides a0 and m (the majority) a1, and the
+    flag values of :data:`EXTREME_COMMANDS`; the grid is 3 x 3 cells."""
+    person = {"overrides": {"a0": overrides[0]}}
+    if person_e is not None:
+        person["E"] = person_e
+    scene = {"amenities": [{"id": f"a{k}", "x": x, "y": y, "A": value}
+                           for k, (x, y, value) in enumerate(rows)],
+             "majority": "m", "profiles": {"p": person, "m": {"overrides": {"a1": overrides[1]}}}}
+    values = {"family": family, "kernel": f"--kernel={family} --efficiency={e!r}",
+              "grid": ",".join(map(repr, grid)) + ",3,3", "e1": e1, "e2": e2,
+              "ox": origin[0], "oy": origin[1], "a": a, "dmax": dmax}
+    return scene, values
+
+
+@st.composite
+def extreme_cases(draw):
+    rows = [(draw(EXTREME_XY), draw(EXTREME_XY), draw(EXTREME_A))
+            for _ in range(draw(st.integers(2, 3)))]
+    # the grid and the Huff origin start on an amenity's coordinates or anywhere
+    xs = st.sampled_from([row[0] for row in rows]) | EXTREME_XY
+    ys = st.sampled_from([row[1] for row in rows]) | EXTREME_XY
+    cell = draw(st.floats(0.5, 4.0) | st.floats(2.0 ** 496, 2.0 ** 499))
+    return _extreme_case(
+        rows, (draw(EXTREME_A), draw(EXTREME_A)), draw(st.none() | EXTREME_E),
+        draw(st.sampled_from(["rational", "gaussian", "exponential"])), draw(EXTREME_E),
+        (draw(xs), draw(ys), cell), draw(EXTREME_E), draw(EXTREME_E),
+        (draw(xs), draw(ys)), draw(EXTREME_A), abs(draw(EXTREME_XY)))
+
+
+def _file_cells_are_finite(path) -> bool:
+    text = path.read_text()
+    if path.suffix != ".csv":
+        return "Infinity" not in text and "NaN" not in text
+    rows = [line for line in text.splitlines() if not line.startswith(("#", "d,"))]
+    return all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+@given(extreme_cases())
+@settings(max_examples=25, deadline=None)
+# a field spanning more than the float range (isolines), an origin on an
+# amenity (huff), a pair with A < 0 (breakpoint)
+@example(_extreme_case([(0.0, 0.0, 1.7e308), (2.0, 0.0, -1.7e308)], (1.7e308, 1.0),
+                       origin=(0.0, 0.0)))
+# a field that is 0 everywhere (uniformity, isolines), A < 0 in huff's choice set
+@example(_extreme_case([(2.0 ** 500, 0.0, 1.0), (-(2.0 ** 500), 0.0, -2.0)], (1.0, 1.0),
+                       family="gaussian"))
+# a field constant at 2e307, whose amenities sit 2**-370 apart from its cells
+@example(_extreme_case([(4.0917382598701773e+149, 4.0917382598701773e+149, 1e307)] * 2,
+                       (1e307, 1e307), e=9.681479787123296e-122,
+                       grid=(4.0917382598701773e+149, 4.0917382598701773e+149, 1.0)))
+def test_extreme_finite_inputs_end_in_a_result_or_one_named_error(tmp_path_factory, case):
+    scene_doc, values = case
+    directory = tmp_path_factory.mktemp("extreme")
+    scene = directory / "s.json"
+    scene.write_text(json.dumps(scene_doc))
+    for k, template in enumerate(EXTREME_COMMANDS):
+        out = directory / f"out{k}"
+        argv = [token.replace("SCENE", str(scene)).replace("OUT", str(out))
+                for token in template.format(**values).split()]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert caught == [], (argv, [str(w.message) for w in caught])
+        if code == 0:
+            assert stderr.getvalue() == "", argv
+        else:
+            assert code == 1 and stdout.getvalue() == "", argv
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            named = [str(scene)] + [token.split("=")[0] for token in argv[1:]]
+            assert any(name in lines[0] for name in named), (argv, lines)
+        for path in directory.glob(f"out{k}*"):
+            assert _file_cells_are_finite(path), (argv, path.name)

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from isobenefit import (
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
+    Scene,
     SumOverflowError,
     huff_probabilities,
     numeric_breakpoint,
@@ -356,3 +361,37 @@ def test_plain_weights_keep_their_bits():
 def test_non_finite_huff_arguments_rejected(origin, exponent):
     with pytest.raises(InvalidValueError):
         huff_probabilities(origin, [Amenity("a", 1.0, 1.0, 1.0)], distance_exponent=exponent)
+
+
+def test_a_huff_result_can_be_copied_and_stays_read_only():
+    result = huff_probabilities((0.0, 0.0), [Amenity("west", -1.0, 0.0, 2.0),
+                                             Amenity("east", 3.0, 0.0, 1.0)])
+    assert dataclasses.asdict(result) == {"probabilities": dict(result.probabilities)}
+    for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert copied == result
+        with pytest.raises(TypeError):
+            copied.probabilities["west"] = 1.0
+    with pytest.raises(TypeError):
+        result.probabilities["west"] = 1.0
+
+
+BREAKPOINTS = {
+    "reilly": lambda a, b, context: reilly_breakpoint(a, b),
+    "numeric": lambda a, b, context: numeric_breakpoint(a, b, Kernel("rational", 1.0)),
+    # a context that does not hold the pair
+    "numeric-in-context": lambda a, b, context: numeric_breakpoint(
+        a, b, Kernel("rational", 1.0), scene_context=context),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2.5", math.nan, math.inf, 10 ** 400],
+                         ids=["bool", "text", "nan", "inf", "huge-int"])
+@pytest.mark.parametrize("name", ["x", "y", "attractiveness"])
+@pytest.mark.parametrize("breakpoint", sorted(BREAKPOINTS))
+def test_a_bad_value_of_the_pair_is_refused_naming_the_amenity(value, name, breakpoint):
+    good = Amenity("a", 0.0, 0.0, 1.0)
+    bad = dataclasses.replace(Amenity("b", 5.0, 1.0, 2.0), **{name: value})
+    context = Scene((Amenity("c", 2.0, 3.0, 1.0), Amenity("d", 3.0, -3.0, 1.0)))
+    message = f"amenity 'b' {name} must be finite, got {value!r}"
+    with pytest.raises(InvalidValueError, match=re.escape(message)):
+        BREAKPOINTS[breakpoint](good, bad, context)

@@ -23,9 +23,11 @@ from isobenefit import (
     SceneValidationError,
     UnknownProfileError,
     evaluate_field,
+    evaluate_field_parts,
     huff_probabilities,
     load_scene,
     numeric_breakpoint,
+    pgg_field,
     point_benefit,
     resolve_profile,
     validate_scene,
@@ -382,3 +384,55 @@ def test_a_raster_copies_a_file_view_once_and_decouples_the_callers_array():
     values[0] += 1.0
     assert raster.values[0] == values[0] - 1.0
     assert not np.shares_memory(raster.values, table)
+
+
+# every reader that applies a profile: the two fields, pgg with the profile
+# as the person and as the majority, and resolve_profile
+PROFILE_READERS = [
+    lambda scene, kernel, grid: evaluate_field(scene, kernel, grid, "p").values.tolist(),
+    lambda scene, kernel, grid: [getattr(evaluate_field_parts(scene, kernel, grid, "p"),
+                                         part).values.tolist()
+                                 for part in ("total", "positive", "negative")],
+    lambda scene, kernel, grid: pgg_field(scene, kernel, grid, "p").values.tolist(),
+    lambda scene, kernel, grid: pgg_field(scene, kernel, grid, None, "p").values.tolist(),
+    lambda scene, kernel, grid: resolve_profile(scene, kernel, "p"),
+]
+
+
+@pytest.mark.parametrize("profile, message", [
+    (Profile("p", overrides={"b": "2.5"}),
+     "profile 'p': amenity 'b' attractiveness must be finite, got '2.5'"),
+    (Profile("p", overrides={"b": True}),
+     "profile 'p': amenity 'b' attractiveness must be finite, got True"),
+    (Profile("p", overrides={"b": math.nan}),
+     "profile 'p': amenity 'b' attractiveness must be finite, got nan"),
+    (Profile("p", efficiency=True), "profile 'p' efficiency must be finite and > 0, got True"),
+    (Profile("p", efficiency="2"), "profile 'p' efficiency must be finite and > 0, got '2'"),
+    (Profile("p", efficiency=0), "profile 'p' efficiency must be finite and > 0, got 0"),
+    (Profile("p", efficiency=math.nan),
+     "profile 'p' efficiency must be finite and > 0, got nan"),
+], ids=["override-text", "override-bool", "override-nan", "E-bool", "E-text", "E-zero", "E-nan"])
+@pytest.mark.parametrize("read", PROFILE_READERS,
+                         ids=["field", "parts", "pgg-person", "pgg-majority", "resolve"])
+def test_a_profile_value_that_validate_scene_refuses_is_refused_by_every_resolver(
+        profile, message, read):
+    scene = Scene(amenities=(Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 4.0, 0.0, 2.0)),
+                  profiles={"p": profile})
+    with pytest.raises(SceneValidationError):
+        validate_scene(scene)
+    with pytest.raises(InvalidValueError, match=re.escape(message)):
+        read(scene, Kernel("rational", 1.0), GridSpec(0.0, 0.0, 1.0, 3, 2))
+
+
+@pytest.mark.parametrize("value", [np.float64(2.5), np.int64(2)], ids=["float64", "int64"])
+@pytest.mark.parametrize("read", PROFILE_READERS,
+                         ids=["field", "parts", "pgg-person", "pgg-majority", "resolve"])
+def test_numpy_profile_values_resolve_to_the_floats_they_equal(value, read):
+    def scene_of(v):
+        return Scene(amenities=(Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 4.0, 0.0, 2.0)),
+                     profiles={"p": Profile("p", efficiency=v, overrides={"b": v})})
+    validate_scene(scene_of(value))
+    kernel, grid = Kernel("gaussian", 0.5), GridSpec(0.0, 0.0, 1.0, 3, 2)
+    assert read(scene_of(value), kernel, grid) == read(scene_of(float(value)), kernel, grid)
+    amenities, kern = resolve_profile(scene_of(value), kernel, "p")
+    assert type(amenities[1].attractiveness) is float and type(kern.efficiency) is float
