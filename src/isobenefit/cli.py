@@ -35,12 +35,14 @@ import numpy as np
 
 from .errors import (
     CoincidentAmenitiesError,
+    GridTooSmallError,
     InvalidValueError,
     IsobenefitError,
     NoFiniteRangeError,
     NoInteriorMinimumError,
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
+    SceneValidationError,
     SumOverflowError,
     ZeroMeanError,
 )
@@ -237,7 +239,10 @@ def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None, lis
         raster = read_raster(args.raster)
     else:
         raster = _scene_field(args, evaluate_field)
-    contours = extract_isolines(raster, levels=args.levels, nlevels=args.nlevels)
+    try:
+        contours = extract_isolines(raster, levels=args.levels, nlevels=args.nlevels)
+    except GridTooSmallError as exc:  # name the source of the raster
+        raise GridTooSmallError(f"{args.raster or '--grid'}: {exc}") from None
     return [f"wrote {args.out} ({len(contours.lines)} lines "
             f"at {len(contours.levels)} levels)"], None, [contours_product(contours, args.out)]
 
@@ -510,7 +515,7 @@ def _join_minus_values(argv: list[str]) -> list[str]:
 # errors that the values held by --scene or --raster cause, not a flag:
 # main prefixes them with the file's path
 _INPUT_VALUE_ERRORS = (SumOverflowError, NoFiniteRangeError, ZeroMeanError,
-                       NonPositiveAttractivenessError)
+                       NonPositiveAttractivenessError, SceneValidationError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,14 +30,15 @@ removed. The helper is a fresh interpreter and not a fork: numpy may have
 started threads by then, forking such a process is deprecated from Python
 3.12 and unsafe on macOS, and Windows has no fork.
 
-Scenes are read in one bulk pass, split in two: the parser checks structure
-and types (a bool or a numeric string is refused as a number), then
+Scenes are read in two steps: the parser checks structure and types (a
+bool or a numeric string is refused as a number), then
 :func:`~isobenefit.scene.validate_scene` checks values (finite, with
-distinct non-empty ids), profiles included. Each checks a whole scene at
-once and loops over the entries only when that check fails, to name the
-culprit with the message of a value-by-value check. The parser hands the
-scene its amenity ids and its (3, n) float columns and builds no
-``Amenity`` object; validation checks those columns.
+distinct non-empty ids), profiles included. Each checks a scene's
+amenities in bulk, and loops over them only when that check fails, to name
+the culprit with the message of a value-by-value check. Profile values are
+few, and each step checks them one by one. The parser hands the scene its
+amenity ids and its (3, n) float columns and builds no ``Amenity`` object;
+validation checks those columns.
 
 Rasters are read in one C pass: the data lines go to one ``np.loadtxt``
 call, whose tokenizer converts each cell as ``float()`` does, and shape
@@ -378,21 +379,9 @@ def _json_amenities(raw_amenities: list, path: str) -> tuple[list[str], np.ndarr
 
 
 def _json_profiles(raw_profiles: dict, path: str) -> dict[str, Profile]:
-    """The profiles of a scene's JSON ``"profiles"`` object, their E values
-    and overrides type-checked in bulk, as :func:`_json_amenities` checks
-    amenities; the per-value loop runs only to name the first culprit."""
-    try:
-        bodies = list(raw_profiles.values())
-        efficiencies = [body.get("E") for body in bodies]
-        overrides = [body.get("overrides", {}) for body in bodies]
-        numbers = itertools.chain([e for e in efficiencies if e is not None],
-                                  *map(dict.values, overrides))
-        if set(map(type, numbers)) <= {float, int}:
-            return {name: Profile(name, None if e is None else float(e),
-                                  dict(zip(table, map(float, table.values()))))
-                    for name, e, table in zip(raw_profiles, efficiencies, overrides)}
-    except (AttributeError, TypeError, OverflowError):  # not an object, a huge int
-        pass
+    """The profiles of a scene's JSON ``"profiles"`` object, each E value
+    and override checked one by one by :func:`_require_number`, which names
+    the first culprit."""
     profiles = {}
     for name, body in raw_profiles.items():
         if not isinstance(body, dict):
@@ -412,32 +401,24 @@ def _json_profiles(raw_profiles: dict, path: str) -> dict[str, Profile]:
 
 def _scene_from_csv(path: str) -> Scene:
     with _text_file(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [(n, row) for n, row in enumerate(rows, start=1)
-            if row and any(cell.strip() for cell in row)]
+        rows = [(n, row) for n, row in enumerate(csv.reader(handle), start=1)
+                if row and any(cell.strip() for cell in row)]
     if not rows:
         raise _format_error(path, "empty scene file")
     header_line, header = rows[0]
     if [cell.strip() for cell in header] != ["id", "x", "y", "A"]:
         raise _format_error(path, 'header must be exactly "id,x,y,A"', header_line)
-    try:
-        parsed = [(ident.strip(), float(x), float(y), float(a))
-                  for _, (ident, x, y, a) in rows[1:]]
-    except ValueError:  # a row without 4 fields, or a cell that is not a number
-        pass
-    else:
-        ids = [row[0] for row in parsed]
-        columns = np.array([[row[k] for row in parsed] for k in (1, 2, 3)], dtype=float)
-        return Scene._from_columns(ids, columns)
-    for n, row in rows[1:]:  # name the first culprit
+    ids, columns = [], ([], [], [])
+    for n, row in rows[1:]:
         if len(row) != 4:
             raise _format_error(path, f"expected 4 fields, got {len(row)}", n)
-        for cell, what in zip(row[1:], ("x", "y", "A")):
+        ids.append(row[0].strip())
+        for cell, what, column in zip(row[1:], ("x", "y", "A"), columns):
             try:
-                float(cell)
+                column.append(float(cell))
             except ValueError:
                 raise _format_error(path, f"{what} is not a number: {cell.strip()!r}", n) from None
-    raise AssertionError("a refused scene row without a culprit")
+    return Scene._from_columns(ids, np.array(columns, dtype=float))
 
 
 def load_scene(path: str) -> Scene:

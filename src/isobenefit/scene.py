@@ -8,20 +8,19 @@ immediately.
 
 A ``Scene`` carries its amenities as their ids and one read-only (3, n)
 float array whose rows are x, y and attractiveness. Validation, fields,
-Huff, breakpoint contexts and PGG read the numbers from that array. The
-scene loaders build it straight from the file, and build no
-``Amenity`` object: ``scene.amenities`` is made from the columns when it is
-first read, and then kept. A scene built the public way,
-``Scene(amenities=...)``, holds its ``Amenity`` objects and makes its
-columns when they are first read. One rule decides which values a scene's
-columns can hold, that of :func:`validate_scene`: finite real numbers,
-bools excluded. The columns of a public scene are None if some coordinate
-or attractiveness breaks it; :func:`validate_scene` then reports every
-culprit. Either cache is filled at most once, with values computed from
-the scene's own immutable fields, so two threads that fill it at once store
-equal values. A scene's ``profiles`` and a profile's ``overrides`` are
-read-only dicts, which ``dataclasses.asdict`` and ``copy.deepcopy`` can
-copy.
+Huff, breakpoint contexts and PGG read the numbers from that array. A
+scene built the public way, ``Scene(amenities=...)``, makes both from its
+``Amenity`` objects when it is built. The scene loaders build them straight
+from the file, and build no ``Amenity`` object: a loaded scene's
+``amenities`` is made from the columns when it is first read, and then
+kept. That cache is filled at most once, with values computed from the
+scene's own immutable fields, so two threads that fill it at once store
+equal values. One rule decides which values a scene's columns can hold,
+that of :func:`validate_scene`: finite real numbers, bools excluded. The
+columns of a public scene are None if some coordinate or attractiveness
+breaks it; :func:`validate_scene` then reports every culprit. A scene's
+``profiles`` and a profile's ``overrides`` are read-only dicts, which
+``dataclasses.asdict`` and ``copy.deepcopy`` can copy.
 
 This module is also the one gate between a scene's values and the
 arithmetic of the other modules, under the same rule:
@@ -138,6 +137,15 @@ class GridSpec:
         if not (math.isfinite(last_x) and math.isfinite(last_y)):
             raise InvalidValueError(
                 f"grid cell centers must be finite, got a last center of ({last_x!r}, {last_y!r})")
+        # a cell wider than 4 float spacings at the axis's largest magnitude
+        # keeps the rounded centers origin + k*cell_size of neighbours apart
+        for axis, n, first, last in (("x", self.ncols, self.origin_x, last_x),
+                                     ("y", self.nrows, self.origin_y, last_y)):
+            largest = max(abs(first), abs(last), (n - 1) * self.cell_size)
+            if n > 1 and not self.cell_size > 4 * math.ulp(largest):
+                raise InvalidValueError(
+                    f"cell_size {self.cell_size!r} is too small beside {axis} values of "
+                    f"magnitude {largest!r}: neighbouring cells would share a center")
 
     @property
     def size(self) -> int:
@@ -223,7 +231,7 @@ class Scene:
 
     ``majority`` optionally names the profile that stands for the baseline
     preferences of most citizens; when unset, the unmodified scene is the
-    baseline. The amenity ids and columns are cached as the module
+    baseline. The scene holds its amenity ids and columns as the module
     docstring describes.
     """
 
@@ -232,8 +240,11 @@ class Scene:
     majority: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amenities", tuple(self.amenities))
-        object.__setattr__(self, "profiles", _ReadOnlyDict(self.profiles))
+        amenities = tuple(self.amenities)
+        for name, value in (("amenities", amenities), ("profiles", _ReadOnlyDict(self.profiles)),
+                            ("_ids", tuple(am.id for am in amenities)),
+                            ("_columns", _float_columns(amenities))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_columns(cls, ids, columns: np.ndarray,
@@ -258,16 +269,12 @@ class Scene:
             self._columns.flags.writeable = False
 
     def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: a part built on first use
+        # reached only for an attribute not set yet: a loaded scene's
+        # amenities, built on first read
         state = self.__dict__
-        if name == "amenities" and "_columns" in state:
-            value = tuple(map(Amenity, state["_ids"], *state["_columns"].tolist()))
-        elif name == "_ids" and "amenities" in state:
-            value = tuple(am.id for am in state["amenities"])
-        elif name == "_columns" and "amenities" in state:
-            value = _float_columns(state["amenities"])
-        else:
+        if name != "amenities" or "_columns" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = tuple(map(Amenity, state["_ids"], *state["_columns"].tolist()))
         object.__setattr__(self, name, value)
         return value
 
@@ -313,23 +320,6 @@ def _sound_amenity_ids(scene: Scene) -> set[str] | None:
     return seen
 
 
-def _sound_profiles(profiles: Mapping[str, Profile], ids: set[str]) -> bool:
-    """True if every profile efficiency is a finite float or int > 0, and
-    every override a finite float or int for an amenity in ``ids``. Checked
-    in bulk: types and targets first, then one ``np.isfinite`` for all."""
-    efficiencies = [p.efficiency for p in profiles.values() if p.efficiency is not None]
-    overrides = [p.overrides for p in profiles.values()]
-    values = efficiencies + [v for table in overrides for v in table.values()]
-    if not (set(map(type, values)) <= {float, int}
-            and all(table.keys() <= ids for table in overrides)):
-        return False
-    try:
-        numbers = np.array(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return False
-    return bool(np.isfinite(numbers).all() and (numbers[:len(efficiencies)] > 0).all())
-
-
 def validate_scene(scene: Scene) -> Scene:
     """Check every scene invariant; return the scene unchanged if all hold.
 
@@ -358,19 +348,18 @@ def validate_scene(scene: Scene) -> Scene:
             _check_finite("NonFiniteValue", subject, "x", am.x, violations)
             _check_finite("NonFiniteValue", subject, "y", am.y, violations)
 
-    if not _sound_profiles(scene.profiles, seen):  # name every culprit, in order
-        for name, prof in scene.profiles.items():
-            if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):
+    for name, prof in scene.profiles.items():
+        if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):
+            violations.append(Violation(
+                "NonPositiveEfficiency", name,
+                f"profile efficiency must be finite and > 0, got {prof.efficiency!r}"))
+        for target, value in prof.overrides.items():
+            if target not in seen:
                 violations.append(Violation(
-                    "NonPositiveEfficiency", name,
-                    f"profile efficiency must be finite and > 0, got {prof.efficiency!r}"))
-            for target, value in prof.overrides.items():
-                if target not in seen:
-                    violations.append(Violation(
-                        "UnknownOverrideTarget", target,
-                        f"profile {name!r} overrides amenity {target!r} which is not in the scene"))
-                _check_finite("NonFiniteValue", f"{name}:{target}", "override value", value,
-                              violations)
+                    "UnknownOverrideTarget", target,
+                    f"profile {name!r} overrides amenity {target!r} which is not in the scene"))
+            _check_finite("NonFiniteValue", f"{name}:{target}", "override value", value,
+                          violations)
 
     if scene.majority is not None and scene.majority not in scene.profiles:
         violations.append(Violation(

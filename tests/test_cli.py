@@ -160,6 +160,8 @@ def test_bad_grid_flag_is_a_usage_error(one_amenity, tmp_path):
 @pytest.mark.parametrize("grid, message", [
     ("0,0,1,100000,100000", "exceeds the limit of 67108864 cells"),
     ("0,0,0,2,2", "cell_size must be finite and > 0"),
+    ("4.0917382598701773e+149,4.0917382598701773e+149,1.0,3,3",
+     "neighbouring cells would share a center"),
 ])
 def test_bad_grid_value_is_a_named_error(tmp_path, monkeypatch, capsys, grid, message):
     # the grid is refused before the scene is even read, so nothing is evaluated
@@ -191,6 +193,22 @@ def test_overflowing_field_names_the_scene(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
 
+def test_a_scene_validation_error_names_the_scene(tmp_path, capsys):
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"amenities": [{"id": "a", "x": 0, "y": 0, "A": 1}] * 2}))
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"amenities": [{"id": "a", "x": 0, "y": 0, "A": 1}],
+                                   "profiles": {"p": {"overrides": {"zz": 2}}}}))
+    for scene, message in (
+            (dup, "DuplicateId('a'): amenity id appears more than once"),
+            (unknown, "UnknownOverrideTarget('zz'): profile 'p' overrides amenity 'zz' "
+                      "which is not in the scene")):
+        assert run("field", "--scene", scene, "--grid", "0,0,1,2,2",
+                   "--out", tmp_path / "f.csv") == 1
+        assert capsys.readouterr().err == f"error: {scene}: {message}\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 # -- isolines
 
 
@@ -220,6 +238,17 @@ def test_isolines_constant_raster_with_nlevels_fails(tmp_path, capsys):
     assert run("isolines", "--raster", raster_path, "--nlevels", "2",
                "--out", tmp_path / "x.geojson") == 1
     assert "constant" in capsys.readouterr().err
+
+
+def test_isolines_of_a_too_small_raster_names_its_source(tmp_path, capsys, one_amenity):
+    thin = tmp_path / "thin.csv"
+    thin.write_text("# 3,1,0.0,0.0,1.0\n1.0,2.0,3.0\n")
+    for source, name, shape in ((["--raster", thin], thin, "3x1"),
+                                (["--scene", one_amenity, "--grid", "0,0,1,1,3"], "--grid", "1x3")):
+        assert run("isolines", *source, "--nlevels", "2", "--out", tmp_path / "x.geojson") == 1
+        assert capsys.readouterr().err == (
+            f"error: {name}: contour extraction needs at least a 2x2 raster, got {shape}\n")
+    assert not (tmp_path / "x.geojson").exists()
 
 
 def test_isolines_needs_exactly_one_level_flag(tmp_path, one_amenity, capsys):
@@ -1163,7 +1192,7 @@ def _file_cells_are_finite(path) -> bool:
 # a field that is 0 everywhere (uniformity, isolines), A < 0 in huff's choice set
 @example(_extreme_case([(2.0 ** 500, 0.0, 1.0), (-(2.0 ** 500), 0.0, -2.0)], (1.0, 1.0),
                        family="gaussian"))
-# a field constant at 2e307, whose amenities sit 2**-370 apart from its cells
+# a grid whose nine cells share one center, refused naming --grid
 @example(_extreme_case([(4.0917382598701773e+149, 4.0917382598701773e+149, 1e307)] * 2,
                        (1e307, 1e307), e=9.681479787123296e-122,
                        grid=(4.0917382598701773e+149, 4.0917382598701773e+149, 1.0)))

@@ -188,6 +188,17 @@ def test_gridspec_refuses_cell_centers_beyond_the_float_range(origin, cell, n):
     assert GridSpec(-1e308, 0.0, 1e308, 2, 1).x_coords().tolist() == [-1e308, 0.0]
 
 
+def test_gridspec_refuses_neighbouring_centers_that_coincide():
+    # at 4e149 one float spacing is ~5e133, so every center rounds to the origin
+    big = 4.0917382598701773e+149
+    for args in ((big, 0.0, 1.0, 3, 1), (0.0, big, 1.0, 1, 3)):
+        with pytest.raises(InvalidValueError, match="neighbouring cells would share a center"):
+            GridSpec(*args)
+    assert GridSpec(big, big, 1.0, 1, 1).size == 1  # a lone center has no neighbour
+    fine = GridSpec(1e6, 1e6, 1e-9, 3, 3)
+    assert len(set(fine.x_coords().tolist())) == len(set(fine.y_coords().tolist())) == 3
+
+
 def test_gridspec_cell_centers():
     grid = GridSpec(origin_x=-1.0, origin_y=2.0, cell_size=0.5, ncols=3, nrows=2)
     assert grid.cell_center(0, 0) == (-1.0, 2.0)
@@ -317,6 +328,20 @@ def test_the_cached_columns_are_read_only(tmp_path):
         with pytest.raises(ValueError):
             columns[2] += 1.0
         assert scene._columns.tolist() == [list(row) for row in zip(*AMENITY_ROWS)][1:]
+
+
+def test_a_public_scene_holds_its_ids_and_columns_once_built():
+    scene = Scene(amenities=tuple(Amenity(i, float(x), float(y), float(a))
+                                  for i, x, y, a in AMENITY_ROWS))
+    ids = tuple(row[0] for row in AMENITY_ROWS)
+    want = [list(row) for row in zip(*AMENITY_ROWS)][1:]
+    for built in (scene, copy.deepcopy(scene), pickle.loads(pickle.dumps(scene)),
+                  dataclasses.replace(scene, majority=None)):
+        state = vars(built)  # set, not computed on first read
+        assert state["_ids"] == ids
+        assert state["_columns"].tolist() == want and not state["_columns"].flags.writeable
+    bad = Scene(amenities=(Amenity("a", 0.0, math.nan, 1.0),))
+    assert vars(bad)["_ids"] == ("a",) and vars(bad)["_columns"] is None
 
 
 def test_an_invalid_library_scene_is_refused_naming_the_amenity():

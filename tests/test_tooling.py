@@ -2,11 +2,13 @@
 the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints and
-writes files; a valid scene loads without a per-value check and a valid
-raster without the per-line parser; a numeric breakpoint builds its
+writes files; a valid scene's amenities load without a per-value check
+and its profile values are checked once in each step, and a valid raster
+loads without the per-line parser; a numeric breakpoint builds its
 amenity columns once, not once per pass; a loaded scene's point queries
 build no Amenity object beyond the pair they name; a call that writes no
-large table imports no ``subprocess``; and the row-formatting helper
+large table imports no ``subprocess``; every top-level private name of
+the package is read by its code; and the row-formatting helper
 interpreter needs nothing but the standard library."""
 
 import ast
@@ -146,17 +148,18 @@ def load_counting_checks(tmp_path, monkeypatch, where=None, bad=None):
 @pytest.mark.parametrize("bad, error", [
     (None, None), (True, SceneFormatError), (math.nan, SceneValidationError)])
 def test_a_valid_scene_loads_without_per_value_checks(tmp_path, monkeypatch, bad, error):
-    # a valid scene's values, its profiles' included, are checked in bulk,
-    # once each: the parser checks types, validate_scene values; the
-    # per-value checks run only to name the culprit of a refused scene.
-    # load_scene calls validate_scene through the io module, where the
-    # benchmark's tracer wraps it.
+    # a valid scene's amenity values are checked in bulk, once each: the
+    # parser checks types, validate_scene values; the per-value checks run
+    # on them only to name the culprit of a refused scene. Its profile
+    # values (60 overrides and one E) are checked one by one, once in each
+    # step. load_scene calls validate_scene through the io module, where
+    # the benchmark's tracer wraps it.
     where = None if error is None else "amenity"
     scene, calls = load_counting_checks(tmp_path, monkeypatch, where, bad)
     if error is None:
         assert len(scene.amenities) == 200
         assert sum(len(p.overrides) for p in scene.profiles.values()) == 60
-        assert calls == {"_finite_number": 0, "_require_number": 0, "validate_scene": 1}
+        assert calls == {"_finite_number": 61, "_require_number": 61, "validate_scene": 1}
     else:
         assert type(scene) is error
         assert calls["_finite_number"] + calls["_require_number"] > 0
@@ -230,6 +233,25 @@ def test_a_valid_raster_loads_without_the_per_line_parser(tmp_path, monkeypatch,
     with pytest.raises(SceneFormatError, match="bad value"):
         scene_io.read_raster(str(path))
     assert calls["_parse_cells"] > 0
+
+
+def test_every_private_helper_is_read_somewhere_in_the_package():
+    # a top-level private name that no code in the package reads is a
+    # helper left behind when its last caller went
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "isobenefit").glob("*.py")]
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert private and sorted(private - read) == []
 
 
 def test_the_row_helper_imports_only_sys():
