@@ -123,6 +123,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not _finite_number(self.cell_size, positive=True):
             raise InvalidValueError(f"cell_size must be finite and > 0, got {self.cell_size!r}")
+        for name, count in (("ncols", self.ncols), ("nrows", self.nrows)):
+            # a float count would give np.arange(2.5) three centers for a size of 5.0
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise InvalidValueError(f"{name} must be an integer, got {count!r}")
         if self.ncols < 1 or self.nrows < 1:
             raise InvalidValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         if self.ncols * self.nrows > MAX_GRID_CELLS:

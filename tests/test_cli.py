@@ -849,6 +849,106 @@ def test_module_entry_point_runs():
     assert "usage: isobenefit breakpoint" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    "sweep --scene SCENE --grid 0,0,1,3,3 --efficiencies -0.5,1",
+    "sweep --scene SCENE --grid 0,0,1,3,3 --efficiencies=-0.5,1",
+    "curve --efficiencies -0.5,2 --out c.csv",
+    "curve --efficiencies=-0.5,2 --out c.csv",
+])
+def test_a_negative_efficiencies_list_reaches_the_e_check(
+        tmp_path, monkeypatch, capsys, profiled, argv):
+    # separated, argparse took "-0.5,1" for an option and exited 2
+    monkeypatch.chdir(tmp_path)
+    assert run(*(str(profiled) if token == "SCENE" else token for token in argv.split())) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --efficiencies: kernel efficiency must be finite and > 0, got -0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profiled.json"]
+
+
+# -- repeated calls in one process
+
+
+def _call(capsys, *argv):
+    code = run(*argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_scene_rewritten_in_place_is_read_again(capsys, pair):
+    # same size and the old times restored: only the bytes tell the files apart
+    before = pair.stat()
+    first = _call(capsys, "huff", "--scene", pair, "--origin", "1.5,0")
+    pair.write_text(pair.read_text().replace('"A": 4', '"A": 3'))
+    os.utime(pair, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = pair.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    second = _call(capsys, "huff", "--scene", pair, "--origin", "1.5,0")
+    assert first == (0, "big\t0.8\nsmall\t0.2\n", "")
+    assert second == (0, "big\t0.75\nsmall\t0.25\n", "")
+
+
+@pytest.mark.parametrize("order", [("s.csv", "s.json"), ("s.json", "s.csv")])
+def test_the_same_bytes_are_read_by_the_format_of_each_path(tmp_path, capsys, order):
+    text = "id,x,y,A\nbig,0,0,4\nsmall,3,0,1\n"
+    results = {}
+    for name in order:
+        (tmp_path / name).write_text(text)
+        results[name] = _call(capsys, "huff", "--scene", tmp_path / name, "--origin", "1.5,0")
+    assert results["s.csv"] == (0, "big\t0.8\nsmall\t0.2\n", "")
+    assert results["s.json"] == (
+        1, "", f"error: {tmp_path / 's.json'}:1: invalid JSON: Expecting value\n")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("{", "{path}:1: invalid JSON: Expecting property name enclosed in double quotes"),
+    ('{"amenities": [{"id": "a", "x": 0, "y": 0, "A": 1}, {"id": "a", "x": 1, "y": 0, "A": 1}]}',
+     "{path}: DuplicateId('a'): amenity id appears more than once"),
+])
+def test_a_refused_scene_is_refused_on_every_call(tmp_path, capsys, pair, bad, message):
+    assert _call(capsys, "huff", "--scene", pair, "--origin", "1.5,0")[0] == 0
+    copy = tmp_path / "copy.json"
+    for path in (pair, pair, copy, copy):
+        path.write_text(bad)
+        assert _call(capsys, "huff", "--scene", path, "--origin", "1.5,0") == (
+            1, "", f"error: {message.format(path=path)}\n")
+
+
+def test_the_same_bytes_under_a_second_path_name_that_path(tmp_path, capsys):
+    # a disamenity is a valid scene that huff refuses, naming the scene
+    text = json.dumps({"amenities": [{"id": "park", "x": 0, "y": 0, "A": 3},
+                                     {"id": "shop", "x": 2, "y": 2, "A": 1},
+                                     {"id": "dump", "x": 4, "y": 0, "A": -1}]})
+    for name in ("one.json", "two.json"):
+        path = tmp_path / name
+        path.write_text(text)
+        assert _call(capsys, "huff", "--scene", path, "--origin", "1,1") == (
+            1, "", f"error: {path}: amenity 'dump' has attractiveness -1.0; "
+                   "the probability model needs A > 0\n")
+        code, out, err = _call(capsys, "breakpoint", "--scene", path, "--pair", "park,shop")
+        assert (code, err) == (0, "") and out.startswith("pair 'park' .. 'shop'")
+
+
+@pytest.mark.parametrize("argv", [["huff", "--help"], ["huff", "--bogus"], ["--help"],
+                                  ["paint"]])
+def test_a_parser_is_built_once_and_prints_the_same_text_every_call(capsys, argv):
+    cli._build_parser.cache_clear()
+    first = _exit_code_and_output(capsys, main, argv)
+    later = [_exit_code_and_output(capsys, main, argv) for _ in range(2)]
+    assert later == [first, first]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_each_subcommand_parser_is_built_once_per_process(pair):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        for argv in (["huff", "--scene", pair, "--origin", "1.5,0"],
+                     ["breakpoint", "--scene", pair, "--pair", "big,small"]):
+            assert run(*argv) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
 # -- mutated raster input
 
 

@@ -199,6 +199,22 @@ def test_gridspec_refuses_neighbouring_centers_that_coincide():
     assert len(set(fine.x_coords().tolist())) == len(set(fine.y_coords().tolist())) == 3
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, np.float64(2.0), np.True_, "2", None])
+def test_gridspec_refuses_a_cell_count_that_is_not_an_integer(count):
+    # GridSpec(0, 0, 1, 2.5, 2) had 3 x centers for a size of 5.0, and a
+    # bool was taken as one column
+    for args, name in (((0.0, 0.0, 1.0, count, 2), "ncols"), ((0.0, 0.0, 1.0, 2, count), "nrows")):
+        with pytest.raises(InvalidValueError, match=f"^{name} must be an integer, got "):
+            GridSpec(*args)
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_gridspec_takes_python_and_numpy_integer_counts(count):
+    grid = GridSpec(0.0, 0.0, 1.0, count, count)
+    assert grid.size == 9
+    assert len(grid.x_coords()) == len(grid.y_coords()) == 3
+
+
 def test_gridspec_cell_centers():
     grid = GridSpec(origin_x=-1.0, origin_y=2.0, cell_size=0.5, ncols=3, nrows=2)
     assert grid.cell_center(0, 0) == (-1.0, 2.0)

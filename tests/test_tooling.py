@@ -6,7 +6,8 @@ writes files; a valid scene's amenities load without a per-value check
 and its profile values are checked once in each step, and a valid raster
 loads without the per-line parser; a numeric breakpoint builds its
 amenity columns once, not once per pass; a loaded scene's point queries
-build no Amenity object beyond the pair they name; a call that writes no
+build no Amenity object beyond the pair they name; repeated calls on one
+scene file parse and validate it once; a call that writes no
 large table imports no ``subprocess``; every top-level private name of
 the package is read by its code; and the row-formatting helper
 interpreter needs nothing but the standard library."""
@@ -212,6 +213,27 @@ def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkey
     assert cli.main(["huff", "--scene", str(path), "--origin", "-1,-1",
                      "--out", str(tmp_path / "h.json")]) == 0
     assert calls == {"__init__": 0, "_float_columns": 0}
+
+
+def test_repeated_calls_on_one_scene_parse_and_validate_it_once(tmp_path, monkeypatch):
+    # point queries are run as many short calls on one scene: a process
+    # parses and validates the bytes of a scene file once, and the CLI still
+    # loads it through its own load_scene name, where the tracer wraps it
+    rng = random.Random(3)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"amenities": [
+        {"id": f"a{k}", "x": rng.uniform(0, 10), "y": rng.uniform(0, 10),
+         "A": rng.uniform(0.5, 3.0)} for k in range(200)]}))
+    calls = {"load_scene": 0, "_scene_from_json": 0, "validate_scene": 0}
+    counting(monkeypatch, cli, "load_scene", calls)
+    counting(monkeypatch, scene_io, "_scene_from_json", calls)
+    counting(monkeypatch, scene_io, "validate_scene", calls)
+    for _ in range(3):
+        assert cli.main(["breakpoint", "--scene", str(path), "--pair", "a0,a1",
+                         "--with-context", "--out", str(tmp_path / "b.json")]) == 0
+        assert cli.main(["huff", "--scene", str(path), "--origin", "-1,-1",
+                         "--out", str(tmp_path / "h.json")]) == 0
+    assert calls == {"load_scene": 6, "_scene_from_json": 1, "validate_scene": 1}
 
 
 @pytest.mark.parametrize("name", ["r.csv", "r.asc"])
