@@ -13,7 +13,10 @@ floats, so a re-parsed output is bit-identical to the library result and
 two runs with the same inputs produce the same bytes.
 
 Exit code 0 on success, 1 on any domain or IO error (the message names the
-offending file or flag), 2 on bad command-line syntax.
+offending file or flag), 2 on bad command-line syntax. Before parsing,
+:func:`_bind_flag_values` glues each ``--flag`` word to a next word that
+starts with one ``-``, so a value such as ``-1e-3`` or ``-inf`` works
+separated as it does in ``--flag=value``.
 
 A call uses the parser of the subcommand its first argument names, and
 no other: the point queries (breakpoint, huff) are run as many short calls,
@@ -499,26 +502,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# flags whose values legitimately start with a minus sign (negative origins,
-# negative contour levels, a refused negative E that must reach its check);
-# argparse would read those as new options
-_LEADING_MINUS_FLAGS = {"--grid", "--origin", "--levels", "--efficiencies"}
-
-
-def _join_minus_values(argv: list[str]) -> list[str]:
-    joined: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (token in _LEADING_MINUS_FLAGS and i + 1 < len(argv)
-                and argv[i + 1][:1] == "-" and argv[i + 1][1:2] in set("0123456789.")):
-            joined.append(f"{token}={argv[i + 1]}")
-            skip = True
+def _bind_flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--name`` word glued to a next word that starts
+    with one ``-`` (``--origin -inf,0`` becomes ``--origin=-inf,0``), as
+    argparse reads ``-1e-3`` or ``-inf`` as an option otherwise. No parser
+    here has positionals, so such a word is the flag's value or an error
+    either way, and argparse still resolves the flag and checks the value.
+    A word already holding ``=``, the bare ``--``, ``--help`` (or a prefix
+    of it) and a next word ``-h`` are left as they are."""
+    bound: list[str] = []
+    for word in argv:
+        if (word[:1] == "-" and word[1:2] != "-" and word != "-h" and bound
+                and bound[-1][:2] == "--" and "=" not in bound[-1]
+                and not "--help".startswith(bound[-1])):
+            bound[-1] += "=" + word
         else:
-            joined.append(token)
-    return joined
+            bound.append(word)
+    return bound
 
 
 # errors that the values held by --scene or --raster cause, not a flag:
@@ -527,10 +527,21 @@ _INPUT_VALUE_ERRORS = (SumOverflowError, NoFiniteRangeError, ZeroMeanError,
                        NonPositiveAttractivenessError, SceneValidationError)
 
 
+def _sizing_input(args: argparse.Namespace) -> str:
+    """The input that sizes a command's arrays: the --raster it reads, else
+    its --grid, --samples or --resolution, else its --scene."""
+    if getattr(args, "raster", None) is not None:
+        return args.raster
+    for name in ("grid", "samples", "resolution"):
+        if getattr(args, name, None) is not None:
+            return f"--{name}"
+    return args.scene
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     command = raw[0] if raw and raw[0] in _COMMAND_NAMES else None
-    args = _build_parser(command).parse_args(_join_minus_values(raw))
+    args = _build_parser(command).parse_args(_bind_flag_values(raw))
     try:
         if getattr(args, "grid", None) is not None:
             args.grid = _checked("--grid", GridSpec, *args.grid)
@@ -549,6 +560,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (IsobenefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # within the size limits, but beyond the memory at hand
+        print(f"error: {_sizing_input(args)}: out of memory", file=sys.stderr)
         return 1
 
 

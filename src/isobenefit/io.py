@@ -64,7 +64,7 @@ bulk call; so do zero lines, on which ``np.loadtxt`` warns.
 Contour GeoJSON bypasses :func:`json_product`: with ``indent`` set, CPython's
 ``json`` runs its pure-Python encoder, which took longer than extracting the
 contours. :func:`write_contours_geojson` builds the same text directly, and
-its bytes equal those of ``write_json`` on :func:`contours_to_geojson`'s
+its bytes equal those of :func:`json_product` on :func:`contours_to_geojson`'s
 document (a test pins this). They stay equal because it lays out lists and
 objects as ``json.dumps(indent=2)`` does, writes a float as ``json`` does
 (``float.__repr__``, so a numpy float64 too), hands any other value to
@@ -120,7 +120,6 @@ __all__ = [
     "write_contours_geojson",
     "read_contours_geojson",
     "write_rows",
-    "write_json",
     "atomic_write_text",
     "write_all",
     "raster_product",
@@ -289,11 +288,6 @@ def json_product(path: str, doc: object) -> tuple:
         return (path, json.dumps(doc, indent=2, allow_nan=False) + "\n", None, None)
     except ValueError:
         raise _non_finite_error(path) from None
-
-
-def write_json(path: str, doc: object) -> None:
-    """Write ``doc`` as :func:`json_product` formats it."""
-    write_all([json_product(path, doc)])
 
 
 # ---------------------------------------------------------------- scenes

@@ -866,6 +866,180 @@ def test_a_negative_efficiencies_list_reaches_the_e_check(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profiled.json"]
 
 
+# -- flag values that start with a minus sign
+
+MINUS_SPELLINGS = ["-1", "-1.", "-.5", "-1e-3", "-inf", "-nan", "-Infinity", "-1_0"]
+
+# every flag that takes a number: an unambiguous abbreviation of it, the
+# command around it, and its value word, the spelling at {}
+NUMERIC_FLAGS = {
+    "--efficiency": ("--effic", "field --scene SCENE --grid 0,0,1,3,3 --out o.csv", "{}"),
+    "--efficiencies": ("--effic", "curve --samples 3 --out o.csv", "{},1"),
+    "--grid": ("--gri", "field --scene SCENE --out o.csv", "{},0,1,3,3"),
+    "--levels": ("--lev", "isolines --scene SCENE --grid 0,0,1,3,3 --out o.geojson", "{},1"),
+    "--nlevels": ("--nlev", "isolines --scene SCENE --grid 0,0,1,3,3 --out o.geojson", "{}"),
+    "--origin": ("--orig", "huff --scene SCENE --out o.json", "{},0"),
+    "--distance-exponent": ("--dist", "huff --scene SCENE --origin 1,1 --out o.json", "{}"),
+    "--attractiveness": ("--attr", "curve --efficiencies 1 --samples 3 --out o.csv", "{}"),
+    "--dmax": ("--dm", "curve --efficiencies 1 --samples 3 --out o.csv", "{}"),
+    "--samples": ("--samp", "curve --efficiencies 1 --out o.csv", "{}"),
+    "--resolution": ("--res", "breakpoint --scene SCENE --pair big,small --out o.json", "{}"),
+}
+INT_FLAGS = {"--nlevels", "--samples", "--resolution"}
+
+
+def _outcome(tmp_path, monkeypatch, capsys, scene, name, argv):
+    """Exit code, stdout, stderr and the files written of ``argv``, run in
+    a fresh directory ``name``, with SCENE standing for ``scene``."""
+    work = tmp_path / name
+    work.mkdir()
+    monkeypatch.chdir(work)
+    try:
+        code = run(*(str(scene) if word == "SCENE" else word for word in argv))
+    except SystemExit as exc:  # argparse's own exit
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, {path.name: path.read_bytes() for path in work.iterdir()}
+
+
+@pytest.mark.parametrize("spelling", MINUS_SPELLINGS)
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def test_a_separated_minus_value_acts_as_its_glued_form(
+        tmp_path, monkeypatch, capsys, pair, flag, spelling):
+    abbreviation, command, word = NUMERIC_FLAGS[flag]
+    value = word.format(spelling)
+    base = command.split()
+    glued, separated, abbreviated = (
+        _outcome(tmp_path, monkeypatch, capsys, pair, name, base + flag_words)
+        for name, flag_words in (("glued", [f"{flag}={value}"]), ("separated", [flag, value]),
+                                 ("abbreviated", [abbreviation, value])))
+    assert separated == glued
+    assert abbreviated == glued
+    code, out, err, files = glued
+    assert "expected one argument" not in err
+    if flag in INT_FLAGS and spelling not in ("-1", "-1_0"):
+        assert code == 2
+        assert f"argument {flag}: invalid int value: {spelling!r}" in err
+    elif code == 1:  # an int flag's range error names it as the library does
+        assert (out, files) == ("", {})
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert (flag if flag not in INT_FLAGS else flag[2:]) in err
+    else:
+        assert (code, err) == (0, "")
+        assert flag not in INT_FLAGS
+
+
+@pytest.mark.parametrize("argv, code, out, err, files", [
+    ("huff --scene SCENE --origin 1,1 --distance-exponent -1e-3", 0,
+     "big\t0.7999266866662832\nsmall\t0.20007331333371683\n", "", {}),
+    ("huff --scene SCENE --origin -inf,0", 1,
+     "", "error: --origin must be finite, got (-inf, 0.0)\n", {}),
+    ("field --scene SCENE --grid 0,0,1,3,3 --out f.csv --efficiency -1e-3", 1,
+     "", "error: --efficiency: kernel efficiency must be finite and > 0, got -0.001\n", {}),
+    ("isolines --scene SCENE --grid 0,0,1,3,3 --out l.geojson --levels -inf", 1,
+     "", "error: --levels must be finite, got [-inf]\n", {}),
+    ("curve --efficiencies 1 --samples 3 --out c.csv --attractiveness -3e0", 0,
+     "wrote c.csv (3 rows, 1 curves)\n", "",
+     {"c.csv": b"d,E=1.0\n0.0,-3.0\n5.0,-0.5\n10.0,-0.2727272727272727\n"}),
+    ("curve --efficiencies 1 --out c.csv --dmax -nan", 1,
+     "", "error: --dmax must be finite, got nan\n", {}),
+    ("huff --scene SCENE --orig -1,-1", 0,
+     "big\t0.9210229348911807\nsmall\t0.07897706510881927\n", "", {}),
+    ("field --scene SCENE --grid 0,0,1,3,3 --out -f.csv", 0,
+     "wrote -f.csv\n", "", {"-f.csv": b"# 3,3,0.0,0.0,1.0\n"
+                                      b"1.5504626062886657,1.497271852463531,1.3538324942299131\n"
+                                      b"2.2402530733520423,1.9658712438673278,1.6502815398728847\n"
+                                      b"4.25,2.3333333333333335,1.8333333333333333\n"}),
+])
+def test_minus_values_that_argparse_took_for_options(
+        tmp_path, monkeypatch, capsys, pair, argv, code, out, err, files):
+    # argparse alone reads each of these values as an option, not as a value
+    *base, flag, value = argv.split()
+    got = _outcome(tmp_path, monkeypatch, capsys, pair, "separated", [*base, flag, value])
+    assert got == (code, out, err, files)
+    assert _outcome(tmp_path, monkeypatch, capsys, pair, "glued", [*base, f"{flag}={value}"]) == got
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a word starting with -- is a flag, never a value
+    ("field --scene SCENE --grid 0,0,1,3,3 --profile --out x.csv",
+     "isobenefit field: error: argument --profile: expected one argument\n"),
+    # a flag binds one word, separated or glued
+    ("huff --scene SCENE --origin -1,-1 -2", "isobenefit: error: unrecognized arguments: -2\n"),
+    ("huff --scene SCENE --origin=-1,-1 -2", "isobenefit: error: unrecognized arguments: -2\n"),
+])
+def test_a_flag_takes_one_word_that_is_not_a_flag(tmp_path, monkeypatch, capsys, pair, argv,
+                                                  message):
+    code, out, err, files = _outcome(tmp_path, monkeypatch, capsys, pair, "run", argv.split())
+    assert (code, out, files) == (2, "", {})
+    assert err.endswith(message)
+
+
+@pytest.mark.parametrize("argv", ["field --parts -h", "field --help -1", "field --he -x"])
+def test_help_is_never_bound_as_a_value(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(*argv.split())
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        run("field", "--help")
+    assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, source", [
+    ("field --scene SCENE --grid 0,0,1,8192,8192 --out big.csv --parts", "--grid"),
+    ("uniformity --scene SCENE --grid 0,0,1,8192,8192 --out u.json", "--grid"),
+    ("curve --efficiencies 1 --samples 60000000 --out c.csv", "--samples"),
+    ("breakpoint --scene SCENE --pair big,small --resolution 60000000 --out b.json",
+     "--resolution"),
+])
+def test_running_out_of_memory_names_the_input_that_sized_it(tmp_path, pair, argv, source):
+    pytest.importorskip("resource")
+    import subprocess
+    import sys
+
+    import isobenefit
+    # a child process limits its own address space before it imports the
+    # package, so only it is refused memory; 500 MiB is enough to import
+    # numpy and too little for any of these arrays
+    limit = 500 * 2 ** 20
+    script = (f"import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              f"from isobenefit.cli import main\n"
+              f"sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(isobenefit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    work = tmp_path / "run"
+    work.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         *(str(pair) if word == "SCENE" else word for word in argv.split())],
+        capture_output=True, text=True, env=env, cwd=work)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {source}: out of memory\n"
+    assert list(work.iterdir()) == []
+
+
+def test_running_out_of_memory_reading_a_raster_names_it(
+        tmp_path, monkeypatch, capsys, one_amenity):
+    assert run("field", "--scene", one_amenity, "--grid", "0,0,1,3,3",
+               "--out", tmp_path / "f.csv") == 0
+    capsys.readouterr()
+
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_raster", exhausted)
+    raster = str(tmp_path / "f.csv")
+    for argv in (["isolines", "--raster", raster, "--nlevels", "3",
+                  "--out", tmp_path / "l.geojson"],
+                 ["uniformity", "--raster", raster, "--out", tmp_path / "u.json"]):
+        assert run(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: {raster}: out of memory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "one.json"]
+
+
 # -- repeated calls in one process
 
 

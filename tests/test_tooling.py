@@ -54,7 +54,7 @@ def test_readme_cli_examples_parse():
     assert len(examples) >= 10
     parser = cli._build_parser()
     for line in examples:
-        argv = cli._join_minus_values(shlex.split(line)[1:])
+        argv = cli._bind_flag_values(shlex.split(line)[1:])
         args = parser.parse_args(argv)
         assert args.func is not None, line
         # main parses with the named command's parser alone; it must agree
