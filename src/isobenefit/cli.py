@@ -56,7 +56,7 @@ from .errors import (
     ZeroMeanError,
 )
 from .field import _amenity_columns, evaluate_field, evaluate_field_parts, kernel_benefit
-from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
+from .gravity import _check_resolution, huff_probabilities, numeric_breakpoint, reilly_breakpoint
 from .indicators import UniformityResult, pgg_field, summary, uniformity
 from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name)
     atomic_write_text,
@@ -70,7 +70,7 @@ from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name
     write_contours_geojson,
     write_raster,
 )
-from .isolines import extract_isolines
+from .isolines import _check_nlevels, extract_isolines
 from .scene import KERNEL_FAMILIES, MAX_GRID_CELLS, Amenity, GridSpec, Kernel, Scene
 
 __all__ = ["main"]
@@ -239,11 +239,13 @@ def _scene_field(args: argparse.Namespace, evaluate):
 
 def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     _check_source(args)
-    # before any input is read: a refused flag pair costs no evaluation
+    # before any input is read: a refused flag or flag pair costs no evaluation
     if (args.levels is None) == (args.nlevels is None):
         raise IsobenefitError("pass exactly one of --levels or --nlevels")
     if args.levels is not None:
         _finite_flag("--levels", args.levels)
+    else:
+        _checked("--nlevels", _check_nlevels, args.nlevels)
     if args.raster is not None:
         raster = read_raster(args.raster)
     else:
@@ -294,6 +296,7 @@ def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None, l
 
 
 def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
+    _checked("--resolution", _check_resolution, args.resolution)
     scene, kernel = _scene_and_kernel(args)
     amenity1 = _amenity_by_id(scene, args.pair[0], "--pair")
     amenity2 = _amenity_by_id(scene, args.pair[1], "--pair")
@@ -440,7 +443,7 @@ _COMMANDS = (
         _flag("--with-context", action="store_true",
               help="sum the whole scene, not just the pair, along the segment"),
         _flag("--resolution", type=int, default=101, metavar="N",
-              help="samples per pass along the segment (default: 101)"),
+              help="samples of the first pass along the segment (default: 101)"),
         _REPORT_OUT,
     )),
     ("huff", "visit probabilities from an origin", _cmd_huff, (

@@ -75,8 +75,9 @@ every sample of one call sees the same arithmetic.
 Summing. A point evaluator (``_PointEvaluator``), built from the amenity
 columns, the kernel and the sample count, serves every caller. It works out
 the amenity side of the range guard (the largest amenity coordinate
-magnitude) and whether every A > 0 once, when it is built, and
-``numeric_breakpoint`` builds one per breakpoint and calls it once per pass.
+magnitude) and whether every A > 0 once, when it is built.
+``numeric_breakpoint`` builds one for its first pass over the whole segment
+and one for its later 17-sample passes, and calls the second once per pass.
 
 - A query of more than 2**12 samples (more cells than a 64x64 grid) is
   summed one amenity at a time (``_sum_one_by_one``): each amenity's terms
@@ -94,14 +95,12 @@ magnitude) and whether every A > 0 once, when it is built, and
   buffers of their own and fold them the same way. The buffers hold at most
   4 (gaussian: 6) times 2**13 values plus one row, so a breakpoint's peak
   traced memory stays at or below that of blocks of 2**13 // samples
-  amenities built from temporaries, at every resolution; one block of all
-  amenities was a few percent faster still, but would exceed that bound. A
-  103-sample breakpoint's buffers (130 KiB each) lie above glibc's default
-  mmap threshold of 128 KiB, so their pages fault in once per breakpoint,
-  not once per pass. A block's offsets are formed by copying the sample
-  row in and subtracting the amenity column: faster than one broadcast
-  subtract into the buffer, for which numpy's iterator allocates two
-  64 KiB buffers instead of one.
+  amenities built from temporaries, at every resolution (its two
+  evaluators are not alive at once); one block of all amenities was a few
+  percent faster still, but would exceed that bound. A block's offsets are
+  formed by copying the sample row in and subtracting the amenity column:
+  faster than one broadcast subtract into the buffer, for which numpy's
+  iterator allocates two 64 KiB buffers instead of one.
 
 A reduce over the leading axis of a C-contiguous buffer adds whole rows one
 after another, so every sample gets the same additions in the same order as

@@ -239,6 +239,13 @@ def _extract_level(V: np.ndarray, corner_range: tuple[np.ndarray, np.ndarray],
     return lines
 
 
+def _check_nlevels(nlevels: int) -> None:
+    """Refuse a level count outside [1, MAX_GRID_CELLS]."""
+    if not 1 <= nlevels <= MAX_GRID_CELLS:
+        raise InvalidValueError(
+            f"nlevels must be between 1 and {MAX_GRID_CELLS}, got {nlevels}")
+
+
 def extract_isolines(
     raster: Raster,
     levels=None,
@@ -255,6 +262,10 @@ def extract_isolines(
     has no contour. Nor can a raster whose values span more than the float
     range (:class:`NoFiniteRangeError`).
     """
+    if (levels is None) == (nlevels is None):
+        raise InvalidValueError("pass exactly one of levels= or nlevels=")
+    if nlevels is not None:
+        _check_nlevels(nlevels)
     grid = raster.grid
     if grid.ncols < 2 or grid.nrows < 2:
         raise GridTooSmallError(
@@ -264,15 +275,10 @@ def extract_isolines(
     vmin = float(V.min())
     vmax = float(V.max())
 
-    if (levels is None) == (nlevels is None):
-        raise InvalidValueError("pass exactly one of levels= or nlevels=")
     if vmax - vmin == math.inf:  # crossings would divide by an overflowed span
         raise NoFiniteRangeError(
             f"raster values span {vmin!r} to {vmax!r}, wider than the float range")
     if nlevels is not None:
-        if not 1 <= nlevels <= MAX_GRID_CELLS:
-            raise InvalidValueError(
-                f"nlevels must be between 1 and {MAX_GRID_CELLS}, got {nlevels}")
         if vmin == vmax:
             raise NoFiniteRangeError(
                 f"raster is constant at {vmin}; evenly spaced levels are undefined"

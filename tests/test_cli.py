@@ -405,7 +405,7 @@ def test_breakpoint_resolution_above_the_grid_cap_is_refused(profiled, monkeypat
     assert run("breakpoint", "--scene", profiled, "--pair", "park,shop",
                "--resolution", MAX_GRID_CELLS + 1) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: resolution must be between 3 and {MAX_GRID_CELLS}")
+        f"error: --resolution: resolution must be between 3 and {MAX_GRID_CELLS}")
 
 
 @pytest.mark.parametrize("resolution", [2, MAX_GRID_CELLS + 1])
@@ -414,7 +414,7 @@ def test_refused_breakpoint_resolution_prints_no_partial_report(profiled, capsys
                "--resolution", resolution) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: resolution must be between 3")
+    assert err.startswith("error: --resolution: resolution must be between 3")
 
 
 def test_breakpoint_unknown_id_names_the_flag(tmp_path, pair, capsys):
@@ -570,16 +570,25 @@ def test_curve_overflowing_exponent_writes_zero_without_a_warning(tmp_path, caps
     ("curve --efficiencies 1 --samples COUNT --out c.csv", "arange",
      "error: --samples must be between 2 and"),
     ("isolines --raster r.csv --nlevels COUNT --out l.geojson", "linspace",
-     "error: nlevels must be between 1 and"),
+     "error: --nlevels: nlevels must be between 1 and"),
+    ("isolines --scene s.json --grid 0,0,1,3,3 --nlevels COUNT --out l.geojson", "linspace",
+     "error: --nlevels: nlevels must be between 1 and"),
+    ("breakpoint --scene s.json --pair a,b --resolution COUNT", "arange",
+     "error: --resolution: resolution must be between 3 and"),
 ])
 def test_count_above_the_grid_cap_is_refused_before_allocating(
         tmp_path, monkeypatch, capsys, argv, allocator, message):
     def no_allocation(*args, **kwargs):
         raise AssertionError(f"np.{allocator} ran for a refused count")
 
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read for a refused count")
+
     (tmp_path / "r.csv").write_text("# 2,2,0.0,0.0,1.0\n0.0,1.0\n0.0,1.0\n")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(np, allocator, no_allocation)
+    monkeypatch.setattr(cli, "load_scene", no_input)
+    monkeypatch.setattr(cli, "read_raster", no_input)
     assert run(*argv.replace("COUNT", str(2 ** 40)).split()) == 1
     out, err = capsys.readouterr()
     assert out == ""

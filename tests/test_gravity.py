@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 import re
 
 import numpy as np
@@ -269,6 +270,43 @@ def test_numeric_agrees_with_dense_sampling(a1, a2, d):
     assert bp.distance_from_1 / d == pytest.approx(dense_t, abs=1e-4)
 
 
+@pytest.mark.parametrize("family, efficiency",
+                         [("rational", 0.2), ("gaussian", 4.0), ("exponential", 4.0)])
+def test_refinement_in_a_scene_context_agrees_with_a_dense_scan(family, efficiency):
+    # with 20-200 sharply decaying amenities around the pair the profile has
+    # many local minima; the refinement must find the lowest one in the
+    # bracket of the first pass, which a dense scan of that bracket finds:
+    # 10000 intervals, then 2000 across the two around its lowest sample
+    # (a spacing of at most 5e-8 of the pair distance). Seeds 29 and 42 at
+    # resolution 3 are cases that 5-sample refinement passes got wrong.
+    kernel = Kernel(family, efficiency)
+
+    def profile(context, one, two, ts):
+        x, y = one.x + ts * (two.x - one.x), one.y + ts * (two.y - one.y)
+        return point_benefit(context, kernel, x, y).total
+
+    interior = 0
+    for seed in range(24, 48):
+        rng = random.Random(seed)
+        context = [Amenity(f"a{k}", rng.uniform(0, 10), rng.uniform(0, 10),
+                           rng.uniform(0.5, 3.0)) for k in range(rng.choice((20, 60, 200)))]
+        one, two = context[:2]
+        d = math.hypot(two.x - one.x, two.y - one.y)
+        for resolution in (3, 101, 1001):  # a first pass shorter and longer than 17 samples
+            try:
+                bp = numeric_breakpoint(one, two, kernel, context, resolution=resolution)
+            except NoInteriorMinimumError:
+                continue
+            interior += 1
+            ts = np.arange(resolution + 2) / (resolution + 1)
+            k = int(np.argmin(profile(context, one, two, ts)))
+            for intervals in (10000, 2000):
+                ts = np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)], intervals + 1)
+                k = int(np.argmin(profile(context, one, two, ts)))
+            assert abs(bp.distance_from_1 / d - ts[k]) <= 1e-6, (seed, resolution)
+    assert interior >= 40
+
+
 def test_coarse_samples_come_from_one_array_query(monkeypatch):
     from isobenefit.field import _PointEvaluator
 
@@ -284,8 +322,8 @@ def test_coarse_samples_come_from_one_array_query(monkeypatch):
     b = Amenity("b", 5.0, 1.0, 2.0)
     bp = numeric_breakpoint(a, b, Kernel("exponential", 1.0), resolution=101)
     assert shapes[0] == (103,)  # the coarse profile over the whole segment
-    assert all(shape == (103,) for shape in shapes)  # each pass is one array query
-    assert len(shapes) <= 6
+    # each later pass is one array query of 16 intervals around the lowest sample
+    assert shapes[1:] == [(17,)] * 6
     assert all(type(v) is float for v in (*bp.position, bp.distance_from_1,
                                            bp.distance_from_2, bp.benefit_at_point))
 
