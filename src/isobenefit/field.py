@@ -69,15 +69,22 @@ the rational family with E < 1, magnitude <= 2**499 * E, since its
 squared offsets are over E: there no square can overflow, and an offset
 whose square underflows is too small to move any kernel by an ulp.
 Outside that range ``_terms`` falls back to np.hypot distances and the
-forms at the top. The choice is made once per call from its inputs, so
-every sample of one call sees the same arithmetic.
+forms at the top. The choice is made once per call, so every sample of one
+call sees the same arithmetic. The half that does not depend on the
+samples is settled when the evaluator below is built: E and the amenity
+coordinates give one limit on sample magnitudes, 2**499 (times E) as above,
+or -1.0 if no sample can take the squared forms. A call compares the
+largest magnitude of its x, and that of its y, with the limit; the same two
+magnitudes refuse a NaN or infinite coordinate.
 
 Summing. A point evaluator (``_PointEvaluator``), built from the amenity
-columns, the kernel and the sample count, serves every caller. It works out
-the amenity side of the range guard (the largest amenity coordinate
-magnitude) and whether every A > 0 once, when it is built.
-``numeric_breakpoint`` builds one for its first pass over the whole segment
-and one for its later 17-sample passes, and calls the second once per pass.
+columns, the kernel and the sample count, serves every caller, grids
+included, through one call. It works out the range limit, whether every
+A > 0 and its block buffers once, when it is built. ``numeric_breakpoint``
+builds one for its first pass over the whole segment and one for its later
+17-sample passes, and calls the second once per pass. Every array a call
+returns is its own: a sum folded in a block buffer is copied out of it, so
+no result keeps a buffer alive or changes on the next call.
 
 - A query of more than 2**12 samples (more cells than a 64x64 grid) is
   summed one amenity at a time (``_sum_one_by_one``): each amenity's terms
@@ -129,7 +136,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import GridSpec, Kernel, Raster, Scene, _checked_columns, _resolved_scene
+from .scene import (GridSpec, Kernel, Raster, Scene, _checked_columns, _finite_number,
+                    _resolved_scene)
 
 __all__ = [
     "PointBenefit",
@@ -189,34 +197,20 @@ _LOG2_E = math.log2(math.e)
 _BLOCK_SAMPLES = 2 ** 13
 
 
-def _coordinate_magnitude(columns: np.ndarray):
-    """The largest magnitude of an amenity coordinate, 0 without amenities."""
-    return np.max(np.abs(columns[:2]), initial=0.0)
-
-
-def _squared_form_applies(columns: np.ndarray, kernel: Kernel, x, y,
-                          amenity_magnitude=None) -> bool:
-    # every test is written as "<=" so that a NaN coordinate takes the hypot
-    # form; ``amenity_magnitude`` is _coordinate_magnitude(columns), if known
-    if amenity_magnitude is None:
-        amenity_magnitude = _coordinate_magnitude(columns)
-    limit = _SQUARED_MAX_COORDINATE
-    if kernel.family == "rational":  # it squares the offsets over E
-        limit *= min(kernel.efficiency, 1.0)
-    return (_SQUARED_MIN_EFFICIENCY <= kernel.efficiency <= _SQUARED_MAX_EFFICIENCY
-            and np.max(np.abs(x), initial=0.0) <= limit
-            and np.max(np.abs(y), initial=0.0) <= limit
-            and amenity_magnitude <= limit)
-
-
 def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     """Benefit from a single amenity at the given distance(s).
 
     ``distance`` may be a scalar or an ndarray; the result matches. At
-    distance 0 every family returns ``attractiveness`` exactly. Negative
+    distance 0 every family returns ``attractiveness`` exactly, and at an
+    infinite distance 0.0. An ``attractiveness`` that is not a finite real
+    number, or a NaN distance, raises :class:`InvalidValueError`; negative
     distances raise :class:`NegativeDistanceError`.
     """
+    if not _finite_number(attractiveness):
+        raise InvalidValueError(f"attractiveness must be finite, got {attractiveness!r}")
     d = np.asarray(distance, dtype=float)
+    if np.isnan(d).any():
+        raise InvalidValueError(f"distance must not be NaN, got {distance!r}")
     if np.any(d < 0):
         raise NegativeDistanceError(f"distance must be >= 0, got {distance!r}")
     # E*d*d may overflow to inf on the way to an exact 0.0
@@ -321,19 +315,25 @@ def _sum_one_by_one(columns, kernel, x, y, squared, shape, parts):
 
 class _PointEvaluator:
     """Benefit sums of one amenity set under one kernel, at ``samples``
-    points a call (x and y broadcast to that many), with the amenity columns
-    and the block buffers built once (see the module docstring). A query of
-    more than _BLOCK_SAMPLES // 2 samples, or with at most one amenity, is
-    summed one amenity at a time and uses no block buffer."""
+    points a call (x and y broadcast to that many), with the half of the
+    range guard that does not depend on the samples, and the block buffers,
+    worked out once (see the module docstring). A query of more than _BLOCK_SAMPLES // 2 samples, or with at
+    most one amenity, is summed one amenity at a time and uses no block
+    buffer."""
 
-    def __init__(self, columns: np.ndarray, kernel: Kernel, samples: int,
-                 k: int | None = None):
+    def __init__(self, columns: np.ndarray, kernel: Kernel, samples: int):
         self.columns = columns
         self.kernel = kernel
-        self._magnitude = _coordinate_magnitude(columns)
         self._all_positive = bool((columns[2] > 0).all())
-        # amenities per block; a given ``k`` replaces _block_rows' choice
-        self.k = max(1, min(_block_rows(samples) if k is None else k, columns.shape[1]))
+        # the squared forms apply to samples of magnitude <= limit, and to
+        # none (-1.0) if the kernel or an amenity is out of their range
+        limit = _SQUARED_MAX_COORDINATE
+        if kernel.family == "rational":  # it squares the offsets over E
+            limit *= min(kernel.efficiency, 1.0)
+        in_range = (_SQUARED_MIN_EFFICIENCY <= kernel.efficiency <= _SQUARED_MAX_EFFICIENCY
+                    and np.max(np.abs(columns[:2]), initial=0.0) <= limit)
+        self.limit = limit if in_range else -1.0
+        self.k = max(1, min(_block_rows(samples), columns.shape[1]))  # amenities per block
         if self.k > 1:
             # rows 1..k take a block's terms and row 0 the running total;
             # the gaussian needs a second spare for its y factor
@@ -342,38 +342,34 @@ class _PointEvaluator:
             self._spares = [np.empty(self.k * samples) for _ in range(spares)]
 
     def __call__(self, x, y, split: bool = False):
-        """:meth:`sums` at points, after refusing a non-finite coordinate
-        with :class:`InvalidValueError`."""
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise InvalidValueError("query point coordinates must be finite")
-        return self.sums(x, y, split)
-
-    def sums(self, x, y, split: bool = False):
         """Sum of every amenity's contribution at the points (x, y). With
         ``split`` also returns the sums over the amenities with
-        attractiveness > 0 and < 0; otherwise those are None. Raises
-        :class:`SumOverflowError` if any of the sums is not finite. A total
-        summed in blocks is a view of the evaluator's buffer, which its next
-        call overwrites."""
-        columns = self.columns
+        attractiveness > 0 and < 0; otherwise those are None. The arrays
+        returned are the caller's: no later call writes them. Raises
+        :class:`InvalidValueError` if a coordinate is not finite, and
+        :class:`SumOverflowError` if any of the sums is not finite."""
+        mx = np.max(np.abs(x), initial=0.0)
+        my = np.max(np.abs(y), initial=0.0)
+        # each on its own: NaN fails "<" and "<=", but max(1.0, nan) is 1.0
+        if not (mx < math.inf and my < math.inf):
+            raise InvalidValueError("query point coordinates must be finite")
+        squared = mx <= self.limit and my <= self.limit
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        squared = _squared_form_applies(columns, self.kernel, x, y, self._magnitude)
         # with every A > 0 the positive part is the total, added in the same order
         parts = split and not self._all_positive
         # an overflowing sum is a named error below, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             if self.k == 1:
-                total, pos, neg = _sum_one_by_one(columns, self.kernel, x, y, squared, shape,
-                                                  parts)
+                total, pos, neg = _sum_one_by_one(self.columns, self.kernel, x, y, squared,
+                                                  shape, parts)
             else:
                 total, pos, neg = self._blocks(x, y, squared, shape, parts)
         if split and not parts:
             pos, neg = total.copy(), np.zeros(shape)
         if not all(np.isfinite(part).all() for part in (total, pos, neg) if part is not None):
-            n = columns.shape[1]
-            raise SumOverflowError(
-                f"the benefit sum over {n} amenit{'y' if n == 1 else 'ies'} overflowed "
-                f"the float range")
+            # one amenity's term is at most |A|, so this takes two or more
+            raise SumOverflowError(f"the benefit sum over {self.columns.shape[1]} amenities "
+                                   f"overflowed the float range")
         return total, pos, neg
 
     def _blocks(self, x, y, squared, shape, parts):
@@ -394,7 +390,10 @@ class _PointEvaluator:
                 picked = np.count_nonzero(keep[i:i + k])
                 np.compress(keep[i:i + k], rows[1:m + 1], axis=0, out=sums[1:picked + 1])
                 _fold(sums[:picked + 1])
-        return (rows[0], *(sums[0] for sums in part_rows)) if parts else (rows[0], None, None)
+        # copies, so that no result keeps a fold buffer alive or changes on
+        # the next call
+        total = rows[0].copy()
+        return (total, *(sums[0].copy() for sums in part_rows)) if parts else (total, None, None)
 
 
 def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
@@ -420,7 +419,7 @@ def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     resolved, kern = _resolved_scene(scene, kernel, profile)
     evaluate = _PointEvaluator(_amenity_columns(resolved), kern, grid.ncols * grid.nrows)
-    return evaluate.sums(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
+    return evaluate(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
 
 
 def evaluate_field(

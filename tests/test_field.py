@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,6 @@ from isobenefit.field import (
     _amenity_columns,
     _block_rows,
     _PointEvaluator,
-    _squared_form_applies,
-    _sum_one_by_one,
 )
 
 families = st.sampled_from(("rational", "gaussian", "exponential"))
@@ -65,6 +64,26 @@ def test_negative_distance_rejected():
         kernel_benefit(3.0, -0.1, kernel)
     with pytest.raises(NegativeDistanceError):
         kernel_benefit(3.0, np.array([0.0, 1.0, -2.0]), kernel)
+
+
+@pytest.mark.parametrize("attractiveness", [True, "2.5", None, math.nan, math.inf, -math.inf])
+def test_attractiveness_that_is_not_a_finite_number_is_refused(attractiveness):
+    message = f"attractiveness must be finite, got {re.escape(repr(attractiveness))}"
+    with pytest.raises(InvalidValueError, match=message):
+        kernel_benefit(attractiveness, 1.0, Kernel("rational", 1.0))
+
+
+@pytest.mark.parametrize("distance", [math.nan, np.array([0.0, math.nan, -1.0])])
+def test_nan_distance_is_refused(distance):
+    with pytest.raises(InvalidValueError, match="distance must not be NaN, got"):
+        kernel_benefit(3.0, distance, Kernel("rational", 1.0))
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+def test_infinite_distance_gives_zero(family):
+    kernel = Kernel(family, 0.5)
+    assert kernel_benefit(-3.0, math.inf, kernel) == 0.0
+    assert kernel_benefit(3.0, np.array([0.0, math.inf]), kernel).tolist() == [3.0, 0.0]
 
 
 def test_array_input_matches_scalar_loop():
@@ -333,14 +352,6 @@ def test_non_finite_input_is_invalid_not_an_overflow(amenities, x, y, message):
                            GridSpec(0.0, 0.0, 1.0, 2, 2))
 
 
-def test_overflow_message_counts_one_amenity():
-    # the only way one term can leave the float range: a NaN sample, which
-    # point_benefit refuses before summing
-    with pytest.raises(SumOverflowError, match="over 1 amenity overflowed"):
-        _PointEvaluator(_amenity_columns((Amenity("a", 0.0, 0.0, 1.0),)),
-                        Kernel("rational", 1.0), 1).sums(math.nan, 0.0, split=False)
-
-
 @settings(max_examples=25, deadline=None)
 @given(families, st.lists(st.integers(1, 10), min_size=1, max_size=4))
 def test_any_row_partition_of_the_field_is_byte_identical(family, cuts):
@@ -487,11 +498,13 @@ SAMPLE_COUNTS = (0, 1, 2, 103, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLE
 @given(entries=st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10),
                                   st.sampled_from((-2.5, -0.5, 0.0, 1.0, 3.0))),
                         max_size=40),
-       samples=st.sampled_from(SAMPLE_COUNTS) | st.integers(0, 300),
+       # 1000 to 4096 points take blocks of 16 down to 4 amenities, so the
+       # last block of up to 40 amenities is often a partial one
+       samples=st.sampled_from(SAMPLE_COUNTS) | st.integers(0, 300) | st.integers(1000, 4096),
        layout=st.sampled_from(("scalar", "points", "grid")),
-       split=st.booleans(), data=st.data())
+       split=st.booleans())
 def test_blocked_sums_equal_one_by_one_sums_bitwise(family, far, entries, samples,
-                                                    layout, split, data):
+                                                    layout, split):
     scale = 2.0 ** 500 if far else 1.0
     columns = _amenity_columns([Amenity(f"a{k}", x * scale, y * scale, a)
                                 for k, (x, y, a) in enumerate(entries)])
@@ -505,17 +518,52 @@ def test_blocked_sums_equal_one_by_one_sums_bitwise(family, far, entries, sample
         x = np.linspace(-12.0, 12.0, samples)[np.newaxis, :] * scale
         y = np.array([-3.0, 0.5, 4.0])[:, np.newaxis] * scale
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    squared = _squared_form_applies(columns, kernel, x, y)
+    evaluate = _PointEvaluator(columns, kernel, math.prod(shape))
     if layout == "scalar":
-        assert squared is not far
-    want = _sum_one_by_one(columns, kernel, x, y, squared, shape, split)
-    k = data.draw(st.integers(1, len(entries) + 1), label="amenities per block")
-    for got in (_PointEvaluator(columns, kernel, math.prod(shape)).sums(x, y, split),
-                _PointEvaluator(columns, kernel, math.prod(shape), k).sums(x, y, split)):
-        for part, reference in zip(got, want):
-            if reference is not None:
-                assert part.shape == shape
-                assert part.tobytes() == reference.tobytes()
+        assert (abs(x) <= evaluate.limit and abs(y) <= evaluate.limit) is not far
+    # built for _BLOCK_SAMPLES samples, an evaluator sums one amenity at a
+    # time, whatever the shape of its query
+    want = _PointEvaluator(columns, kernel, _BLOCK_SAMPLES)(x, y, split)
+    for part, reference in zip(evaluate(x, y, split), want):
+        if reference is not None:
+            assert part.shape == shape
+            assert part.tobytes() == reference.tobytes()
+
+
+def test_evaluator_results_own_their_memory():
+    # a block-summed result was a view of the evaluator's fold buffer, which
+    # kept that whole buffer alive and was overwritten by the next call
+    rng = np.random.default_rng(5)
+    amenities = [Amenity(f"a{k}", float(ax), float(ay), a) for k, (ax, ay, a) in
+                 enumerate(zip(rng.uniform(-5, 5, 200), rng.uniform(-5, 5, 200),
+                               rng.choice((-1.5, 2.0), 200)))]
+    kernel = Kernel("rational", 0.8)
+    x, y = rng.uniform(-5, 5, 100), rng.uniform(-5, 5, 100)
+    got = point_benefit(amenities, kernel, x, y)
+    assert all(part.base is None for part in (got.total, got.positive_part, got.negative_part))
+    evaluate = _PointEvaluator(_amenity_columns(amenities), kernel, 100)
+    first = evaluate(x, y, split=True)
+    kept = [part.copy() for part in first]
+    evaluate(y, x, split=True)
+    for part, before in zip(first, kept):
+        assert part.base is None
+        assert part.tobytes() == before.tobytes()
+
+
+def test_one_evaluator_takes_each_query_on_its_own_side_of_the_range_guard():
+    # the squares of offsets near 1e200 overflow, so there the squared form
+    # would give 0.0 where the hypot form gives about 2e-200
+    kernel = Kernel("rational", 1.0)
+    evaluate = _PointEvaluator(_amenity_columns(MIXED), kernel, 1)
+    for x, y in ((0.25, -0.5), (1e200, 3.0), (0.25, -0.5)):
+        want = point_benefit(MIXED, kernel, x, y)
+        got = np.array(evaluate(x, y, split=True))
+        assert got.tobytes() == np.array([want.total, want.positive_part,
+                                          want.negative_part]).tobytes()
+        assert want.total != 0.0
+    for x, y in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)):
+        with pytest.raises(InvalidValueError, match="query point coordinates must be finite"):
+            evaluate(x, y)
 
 
 @given(st.integers(_BLOCK_SAMPLES, MAX_GRID_CELLS))
