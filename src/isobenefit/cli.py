@@ -56,7 +56,7 @@ from .errors import (
     ZeroMeanError,
 )
 from .field import _amenity_columns, evaluate_field, evaluate_field_parts, kernel_benefit
-from .gravity import _check_resolution, huff_probabilities, numeric_breakpoint, reilly_breakpoint
+from .gravity import huff_probabilities, numeric_breakpoint, reilly_breakpoint
 from .indicators import UniformityResult, pgg_field, summary, uniformity
 from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name)
     atomic_write_text,
@@ -70,8 +70,8 @@ from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name
     write_contours_geojson,
     write_raster,
 )
-from .isolines import _check_nlevels, extract_isolines
-from .scene import KERNEL_FAMILIES, MAX_GRID_CELLS, Amenity, GridSpec, Kernel, Scene
+from .isolines import extract_isolines
+from .scene import KERNEL_FAMILIES, Amenity, GridSpec, Kernel, Scene, _count_value, _real_array
 
 __all__ = ["main"]
 
@@ -99,13 +99,6 @@ def _checked(flag: str, make, *args):
         return make(*args)
     except InvalidValueError as exc:
         raise InvalidValueError(f"{flag}: {exc}") from None
-
-
-def _finite_flag(flag: str, value) -> None:
-    """Refuse a flag's number, or list or pair of numbers, unless every one
-    is finite."""
-    if not np.isfinite(value).all():
-        raise InvalidValueError(f"{flag} must be finite, got {value!r}")
 
 
 def _floats_arg(text: str) -> list[float]:
@@ -243,9 +236,9 @@ def _cmd_isolines(args: argparse.Namespace) -> tuple[list[str], dict | None, lis
     if (args.levels is None) == (args.nlevels is None):
         raise IsobenefitError("pass exactly one of --levels or --nlevels")
     if args.levels is not None:
-        _finite_flag("--levels", args.levels)
+        _real_array("--levels", args.levels)
     else:
-        _checked("--nlevels", _check_nlevels, args.nlevels)
+        _checked("--nlevels", _count_value, "nlevels", args.nlevels, 1)
     if args.raster is not None:
         raster = read_raster(args.raster)
     else:
@@ -296,7 +289,7 @@ def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None, l
 
 
 def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
-    _checked("--resolution", _check_resolution, args.resolution)
+    _checked("--resolution", _count_value, "resolution", args.resolution, 3)
     scene, kernel = _scene_and_kernel(args)
     amenity1 = _amenity_by_id(scene, args.pair[0], "--pair")
     amenity2 = _amenity_by_id(scene, args.pair[1], "--pair")
@@ -334,7 +327,7 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
 
 def _cmd_huff(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene = load_scene(args.scene)
-    _finite_flag("--origin", args.origin)
+    _real_array("--origin", args.origin)
     try:
         result = huff_probabilities(args.origin, scene, args.distance_exponent)
     except OriginOnAmenityError as exc:
@@ -373,13 +366,11 @@ def _cmd_pgg(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
-    _finite_flag("--attractiveness", args.attractiveness)
-    _finite_flag("--dmax", args.dmax)
+    _real_array("--attractiveness", args.attractiveness)
+    _real_array("--dmax", args.dmax)
     if args.dmax <= 0:
         raise IsobenefitError(f"--dmax must be > 0, got {args.dmax!r}")
-    if not 2 <= args.samples <= MAX_GRID_CELLS:
-        raise InvalidValueError(
-            f"--samples must be between 2 and {MAX_GRID_CELLS}, got {args.samples}")
+    _count_value("--samples", args.samples, 2)
     kernels = [_checked("--efficiencies", Kernel, args.kernel, e) for e in args.efficiencies]
     distances = np.arange(args.samples) * (args.dmax / (args.samples - 1))
     curves = [kernel_benefit(args.attractiveness, distances, kern) for kern in kernels]

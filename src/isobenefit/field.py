@@ -21,9 +21,10 @@ the sample coordinates (a grid's x row against its y column, or point
 coordinates). This module only sums. It reads the amenities as three float
 columns (x, y, A), a scene's own read-only array, and a field under a
 profile reads the columns and the kernel that the profile resolves to; the
-scene module checks the columns, names a culprit and resolves profiles
-(see :mod:`isobenefit.scene`, which also states the one rule for the
-values they may hold). A plain sequence of amenities, as ``point_benefit``
+scene module checks the columns, names a culprit and resolves profiles,
+and checks the public arguments, the query points included (see
+:mod:`isobenefit.scene`, which also states the one rule for the values
+they may hold). A plain sequence of amenities, as ``point_benefit``
 takes, is made a scene once per call. A non-finite column value is refused
 up front, so that an error from the sum means overflow only.
 
@@ -136,8 +137,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import (GridSpec, Kernel, Raster, Scene, _checked_columns, _finite_number,
-                    _resolved_scene)
+from .scene import (GridSpec, Kernel, Raster, Scene, _checked_columns, _finite_value,
+                    _real_array, _resolved_scene)
 
 __all__ = [
     "PointBenefit",
@@ -203,12 +204,12 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     ``distance`` may be a scalar or an ndarray; the result matches. At
     distance 0 every family returns ``attractiveness`` exactly, and at an
     infinite distance 0.0. An ``attractiveness`` that is not a finite real
-    number, or a NaN distance, raises :class:`InvalidValueError`; negative
+    number, a distance that is not a real number (a bool, text, or a bool
+    or text array, say) or NaN, raises :class:`InvalidValueError`; negative
     distances raise :class:`NegativeDistanceError`.
     """
-    if not _finite_number(attractiveness):
-        raise InvalidValueError(f"attractiveness must be finite, got {attractiveness!r}")
-    d = np.asarray(distance, dtype=float)
+    _finite_value("attractiveness", attractiveness)
+    d = _real_array("distance", distance, finite=False)
     if np.isnan(d).any():
         raise InvalidValueError(f"distance must not be NaN, got {distance!r}")
     if np.any(d < 0):
@@ -400,18 +401,19 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
     """Total benefit at (x, y): the sum of kernel_benefit over all amenities,
     split into positive (attractiveness > 0) and negative parts.
 
-    ``x`` and ``y`` may be scalars, giving float fields, or arrays that
-    broadcast together, giving fields of that shape whose elements equal
-    the scalar queries bit for bit. A non-finite query coordinate, or
-    amenity position or attractiveness, raises :class:`InvalidValueError`;
-    a sum that overflows the float range raises :class:`SumOverflowError`.
+    ``x`` and ``y`` may be scalars, giving float fields, or arrays (or
+    lists) that broadcast together, giving fields of that shape whose
+    elements equal the scalar queries bit for bit. A query coordinate, or
+    amenity position or attractiveness, that is not a finite real number
+    raises :class:`InvalidValueError`; a sum that overflows the float range
+    raises :class:`SumOverflowError`.
     """
+    x, y = _real_array("query point x", x), _real_array("query point y", y)
     samples = math.prod(np.broadcast_shapes(np.shape(x), np.shape(y)))
     evaluate = _PointEvaluator(_amenity_columns(amenities), kernel, samples)
     total, pos, neg = evaluate(x, y, split=True)
     if total.ndim == 0:
-        return PointBenefit(total=float(total), positive_part=float(pos),
-                            negative_part=float(neg))
+        total, pos, neg = float(total), float(pos), float(neg)
     return PointBenefit(total=total, positive_part=pos, negative_part=neg)
 
 

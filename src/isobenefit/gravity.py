@@ -43,7 +43,8 @@ from .errors import (
 )
 from . import field
 from .field import point_benefit  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .scene import MAX_GRID_CELLS, Amenity, Kernel, Scene, _ReadOnlyDict, _refuse_bad_values
+from .scene import (Amenity, Kernel, Scene, _count_value, _finite_value, _real_array,
+                    _ReadOnlyDict, _refuse, _refuse_bad_values)
 
 __all__ = [
     "HuffResult",
@@ -99,19 +100,19 @@ def huff_probabilities(
     ``distance_exponent`` generalizes d_j to d_j**exponent as an
     experimentation hook; the default of 1 is the model itself. All
     attractiveness values must be strictly positive and the origin must not
-    sit on an amenity. ``amenities`` is a scene or a sequence of amenities;
-    a non-finite amenity value raises :class:`InvalidValueError`.
+    sit on an amenity. ``amenities`` is a scene or a sequence of amenities.
+    An origin that is not one (x, y) pair of finite real numbers, an
+    exponent that is not a finite real number, and a non-finite amenity
+    value raise :class:`InvalidValueError`.
     """
     scene = amenities if isinstance(amenities, Scene) else Scene(amenities)
     ids = scene._ids
     if len(ids) == 0:
         raise EmptyChoiceSetError("huff probabilities need at least one amenity")
-    ox, oy = float(origin[0]), float(origin[1])
-    g = float(distance_exponent)
-    if not (math.isfinite(ox) and math.isfinite(oy)):
-        raise InvalidValueError(f"origin must be finite, got {origin!r}")
-    if not math.isfinite(g):
-        raise InvalidValueError(f"distance exponent must be finite, got {distance_exponent!r}")
+    if _real_array("origin", origin).shape != (2,):
+        _refuse("origin", "one (x, y) pair", origin)
+    _finite_value("distance exponent", distance_exponent)
+    ox, oy, g = float(origin[0]), float(origin[1]), float(distance_exponent)
     xs, ys, attractiveness = field._amenity_columns(scene).tolist()
     distances: list[float] = []
     for ident, x, y, a in zip(ids, xs, ys, attractiveness):
@@ -194,13 +195,6 @@ def reilly_breakpoint(amenity1: Amenity, amenity2: Amenity) -> BreakPoint:
     )
 
 
-def _check_resolution(resolution: int) -> None:
-    """Refuse a first-pass sample count outside [3, MAX_GRID_CELLS]."""
-    if not 3 <= resolution <= MAX_GRID_CELLS:
-        raise InvalidValueError(
-            f"resolution must be between 3 and {MAX_GRID_CELLS}, got {resolution}")
-
-
 def numeric_breakpoint(
     amenity1: Amenity,
     amenity2: Amenity,
@@ -228,13 +222,14 @@ def numeric_breakpoint(
     ``scene_context``, when given, is used as the complete amenity list for
     the benefit sum (it should include the pair): a scene, whose own amenity
     columns are summed, or a sequence of amenities. Otherwise only the two
-    amenities contribute. ``resolution`` must lie in [3, MAX_GRID_CELLS].
+    amenities contribute. ``resolution`` must be an integer in
+    [3, MAX_GRID_CELLS].
     A coordinate or attractiveness of the pair or the context that is not a
     finite real number raises :class:`InvalidValueError` naming the amenity.
     """
     # before the pair geometry, so that a bad value of the pair is named as such
     _refuse_bad_values((amenity1, amenity2))
-    _check_resolution(resolution)
+    _count_value("resolution", resolution, 3)
     contributors = scene_context if scene_context is not None else (amenity1, amenity2)
     columns = field._amenity_columns(contributors)
     d = _pair_geometry(amenity1, amenity2)

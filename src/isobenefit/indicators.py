@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
 from .field import evaluate_field
-from .scene import GridSpec, Kernel, Raster, Scene, _checked_columns, _resolved_scene
+from .scene import GridSpec, Kernel, Raster, Scene, _checked_columns, _real_array, _resolved_scene
 
 __all__ = [
     "SummaryStats",
@@ -60,9 +60,11 @@ class UniformityResult:
 
 
 def _values(raster) -> np.ndarray:
+    """A raster's values, or a bare array's, once every one is a finite
+    real number."""
     if isinstance(raster, Raster):
         return raster.values
-    return np.asarray(raster, dtype=float).reshape(-1)
+    return _real_array("raster values", raster).reshape(-1)
 
 
 def _finite(name: str, value: float, count: int) -> float:
@@ -80,7 +82,9 @@ def uniformity(raster) -> UniformityResult:
     positive/negative companion rasters from
     :func:`isobenefit.field.evaluate_field_parts`.
 
-    Raises :class:`EmptyRasterError` on zero cells,
+    A bare array whose values are not all finite real numbers raises
+    :class:`~isobenefit.errors.InvalidValueError`. Raises
+    :class:`EmptyRasterError` on zero cells,
     :class:`ZeroMeanError` when the mean benefit is exactly 0 (the
     coefficient of variation is undefined there, e.g. an all-zero raster),
     and :class:`SumOverflowError` when the mean or the standard deviation
@@ -107,8 +111,9 @@ def summary(raster) -> SummaryStats:
     """Exact total/mean/min/max over all cells.
 
     The mean is total/count clamped into [min, max]; the clamp only ever
-    absorbs last-ulp rounding of the division. A total that is not finite
-    raises :class:`SumOverflowError`.
+    absorbs last-ulp rounding of the division. A bare array is checked as
+    :func:`uniformity` checks it. A total that is not finite raises
+    :class:`SumOverflowError`.
     """
     v = _values(raster)
     if v.size == 0:

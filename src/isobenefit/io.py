@@ -85,7 +85,8 @@ Formats:
 * Contours: GeoJSON FeatureCollection of LineStrings with ``level`` and
   ``closed`` properties; closed rings repeat their first coordinate in the
   GeoJSON only. Coordinates are scene-local planar x,y (see ``crs_note``).
-  On read, every coordinate and level must be a finite number, as on write.
+  On read, every coordinate and level must be a finite number, as on write,
+  and ``closed``, where given, a JSON boolean.
 """
 
 from __future__ import annotations
@@ -744,7 +745,9 @@ def read_contours_geojson(path: str) -> ContourSet:
         if not isinstance(properties, dict):
             raise _format_error(path, f"feature #{k}: properties must be an object")
         level = _require_finite(properties.get("level"), path, "feature #{} level", k)
-        closed = bool(properties.get("closed", False))
+        closed = properties.get("closed", False)
+        if not isinstance(closed, bool):  # "false" would read as a closed ring
+            raise _format_error(path, f"feature #{k}: closed must be true or false, got {closed!r}")
         coordinates = geometry.get("coordinates")
         if not isinstance(coordinates, list) or not all(
                 isinstance(point, list) and len(point) == 2 and all(map(_finite_number, point))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmallError, InvalidValueError, NoFiniteRangeError
-from .scene import MAX_GRID_CELLS, Raster
+from .scene import Raster, _count_value, _real_array, _refuse
 
 __all__ = ["ContourLine", "ContourSet", "extract_isolines"]
 
@@ -239,13 +239,6 @@ def _extract_level(V: np.ndarray, corner_range: tuple[np.ndarray, np.ndarray],
     return lines
 
 
-def _check_nlevels(nlevels: int) -> None:
-    """Refuse a level count outside [1, MAX_GRID_CELLS]."""
-    if not 1 <= nlevels <= MAX_GRID_CELLS:
-        raise InvalidValueError(
-            f"nlevels must be between 1 and {MAX_GRID_CELLS}, got {nlevels}")
-
-
 def extract_isolines(
     raster: Raster,
     levels=None,
@@ -254,8 +247,9 @@ def extract_isolines(
     """Extract isobenefit lines at explicit ``levels`` or at ``nlevels``
     evenly spaced levels strictly between the raster's min and max.
 
-    Exactly one of ``levels``/``nlevels`` must be given; ``nlevels`` must
-    lie in [1, MAX_GRID_CELLS]. A level outside the raster's value range
+    Exactly one of ``levels``/``nlevels`` must be given: ``levels`` a 1-D
+    sequence or array of finite real numbers, ``nlevels`` an integer in
+    [1, MAX_GRID_CELLS]. A level outside the raster's value range
     yields no lines for that level. A constant raster cannot host evenly
     spaced levels (:class:`NoFiniteRangeError`); asking for the constant
     itself as an explicit level warns and yields no lines, since a plateau
@@ -265,7 +259,11 @@ def extract_isolines(
     if (levels is None) == (nlevels is None):
         raise InvalidValueError("pass exactly one of levels= or nlevels=")
     if nlevels is not None:
-        _check_nlevels(nlevels)
+        _count_value("nlevels", nlevels, 1)
+    else:
+        level_list = _real_array("levels", levels).tolist()
+        if np.ndim(levels) != 1:
+            _refuse("levels", "a 1-D sequence", levels)
     grid = raster.grid
     if grid.ncols < 2 or grid.nrows < 2:
         raise GridTooSmallError(
@@ -284,15 +282,11 @@ def extract_isolines(
                 f"raster is constant at {vmin}; evenly spaced levels are undefined"
             )
         level_list = [float(v) for v in np.linspace(vmin, vmax, nlevels + 2)[1:-1]]
-    else:
-        level_list = [float(v) for v in levels]
-        if not all(np.isfinite(level_list)):
-            raise InvalidValueError(f"levels must be finite, got {level_list}")
-        if vmin == vmax and any(lv == vmin for lv in level_list):
-            warnings.warn(
-                f"raster is constant at {vmin}; a plateau has no contour line",
-                stacklevel=2,
-            )
+    elif vmin == vmax and any(lv == vmin for lv in level_list):
+        warnings.warn(
+            f"raster is constant at {vmin}; a plateau has no contour line",
+            stacklevel=2,
+        )
 
     xs = grid.x_coords()
     ys = grid.y_coords()

@@ -22,9 +22,21 @@ breaks it; :func:`validate_scene` then reports every culprit. A scene's
 ``profiles`` and a profile's ``overrides`` are read-only dicts, which
 ``dataclasses.asdict`` and ``copy.deepcopy`` can copy.
 
-This module is also the one gate between a scene's values and the
-arithmetic of the other modules, under the same rule:
+This module is also the one gate between the numbers a caller supplies
+and the arithmetic of the other modules, under the same rule:
 
+- Library arguments. ``_finite_value`` refuses a number (E, a cell size,
+  an attractiveness, a distance exponent) unless it is one finite real
+  number. ``_real_array`` returns an argument that may be an array (raster
+  values, query points, a Huff origin, levels, a distance) as a float
+  ndarray, once it is a real number, a list or tuple of them, or an
+  integer or float ndarray, with every value finite (a distance may be
+  infinite). ``_count_value`` refuses a count (``resolution``,
+  ``nlevels``, a grid's columns and rows) unless it is an integer in its
+  range. Each refusal is an :class:`~isobenefit.errors.InvalidValueError`
+  of one shape, ``_refuse``'s: the argument's name, the rule, and the
+  refused value (for an ndarray its first non-finite value or its dtype,
+  so that the message stays one line).
 - ``_checked_columns`` hands out a scene's columns, and
   ``_refuse_bad_values`` is the one culprit-namer: the fields, point
   queries, Huff and both breakpoints (whose pair it checks first) refuse
@@ -57,17 +69,70 @@ KERNEL_FAMILIES = ("rational", "gaussian", "exponential")
 MAX_GRID_CELLS = 2 ** 26
 
 
-def _finite_number(value: object, positive: bool = False) -> bool:
-    """True for a finite real number (> 0 if ``positive``); bools excluded."""
+def _real_number(value: object, finite: bool = False) -> bool:
+    """True for a real number in the float range (finite if ``finite``),
+    Python's or numpy's; bools excluded."""
     kind = type(value)
     # exact float and int skip the slow ABC check; bool is its own type
-    if kind is not float and kind is not int and (
-            kind is bool or not isinstance(value, numbers.Real)):
+    if kind is bool or not (kind is float or kind is int or isinstance(value, numbers.Real)):
         return False
     try:
-        return math.isfinite(value) and (value > 0 or not positive)
+        return math.isfinite(value) or not finite
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _finite_number(value: object, positive: bool = False) -> bool:
+    """True for a finite real number (> 0 if ``positive``); bools excluded."""
+    return _real_number(value, finite=True) and (value > 0 or not positive)
+
+
+def _real_values(values, finite: bool) -> bool:
+    """True for a real number as :func:`_real_number` takes it, a list or
+    tuple of them, or an ndarray of integer or float dtype; each finite if
+    ``finite``. numpy would also convert bools, text and None, and
+    sometimes complex numbers."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf" and (not finite or bool(np.isfinite(values).all()))
+    items = values if isinstance(values, (list, tuple)) else (values,)
+    return all(_real_number(item, finite) for item in items)
+
+
+def _refuse(name: str, rule: str, value: object) -> None:
+    """Raise the one message shape of a refused argument: ``name`` must be
+    ``rule``, got ``value``."""
+    raise InvalidValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _finite_value(name: str, value: object, positive: bool = False) -> None:
+    """Refuse the argument ``name`` unless it is one finite real number (> 0
+    if ``positive``), bools excluded."""
+    if not _finite_number(value, positive):
+        _refuse(name, "finite and > 0" if positive else "finite", value)
+
+
+def _real_array(name: str, values, finite: bool = True) -> np.ndarray:
+    """The argument ``name`` as a float ndarray, once :func:`_real_values`
+    takes it (with every value finite unless ``finite`` is False); else it
+    is refused. A refused ndarray is named by its first non-finite value, or
+    by its dtype if that is not integer or float, so that the message stays
+    one line; anything else by its whole value."""
+    if not _real_values(values, finite):
+        if isinstance(values, np.ndarray):
+            real = values.dtype.kind in "iuf"
+            values = values.item(int(np.argmin(np.isfinite(values)))) if real else values.dtype
+        _refuse(name, "finite" if finite else "a real number", values)
+    return np.asarray(values, dtype=float)
+
+
+def _count_value(name: str, value, low: int | None) -> None:
+    """Refuse the argument ``name`` unless it is an integer, Python's or
+    numpy's (bools excluded), in [low, MAX_GRID_CELLS]; with ``low`` None,
+    any integer (a grid bounds its counts by their product)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        _refuse(name, "an integer", value)
+    if low is not None and not low <= value <= MAX_GRID_CELLS:
+        _refuse(name, f"between {low} and {MAX_GRID_CELLS}", int(value))
 
 
 @dataclass(frozen=True)
@@ -103,9 +168,7 @@ class Kernel:
                 f"unknown kernel family {self.family!r}; "
                 f"expected one of {', '.join(KERNEL_FAMILIES)}"
             )
-        e = self.efficiency
-        if not _finite_number(e, positive=True):
-            raise InvalidValueError(f"kernel efficiency must be finite and > 0, got {e!r}")
+        _finite_value("kernel efficiency", self.efficiency, positive=True)
 
 
 @dataclass(frozen=True)
@@ -121,20 +184,17 @@ class GridSpec:
     nrows: int
 
     def __post_init__(self) -> None:
-        if not _finite_number(self.cell_size, positive=True):
-            raise InvalidValueError(f"cell_size must be finite and > 0, got {self.cell_size!r}")
-        for name, count in (("ncols", self.ncols), ("nrows", self.nrows)):
-            # a float count would give np.arange(2.5) three centers for a size of 5.0
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise InvalidValueError(f"{name} must be an integer, got {count!r}")
+        _finite_value("cell_size", self.cell_size, positive=True)
+        # a float count would give np.arange(2.5) three centers for a size of 5.0
+        _count_value("ncols", self.ncols, None)
+        _count_value("nrows", self.nrows, None)
         if self.ncols < 1 or self.nrows < 1:
             raise InvalidValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         if self.ncols * self.nrows > MAX_GRID_CELLS:
             raise InvalidValueError(
                 f"grid of {self.ncols}x{self.nrows} = {self.ncols * self.nrows} cells "
                 f"exceeds the limit of {MAX_GRID_CELLS} cells")
-        if not (_finite_number(self.origin_x) and _finite_number(self.origin_y)):
-            raise InvalidValueError("grid origin must be finite")
+        _real_array("grid origin", (self.origin_x, self.origin_y))
         # the last cell centers, computed as x_coords and y_coords compute them
         last_x = self.origin_x + (self.ncols - 1) * self.cell_size
         last_y = self.origin_y + (self.nrows - 1) * self.cell_size
@@ -176,20 +236,19 @@ class Raster:
 
     ``values`` is a read-only float64 array of length ncols*nrows, row-major
     from the bottom row upward: cell (i, j) lives at index j*ncols + i.
+    It is made from finite real numbers, as :func:`_real_array` takes them.
     """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = _real_array("raster values", self.values).reshape(-1)
         if v.size != self.grid.size:
             raise InvalidValueError(
                 f"raster has {v.size} values but grid is "
                 f"{self.grid.ncols}x{self.grid.nrows} = {self.grid.size} cells"
             )
-        if not np.isfinite(v).all():
-            raise InvalidValueError("raster values must all be finite")
         if np.may_share_memory(v, self.values):  # decouple from the caller's buffer
             v = v.copy()
         v.flags.writeable = False
@@ -283,10 +342,10 @@ class Scene:
         return value
 
 
-def _check_finite(code: str, subject: str, what: str, value: object,
-                  out: list[Violation]) -> None:
+def _check_finite(subject: str, what: str, value: object, out: list[Violation]) -> None:
     if not _finite_number(value):
-        out.append(Violation(code, subject, f"{what} is not a finite number: {value!r}"))
+        out.append(Violation("NonFiniteValue", subject,
+                             f"{what} is not a finite number: {value!r}"))
 
 
 def _float_columns(amenities: tuple[Amenity, ...]) -> np.ndarray | None:
@@ -347,10 +406,8 @@ def validate_scene(scene: Scene) -> Scene:
             else:
                 seen.add(am.id)
             subject = am.id if isinstance(am.id, str) else str(am.id)
-            _check_finite("NonFiniteValue", subject, "attractiveness", am.attractiveness,
-                          violations)
-            _check_finite("NonFiniteValue", subject, "x", am.x, violations)
-            _check_finite("NonFiniteValue", subject, "y", am.y, violations)
+            for what in ("attractiveness", "x", "y"):
+                _check_finite(subject, what, getattr(am, what), violations)
 
     for name, prof in scene.profiles.items():
         if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):
@@ -362,8 +419,7 @@ def validate_scene(scene: Scene) -> Scene:
                 violations.append(Violation(
                     "UnknownOverrideTarget", target,
                     f"profile {name!r} overrides amenity {target!r} which is not in the scene"))
-            _check_finite("NonFiniteValue", f"{name}:{target}", "override value", value,
-                          violations)
+            _check_finite(f"{name}:{target}", "override value", value, violations)
 
     if scene.majority is not None and scene.majority not in scene.profiles:
         violations.append(Violation(
@@ -399,8 +455,8 @@ def _refuse_bad_values(amenities) -> None:
     for am in amenities:
         for name in ("x", "y", "attractiveness"):
             value = getattr(am, name)
-            if not _finite_number(value):
-                raise InvalidValueError(f"amenity {am.id!r} {name} must be finite, got {value!r}")
+            if not _finite_number(value):  # the label is formatted for a culprit only
+                _finite_value(f"amenity {am.id!r} {name}", value)
 
 
 def _checked_columns(scene: Scene) -> np.ndarray:
@@ -434,9 +490,7 @@ def _resolved_scene(scene: Scene, kernel: Kernel,
         )
     efficiency = profile.efficiency
     if efficiency is not None:
-        if not _finite_number(efficiency, positive=True):
-            raise InvalidValueError(f"profile {profile_name!r} efficiency must be finite "
-                                    f"and > 0, got {efficiency!r}")
+        _finite_value(f"profile {profile_name!r} efficiency", efficiency, positive=True)
         kernel = dataclasses.replace(kernel, efficiency=float(efficiency))
     overrides = profile.overrides
     if not overrides:
@@ -445,8 +499,7 @@ def _resolved_scene(scene: Scene, kernel: Kernel,
     for k, ident in enumerate(scene._ids):
         if ident in overrides:
             value = overrides[ident]
-            if not _finite_number(value):
-                raise InvalidValueError(f"profile {profile_name!r}: amenity {ident!r} "
-                                        f"attractiveness must be finite, got {value!r}")
+            if not _finite_number(value):  # the label is formatted for a culprit only
+                _finite_value(f"profile {profile_name!r}: amenity {ident!r} attractiveness", value)
             columns[2, k] = float(value)
     return Scene._from_columns(scene._ids, columns), kernel

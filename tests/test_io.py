@@ -959,6 +959,11 @@ LINE_FEATURE = {"type": "Feature",
     ({"features": [{"geometry": 3}]}, "feature #0: expected a LineString"),
     ({"features": [{**LINE_FEATURE, "properties": 7}]},
      "feature #0: properties must be an object"),
+    # "false" read as a closed ring, which dropped a repeated last point
+    ({"features": [{**LINE_FEATURE, "properties": {"level": 1.0, "closed": "false"}}]},
+     "feature #0: closed must be true or false, got 'false'"),
+    ({"features": [{**LINE_FEATURE, "properties": {"level": 1.0, "closed": 1}}]},
+     "feature #0: closed must be true or false, got 1"),
     ({"features": 5}, "features must be a list"),
     ({"features": [], "levels": 3}, "levels must be a list of numbers"),
     ({"features": [], "levels": ["a"]}, "levels #0 must be a number, got 'a'"),

@@ -24,12 +24,16 @@ from isobenefit import (
     UnknownProfileError,
     evaluate_field,
     evaluate_field_parts,
+    extract_isolines,
     huff_probabilities,
+    kernel_benefit,
     load_scene,
     numeric_breakpoint,
     pgg_field,
     point_benefit,
     resolve_profile,
+    summary,
+    uniformity,
     validate_scene,
 )
 
@@ -477,3 +481,134 @@ def test_numpy_profile_values_resolve_to_the_floats_they_equal(value, read):
     assert read(scene_of(value), kernel, grid) == read(scene_of(float(value)), kernel, grid)
     amenities, kern = resolve_profile(scene_of(value), kernel, "p")
     assert type(amenities[1].attractiveness) is float and type(kern.efficiency) is float
+
+
+# every library argument that takes a number, by the name its refusal
+# gives it, with a call that passes it one value: each follows the rule of
+# validate_scene, a finite real number with bools excluded
+PAIR = (Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 4.0, 0.0, 2.0))
+RATIONAL = Kernel("rational", 1.0)
+RAMP = Raster(GridSpec(0.0, 0.0, 1.0, 2, 2), [0.0, 1.0, 0.0, 1.0])
+NUMBER_ARGUMENTS = {
+    "kernel efficiency": lambda v: Kernel("rational", v),
+    "cell_size": lambda v: GridSpec(0.0, 0.0, v, 2, 2),
+    "grid origin": lambda v: GridSpec(0.0, v, 1.0, 2, 2),
+    "raster values": lambda v: Raster(GridSpec(0.0, 0.0, 1.0, 2, 1), [1.0, v]),
+    "attractiveness": lambda v: kernel_benefit(v, 1.0, RATIONAL),
+    "distance": lambda v: kernel_benefit(1.0, v, RATIONAL),
+    "query point x": lambda v: point_benefit(PAIR, RATIONAL, v, 0.0),
+    "query point y": lambda v: point_benefit(PAIR, RATIONAL, 1.0, [v, 0.0]),
+    "origin": lambda v: huff_probabilities((1.0, v), PAIR),
+    "distance exponent": lambda v: huff_probabilities((1.0, 1.0), PAIR, v),
+    "levels": lambda v: extract_isolines(RAMP, levels=[0.5, v]),
+}
+# the arguments that also take an array, with a call that passes one
+ARRAY_ARGUMENTS = [
+    ("raster values", lambda a: Raster(GridSpec(0.0, 0.0, 1.0, 2, 1), a)),
+    ("raster values", uniformity),  # a bare array
+    ("raster values", summary),
+    ("distance", lambda a: kernel_benefit(1.0, a, RATIONAL)),
+    ("query point x", lambda a: point_benefit(PAIR, RATIONAL, a, 0.0)),
+    ("query point y", lambda a: point_benefit(PAIR, RATIONAL, 1.0, a)),
+    ("origin", lambda a: huff_probabilities(a, PAIR)),
+    ("levels", lambda a: extract_isolines(RAMP, levels=a)),
+]
+BAD_NUMBERS = {"bool": True, "text": "2.5", "None": None, "nan": math.nan, "inf": math.inf,
+               "-inf": -math.inf, "huge-int": 10 ** 400}
+BAD_ARRAYS = {"bool-array": np.array([True, False]), "text-array": np.array(["1", "2"]),
+              "object-array": np.array([1.0, 2.0], dtype=object),
+              "complex-array": np.array([1.0, 2.0j]), "nan-array": np.array([1.0, math.nan])}
+
+
+# an infinite distance gives 0.0, and a negative one has its own error
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{label}")
+    for name in NUMBER_ARGUMENTS for label, value in BAD_NUMBERS.items()
+    if not (name == "distance" and label in ("inf", "-inf"))])
+def test_a_number_argument_refuses_what_is_not_a_finite_real_number(name, value):
+    with pytest.raises(InvalidValueError) as excinfo:
+        NUMBER_ARGUMENTS[name](value)
+    assert str(excinfo.value).startswith(f"{name} must ")
+
+
+# a NaN distance has its own message, which test_field.py pins
+@pytest.mark.parametrize("name, call, array", [
+    pytest.param(name, call, array, id=f"{name}-{label}")
+    for name, call in ARRAY_ARGUMENTS for label, array in BAD_ARRAYS.items()
+    if not (name == "distance" and label == "nan-array")])
+def test_an_array_argument_refuses_arrays_that_are_not_finite_real_numbers(name, call, array):
+    with pytest.raises(InvalidValueError) as excinfo:
+        call(array)
+    message = str(excinfo.value)
+    assert message.startswith(f"{name} must ")
+    assert "\n" not in message and "array(" not in message  # one value or dtype, not the array
+
+
+def test_a_scalar_argument_refuses_an_array_even_of_finite_numbers():
+    for name in ("kernel efficiency", "cell_size", "grid origin", "attractiveness",
+                 "distance exponent"):
+        with pytest.raises(InvalidValueError, match=f"^{name} must "):
+            NUMBER_ARGUMENTS[name](np.array([2.0]))
+
+
+def test_a_large_refused_raster_is_named_in_one_line():
+    values = np.ones(384 * 384)
+    values[1000] = math.nan
+    with pytest.raises(InvalidValueError) as excinfo:
+        Raster(GridSpec(0.0, 0.0, 1.0, 384, 384), values)
+    assert str(excinfo.value) == "raster values must be finite, got nan"
+    with pytest.raises(InvalidValueError) as excinfo:
+        Raster(GridSpec(0.0, 0.0, 1.0, 384, 384), values > 0)
+    assert str(excinfo.value) == "raster values must be finite, got dtype('bool')"
+
+
+@pytest.mark.parametrize("count", [2.5, True, "7", np.float64(7.0)])
+def test_a_count_argument_refuses_what_is_not_an_integer(count):
+    with pytest.raises(InvalidValueError, match="^resolution must be an integer, got "):
+        numeric_breakpoint(*PAIR, RATIONAL, resolution=count)
+    with pytest.raises(InvalidValueError, match="^nlevels must be an integer, got "):
+        extract_isolines(RAMP, nlevels=count)
+
+
+@pytest.mark.parametrize("name, call, low", [
+    ("resolution", lambda n: numeric_breakpoint(*PAIR, RATIONAL, resolution=n), 3),
+    ("nlevels", lambda n: extract_isolines(RAMP, nlevels=n), 1),
+])
+def test_a_count_argument_refuses_a_count_out_of_its_range(name, call, low):
+    for count in (low - 1, MAX_GRID_CELLS + 1):
+        message = f"{name} must be between {low} and {MAX_GRID_CELLS}, got {count}"
+        with pytest.raises(InvalidValueError, match=f"^{message}$"):
+            call(count)
+
+
+def test_numpy_numbers_and_integer_arrays_are_taken_as_the_floats_they_equal():
+    grid = GridSpec(np.float32(0.5), np.int64(0), np.float64(1.0), np.int32(2), np.uint8(1))
+    assert grid == GridSpec(0.5, 0.0, 1.0, 2, 1)
+    assert Raster(grid, np.array([1, 2])).values.tolist() == [1.0, 2.0]
+    assert Kernel("rational", np.float64(2.0)).efficiency == 2.0
+    assert kernel_benefit(np.int64(2), np.array([0, 1]), RATIONAL).tolist() == [2.0, 1.0]
+    assert kernel_benefit(2.0, [0, math.inf], RATIONAL).tolist() == [2.0, 0.0]
+    int_query = point_benefit(PAIR, RATIONAL, np.array([1, 2]), np.int64(1))
+    float_query = point_benefit(PAIR, RATIONAL, np.array([1.0, 2.0]), 1.0)
+    assert int_query.total.tolist() == float_query.total.tolist()
+    assert (huff_probabilities(np.array([1, 1]), PAIR, np.float64(2.0))
+            == huff_probabilities((1.0, 1.0), PAIR, 2.0))
+    assert (extract_isolines(RAMP, levels=np.array([0, 1]))
+            == extract_isolines(RAMP, levels=[0.0, 1.0]))
+    assert extract_isolines(RAMP, nlevels=np.int32(2)) == extract_isolines(RAMP, nlevels=2)
+    assert (numeric_breakpoint(*PAIR, RATIONAL, resolution=np.int64(11))
+            == numeric_breakpoint(*PAIR, RATIONAL, resolution=11))
+    assert summary(np.array([1, 2, 3])) == summary([1.0, 2.0, 3.0])
+    assert uniformity(np.array([[1, 2], [3, 4]])) == uniformity([1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("levels", [0.5, np.array([[0.5, 1.0]])])
+def test_levels_must_be_one_dimensional(levels):
+    with pytest.raises(InvalidValueError, match="^levels must be a 1-D sequence, got "):
+        extract_isolines(RAMP, levels=levels)
+
+
+@pytest.mark.parametrize("origin", [(1.0,), (1.0, 2.0, 3.0), 1.0, np.array([[1.0, 2.0]])])
+def test_a_huff_origin_is_exactly_one_pair(origin):
+    with pytest.raises(InvalidValueError, match=r"^origin must be one \(x, y\) pair, got "):
+        huff_probabilities(origin, PAIR)

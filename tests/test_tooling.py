@@ -2,7 +2,8 @@
 the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints and
-writes files; a valid scene's amenities load without a per-value check
+writes files; the finite and count rules of library arguments are spelled
+only in the scene module; a valid scene's amenities load without a per-value check
 and its profile values are checked once in each step, and a valid raster
 loads without the per-line parser; a numeric breakpoint builds its
 amenity columns once, not once per pass; a loaded scene's point queries
@@ -82,6 +83,31 @@ def test_cli_writes_only_in_main():
                and getattr(call.func, "id", getattr(call.func, "attr", "")).startswith(
                    ("write_", "atomic_write"))}
     assert writers == {"main"}
+
+
+def test_argument_value_rules_are_spelled_only_in_the_scene_module():
+    # every library argument that takes a number or a count is refused by
+    # scene._finite_value, scene._real_array or scene._count_value, so no
+    # other module spells their messages. Two exceptions: io's file-format
+    # label (a SceneFormatError naming the file and line, not an argument),
+    # and the point evaluator's own check of its query coordinates, which
+    # runs on every call and stays as cheap as it is.
+    allowed = {("io.py", " must be finite, got "),
+               ("field.py", "query point coordinates must be finite")}
+    found = set()
+    for path in sorted((ROOT / "src" / "isobenefit").glob("*.py")):
+        if path.name == "scene.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and ("must be finite" in node.value or "must be between" in node.value)):
+                found.add((path.name, node.value))
+    assert found == allowed
 
 
 def test_small_writes_do_not_import_subprocess(tmp_path):
