@@ -138,7 +138,7 @@ import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
 from .scene import (GridSpec, Kernel, Raster, Scene, _checked_columns, _finite_value,
-                    _real_array, _resolved_scene)
+                    _real_array, _refuse, _resolved_scene, _type_value)
 
 __all__ = [
     "PointBenefit",
@@ -208,6 +208,7 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     or text array, say) or NaN, raises :class:`InvalidValueError`; negative
     distances raise :class:`NegativeDistanceError`.
     """
+    _type_value("kernel", kernel, Kernel)
     _finite_value("attractiveness", attractiveness)
     d = _real_array("distance", distance, finite=False)
     if np.isnan(d).any():
@@ -323,6 +324,7 @@ class _PointEvaluator:
     buffer."""
 
     def __init__(self, columns: np.ndarray, kernel: Kernel, samples: int):
+        _type_value("kernel", kernel, Kernel)
         self.columns = columns
         self.kernel = kernel
         self._all_positive = bool((columns[2] > 0).all())
@@ -404,12 +406,16 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
     ``x`` and ``y`` may be scalars, giving float fields, or arrays (or
     lists) that broadcast together, giving fields of that shape whose
     elements equal the scalar queries bit for bit. A query coordinate, or
-    amenity position or attractiveness, that is not a finite real number
-    raises :class:`InvalidValueError`; a sum that overflows the float range
-    raises :class:`SumOverflowError`.
+    amenity position or attractiveness, that is not a finite real number,
+    and query shapes that do not broadcast together, raise
+    :class:`InvalidValueError`; a sum that overflows the float range raises
+    :class:`SumOverflowError`.
     """
     x, y = _real_array("query point x", x), _real_array("query point y", y)
-    samples = math.prod(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    try:
+        samples = math.prod(np.broadcast_shapes(x.shape, y.shape))
+    except ValueError:
+        _refuse("query point shapes", "broadcastable together", (x.shape, y.shape))
     evaluate = _PointEvaluator(_amenity_columns(amenities), kernel, samples)
     total, pos, neg = evaluate(x, y, split=True)
     if total.ndim == 0:
@@ -419,6 +425,7 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
 
 def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
+    _type_value("grid", grid, GridSpec)
     resolved, kern = _resolved_scene(scene, kernel, profile)
     evaluate = _PointEvaluator(_amenity_columns(resolved), kern, grid.ncols * grid.nrows)
     return evaluate(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)

@@ -33,12 +33,15 @@ started threads by then, forking such a process is deprecated from Python
 Scenes are read in two steps: the parser checks structure and types (a
 bool or a numeric string is refused as a number), then
 :func:`~isobenefit.scene.validate_scene` checks values (finite, with
-distinct non-empty ids), profiles included. Each checks a scene's
-amenities in bulk, and loops over them only when that check fails, to name
-the culprit with the message of a value-by-value check. Profile values are
-few, and each step checks them one by one. The parser hands the scene its
-amenity ids and its (3, n) float columns and builds no ``Amenity`` object;
-validation checks those columns.
+distinct non-empty ids), profiles included. The parser checks each entry
+and value as it reads it, so the first culprit is the one it names.
+Validation checks a scene's amenities in bulk, and loops over them only
+when that check fails, to name the culprit with the message of a
+value-by-value check; profile values are few, and it checks them one by
+one. The parser hands the scene its amenity ids and its (3, n) float
+columns and builds no ``Amenity`` object; validation checks those columns.
+A process parses a file's scene once (see below), so it pays the parser's
+value-by-value check once.
 
 :func:`load_scene` reads a file's bytes once and parses those bytes,
 decoded as ``open()`` would decode them, so messages, JSON line numbers and
@@ -49,17 +52,18 @@ that scene without parsing or validating it; the scene is immutable, so
 callers can share it. Bytes are compared, not sizes, times or paths, so a
 file rewritten in place is parsed again, and a refused file is never kept.
 Point queries run as many short calls on one scene: on a shared 2-vCPU x86
-host, loading a 200-amenity scene took 0.33-0.63 ms, and reusing it
+host, loading a 200-amenity scene took 0.63-0.92 ms, and reusing it
 0.007-0.011 ms.
 
 Rasters are read in one C pass: the data lines go to one ``np.loadtxt``
 call, whose tokenizer converts each cell as ``float()`` does, and shape
 and finiteness are checked in bulk. The per-line parser,
 :func:`_parse_cells`, runs only when numpy refuses a line or a bulk check
-fails: it names the culprit, and reads what ``float()`` takes and numpy
-does not (``1_0``, non-ASCII digits). Lines holding ``\\x1c``-``\\x1f``,
-which numpy strips from around a number and ``float()`` does not, skip the
-bulk call; so do zero lines, on which ``np.loadtxt`` warns.
+fails: it reads each cell with ``float()`` and names the first culprit, so
+it also reads what ``float()`` takes and numpy does not (``1_0``, non-ASCII
+digits). Lines holding ``\\x1c``-``\\x1f``, which numpy strips from around
+a number and ``float()`` does not, skip the bulk call; so do zero lines, on
+which ``np.loadtxt`` warns.
 
 Contour GeoJSON bypasses :func:`json_product`: with ``indent`` set, CPython's
 ``json`` runs its pure-Python encoder, which took longer than extracting the
@@ -189,16 +193,6 @@ def _format_into(handle, rows: np.ndarray, sep: str) -> None:
         handle.write(b"\n")
 
 
-def _format_owed(owed: list) -> None:
-    """Format in process, in place of the helper's lines, every table of
-    ``owed``: ``(handle, offset, rows, sep)``, the rows' text due at offset."""
-    for handle, offset, rows, sep in owed:
-        handle.seek(offset)
-        handle.truncate()
-        _format_into(handle, rows, sep)
-    owed.clear()
-
-
 def write_all(products: Iterable[tuple]) -> None:
     """Write every product, ``(path, text, rows, sep)``, or none. The file
     at ``path`` holds ``text``, then, unless ``rows`` is None, one line per
@@ -243,9 +237,13 @@ def write_all(products: Iterable[tuple]) -> None:
             if count < len(rest) or not line.endswith(b"\n"):
                 _stop(helper)  # a short table: the tables before it may hold wrong lines
                 helper = None
-                _format_owed(owed)
-        if helper is not None and (helper.stdout.read(1) or helper.wait()):
-            _format_owed(owed)  # output beyond the last table, or a failure
+        # no helper, a short table, output beyond the last table, or a failure:
+        # every owed table is formatted here, in place of the helper's lines
+        if helper is None or helper.stdout.read(1) or helper.wait():
+            for handle, offset, rest, sep in owed:
+                handle.seek(offset)
+                handle.truncate()
+                _format_into(handle, rest, sep)
         for tmp, handle in staged:
             handle.close()
         for (tmp, _), (path, *_) in zip(staged, products):
@@ -365,20 +363,12 @@ def _scene_from_json(path: str, raw: bytes) -> Scene:
 
 def _json_amenities(raw_amenities: list, path: str) -> tuple[list[str], np.ndarray]:
     """The ids and the (3, n) float columns x, y, A of a scene's JSON
-    ``"amenities"`` list, type-checked and converted in bulk. Only when the
-    bulk check fails does the per-entry loop run, to name the first culprit
-    with a format error; finiteness is left to
+    ``"amenities"`` list, each entry checked as it is read, each number by
+    :func:`_require_number`, so that the first culprit is named with a
+    format error; finiteness is left to
     :func:`~isobenefit.scene.validate_scene`."""
-    try:
-        ids = [entry["id"] for entry in raw_amenities]
-        numbers = [[entry[key] for entry in raw_amenities] for key in ("x", "y", "A")]
-        # the type check comes first: np.array takes True and "1.5" as numbers
-        if (set(map(type, ids)) <= {str}
-                and set(map(type, itertools.chain(*numbers))) <= {float, int}):
-            return ids, np.array(numbers, dtype=float)
-    except (TypeError, KeyError, OverflowError):  # not an object, a missing key, a huge int
-        pass
-    for k, entry in enumerate(raw_amenities):  # name the first culprit
+    ids, columns = [], ([], [], [])
+    for k, entry in enumerate(raw_amenities):
         if not isinstance(entry, dict):
             raise _format_error(path, f"amenity #{k} must be an object, got {entry!r}")
         missing = [key for key in ("id", "x", "y", "A") if key not in entry]
@@ -386,9 +376,10 @@ def _json_amenities(raw_amenities: list, path: str) -> tuple[list[str], np.ndarr
             raise _format_error(path, f"amenity #{k} is missing {', '.join(missing)}")
         if not isinstance(entry["id"], str):
             raise _format_error(path, f"amenity #{k} id must be a string, got {entry['id']!r}")
-        for key in ("x", "y", "A"):
-            _require_number(entry[key], path, "amenity #{} " + key, k)
-    raise AssertionError("a refused amenity list without a culprit")
+        ids.append(entry["id"])
+        for key, column in zip(("x", "y", "A"), columns):
+            column.append(_require_number(entry[key], path, "amenity #{} " + key, k))
+    return ids, np.array(columns, dtype=float)
 
 
 def _json_profiles(raw_profiles: dict, path: str) -> dict[str, Profile]:
@@ -479,19 +470,15 @@ def _parse_cells(cells: list[str], path: str, line: int) -> np.ndarray:
     """Float values of one line's cells; a cell that is not a finite number
     is a format error naming the line. An array, so that the Python floats
     of only one line are alive at a time."""
-    try:
-        values = list(map(float, cells))
-        if all(map(math.isfinite, values)):
-            return np.array(values)
-    except ValueError:
-        pass
-    for cell in cells:  # name the first culprit
+    values = []
+    for cell in cells:
         try:
-            if math.isfinite(float(cell)):
-                continue
+            values.append(float(cell))
         except ValueError:
-            pass
-        raise _format_error(path, f"bad value {cell.strip()!r}", line)
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise _format_error(path, f"bad value {cell.strip()!r}", line)
+    return np.array(values)
 
 
 # ASCII information separators: numpy's text reader strips them from a
@@ -691,14 +678,14 @@ def _coordinates_text(points: tuple, closed: bool) -> str:
 def _contours_text(contours: ContourSet) -> str:
     features = []
     for line in contours.lines:
-        level, closed = _json_numbers([line.level, line.closed])
+        level, = _json_numbers([line.level])
         features.append(
             '{\n      "type": "Feature",\n      "geometry": {\n'
             '        "type": "LineString",\n'
             f'        "coordinates": {_coordinates_text(line.points, line.closed)}\n'
             '      },\n      "properties": {\n'
             f'        "level": {level},\n'
-            f'        "closed": {closed}\n'
+            f'        "closed": {json.dumps(line.closed)}\n'
             '      }\n    }')
     levels = _json_numbers(list(contours.levels))
     return ('{\n  "type": "FeatureCollection",\n'

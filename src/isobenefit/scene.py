@@ -1,10 +1,11 @@
 """Domain model: amenities, decay kernels, grids, rasters, preference profiles.
 
 All types are immutable after construction and safe to share across threads.
-``Amenity``/``Profile``/``Scene`` accept whatever they are given so that
-:func:`validate_scene` can report *every* violation in one pass; ``Kernel``,
-``GridSpec`` and ``Raster`` are plumbing types and reject bad values
-immediately.
+``Amenity``/``Profile``/``Scene`` accept whatever values they are given so
+that :func:`validate_scene` can report *every* violation in one pass; a
+``Scene`` refuses only an item of its amenities that is not an ``Amenity``.
+``Kernel``, ``GridSpec`` and ``Raster`` are plumbing types and reject bad
+values immediately.
 
 A ``Scene`` carries its amenities as their ids and one read-only (3, n)
 float array whose rows are x, y and attractiveness. Validation, fields,
@@ -33,10 +34,12 @@ and the arithmetic of the other modules, under the same rule:
   integer or float ndarray, with every value finite (a distance may be
   infinite). ``_count_value`` refuses a count (``resolution``,
   ``nlevels``, a grid's columns and rows) unless it is an integer in its
-  range. Each refusal is an :class:`~isobenefit.errors.InvalidValueError`
-  of one shape, ``_refuse``'s: the argument's name, the rule, and the
-  refused value (for an ndarray its first non-finite value or its dtype,
-  so that the message stays one line).
+  range, and ``_type_value`` a kernel, a grid or an amenity unless it is a
+  ``Kernel``, a ``GridSpec`` or an ``Amenity``. Each refusal is an
+  :class:`~isobenefit.errors.InvalidValueError` of one shape,
+  ``_refuse``'s: the argument's name, the rule, and the refused value (for
+  an ndarray its first non-finite value or its dtype, so that the message
+  stays one line).
 - ``_checked_columns`` hands out a scene's columns, and
   ``_refuse_bad_values`` is the one culprit-namer: the fields, point
   queries, Huff and both breakpoints (whose pair it checks first) refuse
@@ -133,6 +136,12 @@ def _count_value(name: str, value, low: int | None) -> None:
         _refuse(name, "an integer", value)
     if low is not None and not low <= value <= MAX_GRID_CELLS:
         _refuse(name, f"between {low} and {MAX_GRID_CELLS}", int(value))
+
+
+def _type_value(name: str, value: object, kind: type) -> None:
+    """Refuse the argument ``name`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        _refuse(name, f"of type {kind.__name__}", value)
 
 
 @dataclass(frozen=True)
@@ -304,9 +313,14 @@ class Scene:
 
     def __post_init__(self) -> None:
         amenities = tuple(self.amenities)
+        try:
+            ids, columns = tuple(am.id for am in amenities), _float_columns(amenities)
+        except AttributeError:  # name the first item that is not an Amenity
+            for k, am in enumerate(amenities):
+                _type_value(f"amenity #{k}", am, Amenity)
+            raise
         for name, value in (("amenities", amenities), ("profiles", _ReadOnlyDict(self.profiles)),
-                            ("_ids", tuple(am.id for am in amenities)),
-                            ("_columns", _float_columns(amenities))):
+                            ("_ids", ids), ("_columns", columns)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -451,8 +465,10 @@ def resolve_profile(
 def _refuse_bad_values(amenities) -> None:
     """Raise :class:`InvalidValueError` naming the first amenity with an x,
     y or attractiveness that :func:`_finite_number` refuses: non-finite, a
-    bool, text, or an integer beyond the float range."""
-    for am in amenities:
+    bool, text, or an integer beyond the float range; or the first item
+    that is not an :class:`Amenity`, by its index."""
+    for k, am in enumerate(amenities):
+        _type_value(f"amenity #{k}", am, Amenity)
         for name in ("x", "y", "attractiveness"):
             value = getattr(am, name)
             if not _finite_number(value):  # the label is formatted for a culprit only
@@ -480,6 +496,7 @@ def _resolved_scene(scene: Scene, kernel: Kernel,
     :func:`validate_scene` would refuse raises :class:`InvalidValueError`
     naming the profile (and the amenity); an override of an id the scene
     does not hold is ignored."""
+    _type_value("kernel", kernel, Kernel)
     if profile_name is None:
         return scene, kernel
     profile = scene.profiles.get(profile_name)

@@ -31,6 +31,7 @@ from isobenefit import (
     numeric_breakpoint,
     pgg_field,
     point_benefit,
+    reilly_breakpoint,
     resolve_profile,
     summary,
     uniformity,
@@ -518,6 +519,49 @@ BAD_NUMBERS = {"bool": True, "text": "2.5", "None": None, "nan": math.nan, "inf"
 BAD_ARRAYS = {"bool-array": np.array([True, False]), "text-array": np.array(["1", "2"]),
               "object-array": np.array([1.0, 2.0], dtype=object),
               "complex-array": np.array([1.0, 2.0j]), "nan-array": np.array([1.0, math.nan])}
+# arguments of the wrong type, by the name and the rule of their refusal,
+# with a call that passes one: an item that is not an Amenity is named by
+# its index, and query shapes by both shapes
+SCENE = Scene(PAIR, profiles={"p": Profile("p", efficiency=2.0, overrides={"a": 3.0})})
+GRID = GridSpec(0.0, 0.0, 1.0, 2, 2)
+TUPLE_GRID = (0.0, 0.0, 1.0, 2, 2)
+WRONG_TYPES = {
+    "Scene-item": ("amenity #1 must be of type Amenity, got 2", lambda: Scene([PAIR[0], 2])),
+    "point_benefit-amenities": ("amenity #0 must be of type Amenity, got 'x'",
+                                lambda: point_benefit(["x"], RATIONAL, 0.0, 0.0)),
+    "huff-amenities": ("amenity #0 must be of type Amenity, got 1",
+                       lambda: huff_probabilities((5, 5), [1, 2])),
+    "numeric-context": ("amenity #0 must be of type Amenity, got 1",
+                        lambda: numeric_breakpoint(*PAIR, RATIONAL, scene_context=[1])),
+    "reilly-pair": ("amenity #0 must be of type Amenity, got 1", lambda: reilly_breakpoint(1, 2)),
+    "reilly-second": ("amenity #1 must be of type Amenity, got 2",
+                      lambda: reilly_breakpoint(PAIR[0], 2)),
+    "numeric-pair": ("amenity #0 must be of type Amenity, got 1",
+                     lambda: numeric_breakpoint(1, 2, RATIONAL)),
+    "field-grid": ("grid must be of type GridSpec",
+                   lambda: evaluate_field(SCENE, RATIONAL, TUPLE_GRID)),
+    "parts-grid": ("grid must be of type GridSpec",
+                   lambda: evaluate_field_parts(SCENE, RATIONAL, TUPLE_GRID)),
+    "pgg-grid": ("grid must be of type GridSpec",
+                 lambda: pgg_field(SCENE, RATIONAL, TUPLE_GRID, "p")),
+    "kernel_benefit-kernel": ("kernel must be of type Kernel",
+                              lambda: kernel_benefit(1.0, 1.0, "rational")),
+    "point_benefit-kernel": ("kernel must be of type Kernel",
+                             lambda: point_benefit(SCENE, "rational", 0.0, 0.0)),
+    "field-kernel": ("kernel must be of type Kernel",
+                     lambda: evaluate_field(SCENE, "rational", GRID)),
+    "numeric-kernel": ("kernel must be of type Kernel",
+                       lambda: numeric_breakpoint(*PAIR, "rational")),
+    "resolve-kernel": ("kernel must be of type Kernel",
+                       lambda: resolve_profile(SCENE, "rational")),
+    "resolve-profile-kernel": ("kernel must be of type Kernel",
+                               lambda: resolve_profile(SCENE, "rational", "p")),
+    "pgg-kernel": ("kernel must be of type Kernel",
+                   lambda: pgg_field(SCENE, "rational", GRID, "p")),
+    "point_benefit-shapes": ("query point shapes must be broadcastable together, "
+                             "got ((2,), (3,))",
+                             lambda: point_benefit(SCENE, RATIONAL, np.zeros(2), np.zeros(3))),
+}
 
 
 # an infinite distance gives 0.0, and a negative one has its own error
@@ -542,6 +586,14 @@ def test_an_array_argument_refuses_arrays_that_are_not_finite_real_numbers(name,
     message = str(excinfo.value)
     assert message.startswith(f"{name} must ")
     assert "\n" not in message and "array(" not in message  # one value or dtype, not the array
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_an_argument_of_the_wrong_type_is_refused_by_name(case):
+    message, call = WRONG_TYPES[case]
+    with pytest.raises(InvalidValueError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(message)
 
 
 def test_a_scalar_argument_refuses_an_array_even_of_finite_numbers():

