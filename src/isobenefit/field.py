@@ -24,9 +24,10 @@ profile reads the columns and the kernel that the profile resolves to; the
 scene module checks the columns, names a culprit and resolves profiles,
 and checks the public arguments, the query points included (see
 :mod:`isobenefit.scene`, which also states the one rule for the values
-they may hold). A plain sequence of amenities, as ``point_benefit``
-takes, is made a scene once per call. A non-finite column value is refused
-up front, so that an error from the sum means overflow only.
+they may hold). Every entry takes a scene or a plain sequence of
+amenities, which ``scene._as_scene`` makes a scene without profiles once
+per call. A non-finite column value is refused up front, so that an error
+from the sum means overflow only.
 
 The terms come from one function, ``_terms``, which branches once, on
 where the offsets dx = x - x_i and dy = y - y_i live:
@@ -137,8 +138,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import (GridSpec, Kernel, Raster, Scene, _checked_columns, _finite_value,
-                    _real_array, _refuse, _resolved_scene, _type_value)
+from .scene import (GridSpec, Kernel, Raster, Scene, _as_scene, _checked_columns,
+                    _finite_value, _real_array, _refuse, _resolved_scene, _type_value)
 
 __all__ = [
     "PointBenefit",
@@ -221,14 +222,6 @@ def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
     if d.ndim == 0:
         return float(out)
     return out
-
-
-def _amenity_columns(amenities) -> np.ndarray:
-    """x, y and attractiveness of the amenities, a :class:`Scene`'s or a
-    sequence of :class:`Amenity`, as the rows of a read-only (3, n) float
-    array: the scene's own columns, which
-    :func:`~isobenefit.scene._checked_columns` returns or refuses."""
-    return _checked_columns(amenities if isinstance(amenities, Scene) else Scene(amenities))
 
 
 def _block_rows(samples: int) -> int:
@@ -416,7 +409,7 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
         samples = math.prod(np.broadcast_shapes(x.shape, y.shape))
     except ValueError:
         _refuse("query point shapes", "broadcastable together", (x.shape, y.shape))
-    evaluate = _PointEvaluator(_amenity_columns(amenities), kernel, samples)
+    evaluate = _PointEvaluator(_checked_columns(_as_scene(amenities)), kernel, samples)
     total, pos, neg = evaluate(x, y, split=True)
     if total.ndim == 0:
         total, pos, neg = float(total), float(pos), float(neg)
@@ -427,7 +420,7 @@ def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     _type_value("grid", grid, GridSpec)
     resolved, kern = _resolved_scene(scene, kernel, profile)
-    evaluate = _PointEvaluator(_amenity_columns(resolved), kern, grid.ncols * grid.nrows)
+    evaluate = _PointEvaluator(_checked_columns(resolved), kern, grid.ncols * grid.nrows)
     return evaluate(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
 
 
@@ -437,7 +430,9 @@ def evaluate_field(
     grid: GridSpec,
     profile: str | None = None,
 ) -> Raster:
-    """Evaluate the benefit field on a grid under an optional profile.
+    """Evaluate the benefit field of ``scene`` on a grid under an optional
+    profile. ``scene`` is a :class:`~isobenefit.scene.Scene`, or a sequence
+    of :class:`~isobenefit.scene.Amenity` as a scene without profiles.
 
     Cell (i, j) of the result is the point benefit at that cell's center
     with the profile's attractiveness overrides and personal E applied.
@@ -455,6 +450,8 @@ def evaluate_field_parts(
 ) -> FieldParts:
     """Like :func:`evaluate_field` but also returns the positive-only and
     negative-only companion rasters (inert amenities contribute to neither).
+    ``scene`` is a :class:`~isobenefit.scene.Scene`, or a sequence of
+    :class:`~isobenefit.scene.Amenity` as a scene without profiles.
     """
     total, pos, neg = _grid_sums(scene, kernel, grid, profile, split=True)
     return FieldParts(total=Raster(grid, total), positive=Raster(grid, pos),

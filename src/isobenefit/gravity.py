@@ -19,10 +19,10 @@ later passes': the block buffers are built once, and each pass asks for
 the total only. The two do not coincide in general; both are reported.
 
 Both the Huff probabilities and the breakpoint's context take a
-:class:`~isobenefit.scene.Scene` as well as a sequence of amenities, and
-read a scene's own amenity columns: a call on a loaded scene builds no
-``Amenity`` object for the amenities it only sums over. A sequence is
-converted to columns once per call.
+:class:`~isobenefit.scene.Scene`, or a sequence of amenities as a scene
+without profiles, which ``scene._as_scene`` builds once per call. They read
+the scene's own amenity columns: a call on a loaded scene builds no
+``Amenity`` object for the amenities it only sums over.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .errors import (
 )
 from . import field
 from .field import point_benefit  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .scene import (Amenity, Kernel, Scene, _count_value, _finite_value, _real_array,
-                    _ReadOnlyDict, _refuse, _refuse_bad_values)
+from .scene import (Amenity, Kernel, Scene, _as_scene, _checked_columns, _count_value,
+                    _finite_value, _real_array, _ReadOnlyDict, _refuse, _refuse_bad_values)
 
 __all__ = [
     "HuffResult",
@@ -105,7 +105,7 @@ def huff_probabilities(
     exponent that is not a finite real number, and a non-finite amenity
     value raise :class:`InvalidValueError`.
     """
-    scene = amenities if isinstance(amenities, Scene) else Scene(amenities)
+    scene = _as_scene(amenities)
     ids = scene._ids
     if len(ids) == 0:
         raise EmptyChoiceSetError("huff probabilities need at least one amenity")
@@ -113,7 +113,7 @@ def huff_probabilities(
         _refuse("origin", "one (x, y) pair", origin)
     _finite_value("distance exponent", distance_exponent)
     ox, oy, g = float(origin[0]), float(origin[1]), float(distance_exponent)
-    xs, ys, attractiveness = field._amenity_columns(scene).tolist()
+    xs, ys, attractiveness = _checked_columns(scene).tolist()
     distances: list[float] = []
     for ident, x, y, a in zip(ids, xs, ys, attractiveness):
         if not a > 0:
@@ -230,8 +230,8 @@ def numeric_breakpoint(
     # before the pair geometry, so that a bad value of the pair is named as such
     _refuse_bad_values((amenity1, amenity2))
     _count_value("resolution", resolution, 3)
-    contributors = scene_context if scene_context is not None else (amenity1, amenity2)
-    columns = field._amenity_columns(contributors)
+    columns = _checked_columns(_as_scene((amenity1, amenity2) if scene_context is None
+                                         else scene_context))
     d = _pair_geometry(amenity1, amenity2)
 
     def lowest_sample(lo, hi, evaluate, n):

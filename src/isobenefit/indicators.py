@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
 from .field import evaluate_field
-from .scene import GridSpec, Kernel, Raster, Scene, _checked_columns, _real_array, _resolved_scene
+from .scene import (GridSpec, Kernel, Raster, Scene, _as_scene, _checked_columns, _real_array,
+                    _resolved_scene)
 
 __all__ = [
     "SummaryStats",
@@ -134,7 +135,9 @@ def pgg_field(
     majority: str | None = None,
 ) -> Raster:
     """Preference Gap Gain raster: the person's benefit field minus the
-    majority's, cell by cell.
+    majority's, cell by cell. ``scene`` is a
+    :class:`~isobenefit.scene.Scene`, or a sequence of
+    :class:`~isobenefit.scene.Amenity` as a scene without profiles.
 
     Positive cells are locations the person values above the majority (a
     candidate economic gain when prices follow majority preferences);
@@ -152,6 +155,7 @@ def pgg_field(
     the person and the majority negates the raster exactly. A difference
     that leaves the float range raises :class:`SumOverflowError`.
     """
+    scene = _as_scene(scene)
     if majority is None:
         majority = scene.majority
     mine, my_kernel = _resolved_scene(scene, kernel, person)

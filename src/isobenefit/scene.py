@@ -2,10 +2,20 @@
 
 All types are immutable after construction and safe to share across threads.
 ``Amenity``/``Profile``/``Scene`` accept whatever values they are given so
-that :func:`validate_scene` can report *every* violation in one pass; a
-``Scene`` refuses only an item of its amenities that is not an ``Amenity``.
-``Kernel``, ``GridSpec`` and ``Raster`` are plumbing types and reject bad
-values immediately.
+that :func:`validate_scene` can report *every* violation in one pass; they
+refuse only a container of the wrong type, with an
+:class:`~isobenefit.errors.InvalidValueError`: amenities that are not a
+sequence of ``Amenity`` (naming the first other item by its index),
+profiles that are not a mapping of ``Profile``, and a profile's overrides
+that are not a mapping. ``Kernel``, ``GridSpec`` and ``Raster`` are
+plumbing types and reject bad values immediately.
+
+Every public entry that takes a scene (the fields, point queries, PGG,
+Huff, the breakpoint context, :func:`validate_scene` and
+:func:`resolve_profile`) takes a ``Scene``, or a sequence of ``Amenity``
+as a scene without profiles or a majority. ``_as_scene`` is the one
+converter, called once per entry: it returns a ``Scene`` unchanged and
+builds ``Scene(value)`` from anything else, which refuses it as above.
 
 A ``Scene`` carries its amenities as their ids and one read-only (3, n)
 float array whose rows are x, y and attractiveness. Validation, fields,
@@ -58,8 +68,8 @@ import dataclasses
 import itertools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -294,6 +304,7 @@ class Profile:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _type_value(f"profile {self.name!r} overrides", self.overrides, Mapping)
         object.__setattr__(self, "overrides", _ReadOnlyDict(self.overrides))
 
 
@@ -312,13 +323,18 @@ class Scene:
     majority: str | None = None
 
     def __post_init__(self) -> None:
-        amenities = tuple(self.amenities)
         try:
+            amenities = tuple(self.amenities)
             ids, columns = tuple(am.id for am in amenities), _float_columns(amenities)
+        except TypeError:  # amenities that are not iterable
+            _refuse("amenities", "a sequence of Amenity", self.amenities)
         except AttributeError:  # name the first item that is not an Amenity
             for k, am in enumerate(amenities):
                 _type_value(f"amenity #{k}", am, Amenity)
             raise
+        _type_value("profiles", self.profiles, Mapping)
+        for name, profile in self.profiles.items():
+            _type_value(f"profile {name!r}", profile, Profile)
         for name, value in (("amenities", amenities), ("profiles", _ReadOnlyDict(self.profiles)),
                             ("_ids", ids), ("_columns", columns)):
             object.__setattr__(self, name, value)
@@ -356,6 +372,13 @@ class Scene:
         return value
 
 
+def _as_scene(value) -> Scene:
+    """``value`` if it is a :class:`Scene`, else ``Scene(value)``: a
+    sequence of :class:`Amenity` becomes a scene without profiles or a
+    majority, and anything else is refused as a :class:`Scene` refuses it."""
+    return value if isinstance(value, Scene) else Scene(value)
+
+
 def _check_finite(subject: str, what: str, value: object, out: list[Violation]) -> None:
     if not _finite_number(value):
         out.append(Violation("NonFiniteValue", subject,
@@ -365,20 +388,12 @@ def _check_finite(subject: str, what: str, value: object, out: list[Violation]) 
 def _float_columns(amenities: tuple[Amenity, ...]) -> np.ndarray | None:
     """x, y and attractiveness of the amenities as the rows of a read-only
     (3, n) float array, or None unless :func:`_finite_number` accepts every
-    value. numpy would convert ``True`` and ``"1.5"`` too, so the values
-    are checked first: in bulk by type when all are exact floats and ints,
-    else one by one (numpy scalars, for example)."""
+    value, one by one. numpy would convert ``True`` and ``"1.5"`` too."""
     values = ([am.x for am in amenities], [am.y for am in amenities],
               [am.attractiveness for am in amenities])
-    if not (set(map(type, itertools.chain(*values))) <= {float, int}
-            or all(map(_finite_number, itertools.chain(*values)))):
+    if not all(map(_finite_number, itertools.chain(*values))):
         return None
-    try:
-        columns = np.array(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return None
-    if not np.isfinite(columns).all():
-        return None
+    columns = np.array(values, dtype=float)
     columns.flags.writeable = False
     return columns
 
@@ -398,13 +413,16 @@ def _sound_amenity_ids(scene: Scene) -> set[str] | None:
 
 
 def validate_scene(scene: Scene) -> Scene:
-    """Check every scene invariant; return the scene unchanged if all hold.
+    """Check every scene invariant of ``scene``, a :class:`Scene`, or a
+    sequence of :class:`Amenity` as a scene without profiles; return the
+    scene (the one built from a sequence) unchanged if all hold.
 
     Raises :class:`SceneValidationError` carrying one :class:`Violation` per
     problem found: duplicate or empty amenity ids, non-finite coordinates or
     attractiveness, profile overrides naming unknown amenities, non-positive
     profile efficiencies, and a majority name that matches no profile.
     """
+    scene = _as_scene(scene)
     violations: list[Violation] = []
 
     seen = _sound_amenity_ids(scene)
@@ -450,9 +468,10 @@ def resolve_profile(
     kernel: Kernel,
     profile_name: str | None = None,
 ) -> tuple[tuple[Amenity, ...], Kernel]:
-    """Apply a profile to the scene: per-amenity attractiveness overrides and
-    the personal efficiency, where present, as :func:`_resolved_scene`
-    checks and applies them.
+    """Apply a profile to ``scene``, a :class:`Scene`, or a sequence of
+    :class:`Amenity` as a scene without profiles: per-amenity
+    attractiveness overrides and the personal efficiency, where present, as
+    :func:`_resolved_scene` checks and applies them.
 
     ``profile_name=None`` (or a profile with no overrides and no personal E)
     returns the baseline unchanged. Positions and the set of amenity ids are
@@ -488,14 +507,15 @@ def _checked_columns(scene: Scene) -> np.ndarray:
 
 def _resolved_scene(scene: Scene, kernel: Kernel,
                     profile_name: str | None) -> tuple[Scene, Kernel]:
-    """The amenities and the kernel of ``scene`` under a profile, with the
-    amenities as a scene of columns: each override replaces the
-    attractiveness of the amenities with its id, in a copy of the scene's
-    columns, and a personal E replaces the kernel's. Without overrides the
-    scene is ``scene`` itself. A personal E or an override value that
-    :func:`validate_scene` would refuse raises :class:`InvalidValueError`
-    naming the profile (and the amenity); an override of an id the scene
-    does not hold is ignored."""
+    """The amenities and the kernel of ``scene`` (through :func:`_as_scene`)
+    under a profile, with the amenities as a scene of columns: each
+    override replaces the attractiveness of the amenities with its id, in a
+    copy of the scene's columns, and a personal E replaces the kernel's.
+    Without overrides the scene is the one ``_as_scene`` returns. A
+    personal E or an override value that :func:`validate_scene` would
+    refuse raises :class:`InvalidValueError` naming the profile (and the
+    amenity); an override of an id the scene does not hold is ignored."""
+    scene = _as_scene(scene)
     _type_value("kernel", kernel, Kernel)
     if profile_name is None:
         return scene, kernel

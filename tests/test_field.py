@@ -24,10 +24,10 @@ from isobenefit import (
 )
 from isobenefit.field import (
     _BLOCK_SAMPLES,
-    _amenity_columns,
     _block_rows,
     _PointEvaluator,
 )
+from isobenefit.scene import _as_scene, _checked_columns
 
 families = st.sampled_from(("rational", "gaussian", "exponential"))
 efficiencies = st.floats(0.05, 20)
@@ -506,8 +506,8 @@ SAMPLE_COUNTS = (0, 1, 2, 103, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLE
 def test_blocked_sums_equal_one_by_one_sums_bitwise(family, far, entries, samples,
                                                     layout, split):
     scale = 2.0 ** 500 if far else 1.0
-    columns = _amenity_columns([Amenity(f"a{k}", x * scale, y * scale, a)
-                                for k, (x, y, a) in enumerate(entries)])
+    columns = _checked_columns(_as_scene([Amenity(f"a{k}", x * scale, y * scale, a)
+                                          for k, (x, y, a) in enumerate(entries)]))
     kernel = Kernel(family, 0.7)
     if layout == "scalar":
         x, y = 0.3 * scale, -1.1 * scale
@@ -541,7 +541,7 @@ def test_evaluator_results_own_their_memory():
     x, y = rng.uniform(-5, 5, 100), rng.uniform(-5, 5, 100)
     got = point_benefit(amenities, kernel, x, y)
     assert all(part.base is None for part in (got.total, got.positive_part, got.negative_part))
-    evaluate = _PointEvaluator(_amenity_columns(amenities), kernel, 100)
+    evaluate = _PointEvaluator(_checked_columns(_as_scene(amenities)), kernel, 100)
     first = evaluate(x, y, split=True)
     kept = [part.copy() for part in first]
     evaluate(y, x, split=True)
@@ -554,7 +554,7 @@ def test_one_evaluator_takes_each_query_on_its_own_side_of_the_range_guard():
     # the squares of offsets near 1e200 overflow, so there the squared form
     # would give 0.0 where the hypot form gives about 2e-200
     kernel = Kernel("rational", 1.0)
-    evaluate = _PointEvaluator(_amenity_columns(MIXED), kernel, 1)
+    evaluate = _PointEvaluator(_checked_columns(_as_scene(MIXED)), kernel, 1)
     for x, y in ((0.25, -0.5), (1e200, 3.0), (0.25, -0.5)):
         want = point_benefit(MIXED, kernel, x, y)
         got = np.array(evaluate(x, y, split=True))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import fractions
 import json
 import math
 import pickle
@@ -37,6 +38,7 @@ from isobenefit import (
     uniformity,
     validate_scene,
 )
+from isobenefit.scene import _finite_number
 
 
 def codes(excinfo) -> set:
@@ -521,7 +523,9 @@ BAD_ARRAYS = {"bool-array": np.array([True, False]), "text-array": np.array(["1"
               "complex-array": np.array([1.0, 2.0j]), "nan-array": np.array([1.0, math.nan])}
 # arguments of the wrong type, by the name and the rule of their refusal,
 # with a call that passes one: an item that is not an Amenity is named by
-# its index, and query shapes by both shapes
+# its index, and query shapes by both shapes. A scene argument is a Scene
+# or a sequence of Amenity, which is a scene without profiles: a row that
+# names a third item expects that error instead of an InvalidValueError
 SCENE = Scene(PAIR, profiles={"p": Profile("p", efficiency=2.0, overrides={"a": 3.0})})
 GRID = GridSpec(0.0, 0.0, 1.0, 2, 2)
 TUPLE_GRID = (0.0, 0.0, 1.0, 2, 2)
@@ -561,6 +565,37 @@ WRONG_TYPES = {
     "point_benefit-shapes": ("query point shapes must be broadcastable together, "
                              "got ((2,), (3,))",
                              lambda: point_benefit(SCENE, RATIONAL, np.zeros(2), np.zeros(3))),
+    "Scene-amenities": ("amenities must be a sequence of Amenity, got 5", lambda: Scene(5)),
+    "point_benefit-scene": ("amenities must be a sequence of Amenity, got 5",
+                            lambda: point_benefit(5, RATIONAL, 0.0, 0.0)),
+    "field-scene": ("amenities must be a sequence of Amenity, got 5",
+                    lambda: evaluate_field(5, RATIONAL, GRID)),
+    "field-None": ("amenities must be a sequence of Amenity, got None",
+                   lambda: evaluate_field(None, RATIONAL, GRID)),
+    "huff-None": ("amenities must be a sequence of Amenity, got None",
+                  lambda: huff_probabilities((1.0, 1.0), None)),
+    "numeric-context-scene": ("amenities must be a sequence of Amenity, got 5",
+                              lambda: numeric_breakpoint(*PAIR, RATIONAL, scene_context=5)),
+    "pgg-scene": ("amenities must be a sequence of Amenity, got 5",
+                  lambda: pgg_field(5, RATIONAL, GRID, None)),
+    "validate-None": ("amenities must be a sequence of Amenity, got None",
+                      lambda: validate_scene(None)),
+    "field-sequence-profile": ("profile 'p' not found; scene has no profiles",
+                               lambda: evaluate_field(list(PAIR), RATIONAL, GRID, "p"),
+                               UnknownProfileError),
+    "resolve-sequence-profile": ("profile 'p' not found; scene has no profiles",
+                                 lambda: resolve_profile(list(PAIR), RATIONAL, "p"),
+                                 UnknownProfileError),
+    "Scene-profiles": ("profiles must be of type Mapping, got 5",
+                       lambda: Scene(PAIR, profiles=5)),
+    "Scene-profile-list": ("profiles must be of type Mapping, got [Profile(",
+                           lambda: Scene(PAIR, profiles=[Profile("p")])),
+    "Scene-profile": ("profile 'p' must be of type Profile, got 5",
+                      lambda: Scene(PAIR, profiles={"p": 5})),
+    "Profile-overrides": ("profile 'p' overrides must be of type Mapping, got 5",
+                          lambda: Profile("p", overrides=5)),
+    "Profile-overrides-list": ("profile 'p' overrides must be of type Mapping, got [1]",
+                               lambda: Profile("p", overrides=[1])),
 }
 
 
@@ -590,10 +625,60 @@ def test_an_array_argument_refuses_arrays_that_are_not_finite_real_numbers(name,
 
 @pytest.mark.parametrize("case", WRONG_TYPES)
 def test_an_argument_of_the_wrong_type_is_refused_by_name(case):
-    message, call = WRONG_TYPES[case]
-    with pytest.raises(InvalidValueError) as excinfo:
+    message, call, *error = WRONG_TYPES[case]
+    with pytest.raises(error[0] if error else InvalidValueError) as excinfo:
         call()
     assert str(excinfo.value).startswith(message)
+
+
+# every entry that takes a scene, with a call that reads one into bytes (a
+# repr of shortest round-trip floats for the Python results)
+CONTEXT = PAIR + (Amenity("c", 2.0, 3.0, 0.5),)
+POINTS = (np.linspace(-1.0, 5.0, 7), np.linspace(2.0, -1.0, 7))
+SCENE_READERS = {
+    "point_benefit": lambda s: [part.tobytes() for part in
+                                dataclasses.astuple(point_benefit(s, RATIONAL, *POINTS))],
+    "evaluate_field": lambda s: evaluate_field(s, RATIONAL, GRID).values.tobytes(),
+    "evaluate_field_parts": lambda s: [getattr(evaluate_field_parts(s, RATIONAL, GRID),
+                                               part).values.tobytes()
+                                       for part in ("total", "positive", "negative")],
+    "pgg_field": lambda s: pgg_field(s, RATIONAL, GRID, None).values.tobytes(),
+    "huff_probabilities": lambda s: repr(huff_probabilities((1.0, 5.0), s)),
+    "breakpoint-context": lambda s: repr(numeric_breakpoint(*PAIR, RATIONAL, scene_context=s)),
+    "validate_scene": lambda s: repr(validate_scene(s)),
+    "resolve_profile": lambda s: repr(resolve_profile(s, RATIONAL)),
+}
+
+
+@pytest.mark.parametrize("read", SCENE_READERS.values(), ids=SCENE_READERS)
+def test_a_sequence_of_amenities_reads_as_the_scene_made_from_it(read):
+    assert read(list(CONTEXT)) == read(Scene(CONTEXT))
+
+
+# a public scene's columns take what _finite_number takes, and validate_scene
+# names each value they refuse
+@pytest.mark.parametrize("value, taken", [
+    (np.float32(1.5), True), (np.int64(2), True), (fractions.Fraction(3, 2), True),
+    (10 ** 300, True), (10 ** 400, False), (True, False), ("1.5", False),
+    (math.nan, False), (math.inf, False), (-math.inf, False)],
+    ids=["float32", "int64", "Fraction", "int-1e300", "int-1e400", "bool", "text", "nan",
+         "inf", "-inf"])
+@pytest.mark.parametrize("what", ["x", "y", "attractiveness"])
+def test_a_public_scene_has_columns_exactly_when_every_value_is_a_finite_number(
+        value, taken, what):
+    values = {"x": 1.0, "y": 2.0, "attractiveness": 3.0, what: value}
+    scene = Scene((PAIR[0], Amenity("v", **values)))
+    assert bool(_finite_number(value)) is taken
+    if taken:
+        assert scene._columns[:, 1].tolist() == [float(values[k]) for k in ("x", "y",
+                                                                        "attractiveness")]
+        assert validate_scene(scene) is scene
+    else:
+        assert scene._columns is None
+        with pytest.raises(SceneValidationError) as excinfo:
+            validate_scene(scene)
+        assert [v.message for v in excinfo.value.violations] == [
+            f"{what} is not a finite number: {value!r}"]
 
 
 def test_a_scalar_argument_refuses_an_array_even_of_finite_numbers():

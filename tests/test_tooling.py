@@ -30,7 +30,7 @@ import pytest
 
 from isobenefit import (Amenity, Kernel, SceneFormatError, SceneValidationError, cli,
                         numeric_breakpoint)
-from isobenefit import field
+from isobenefit import gravity
 from isobenefit import io as scene_io
 from isobenefit import scene as scene_model
 
@@ -210,11 +210,11 @@ def test_a_breakpoint_builds_its_amenity_columns_once(monkeypatch, family, effic
     context = [Amenity(f"a{k}", rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.5, 3.0))
                for k in range(200)]
     context[:2] = [Amenity("a0", 2.0, 5.0, 1.0), Amenity("a1", 8.0, 5.0, 1.0)]
-    calls = {"_amenity_columns": 0}
-    counting(monkeypatch, field, "_amenity_columns", calls)
+    calls = {"_checked_columns": 0}
+    counting(monkeypatch, gravity, "_checked_columns", calls)
     bp = numeric_breakpoint(context[0], context[1], Kernel(family, efficiency), context)
     assert 0.0 < bp.distance_from_1 < 6.0
-    assert calls == {"_amenity_columns": 1}
+    assert calls == {"_checked_columns": 1}
 
 
 def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkeypatch):
@@ -230,7 +230,7 @@ def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkey
     counting(monkeypatch, Amenity, "__init__", calls)
     counting(monkeypatch, scene_model, "_float_columns", calls)
     scene = scene_io.load_scene(str(path))
-    assert field._amenity_columns(scene) is scene._columns
+    assert scene_model._checked_columns(scene) is scene._columns
     assert calls == {"__init__": 0, "_float_columns": 0}
     assert cli.main(["breakpoint", "--scene", str(path), "--pair", "a0,a1",
                      "--with-context", "--out", str(tmp_path / "b.json")]) == 0
