@@ -21,13 +21,12 @@ the sample coordinates (a grid's x row against its y column, or point
 coordinates). This module only sums. It reads the amenities as three float
 columns (x, y, A), a scene's own read-only array, and a field under a
 profile reads the columns and the kernel that the profile resolves to; the
-scene module checks the columns, names a culprit and resolves profiles,
-and checks the public arguments, the query points included (see
-:mod:`isobenefit.scene`, which also states the one rule for the values
-they may hold). Every entry takes a scene or a plain sequence of
-amenities, which ``scene._as_scene`` makes a scene without profiles once
-per call. A non-finite column value is refused up front, so that an error
-from the sum means overflow only.
+scene module resolves profiles and checks the public arguments, the query
+points included (see :mod:`isobenefit.scene`, which also states the one
+rule for the values they may hold). Every entry takes a scene or a plain
+sequence of amenities, which ``scene._as_scene`` makes a scene without
+profiles once per call. A scene is valid once built, so its columns hold
+finite values only, and an error from the sum means overflow only.
 
 The terms come from one function, ``_terms``, which branches once, on
 where the offsets dx = x - x_i and dy = y - y_i live:
@@ -138,8 +137,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError, NegativeDistanceError, SumOverflowError
-from .scene import (GridSpec, Kernel, Raster, Scene, _as_scene, _checked_columns,
-                    _finite_value, _real_array, _refuse, _resolved_scene, _type_value)
+from .scene import (GridSpec, Kernel, Raster, Scene, _as_scene, _finite_value, _real_array,
+                    _refuse, _resolved_scene, _type_value)
 
 __all__ = [
     "PointBenefit",
@@ -398,18 +397,18 @@ def point_benefit(amenities, kernel: Kernel, x, y) -> PointBenefit:
 
     ``x`` and ``y`` may be scalars, giving float fields, or arrays (or
     lists) that broadcast together, giving fields of that shape whose
-    elements equal the scalar queries bit for bit. A query coordinate, or
-    amenity position or attractiveness, that is not a finite real number,
-    and query shapes that do not broadcast together, raise
-    :class:`InvalidValueError`; a sum that overflows the float range raises
-    :class:`SumOverflowError`.
+    elements equal the scalar queries bit for bit. A query coordinate that
+    is not a finite real number, and query shapes that do not broadcast
+    together, raise :class:`InvalidValueError`; amenities that make an
+    invalid scene raise :class:`~isobenefit.errors.SceneValidationError`;
+    a sum that overflows the float range raises :class:`SumOverflowError`.
     """
     x, y = _real_array("query point x", x), _real_array("query point y", y)
     try:
         samples = math.prod(np.broadcast_shapes(x.shape, y.shape))
     except ValueError:
         _refuse("query point shapes", "broadcastable together", (x.shape, y.shape))
-    evaluate = _PointEvaluator(_checked_columns(_as_scene(amenities)), kernel, samples)
+    evaluate = _PointEvaluator(_as_scene(amenities)._columns, kernel, samples)
     total, pos, neg = evaluate(x, y, split=True)
     if total.ndim == 0:
         total, pos, neg = float(total), float(pos), float(neg)
@@ -420,7 +419,7 @@ def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     _type_value("grid", grid, GridSpec)
     resolved, kern = _resolved_scene(scene, kernel, profile)
-    evaluate = _PointEvaluator(_checked_columns(resolved), kern, grid.ncols * grid.nrows)
+    evaluate = _PointEvaluator(resolved._columns, kern, grid.ncols * grid.nrows)
     return evaluate(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
 
 

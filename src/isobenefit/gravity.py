@@ -20,9 +20,12 @@ the total only. The two do not coincide in general; both are reported.
 
 Both the Huff probabilities and the breakpoint's context take a
 :class:`~isobenefit.scene.Scene`, or a sequence of amenities as a scene
-without profiles, which ``scene._as_scene`` builds once per call. They read
-the scene's own amenity columns: a call on a loaded scene builds no
-``Amenity`` object for the amenities it only sums over.
+without profiles, which ``scene._as_scene`` builds once per call, and which
+is refused with a :class:`~isobenefit.errors.SceneValidationError` unless it
+makes a valid scene. They read the valid scene's own amenity columns
+unchecked: a call on a loaded scene builds no ``Amenity`` object for the
+amenities it only sums over. The two amenities of a breakpoint are
+arguments, checked as such.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .errors import (
 )
 from . import field
 from .field import point_benefit  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .scene import (Amenity, Kernel, Scene, _as_scene, _checked_columns, _count_value,
-                    _finite_value, _real_array, _ReadOnlyDict, _refuse, _refuse_bad_values)
+from .scene import (Amenity, Kernel, Scene, _as_scene, _count_value, _finite_value, _real_array,
+                    _ReadOnlyDict, _refuse, _refuse_bad_values)
 
 __all__ = [
     "HuffResult",
@@ -101,9 +104,10 @@ def huff_probabilities(
     experimentation hook; the default of 1 is the model itself. All
     attractiveness values must be strictly positive and the origin must not
     sit on an amenity. ``amenities`` is a scene or a sequence of amenities.
-    An origin that is not one (x, y) pair of finite real numbers, an
-    exponent that is not a finite real number, and a non-finite amenity
-    value raise :class:`InvalidValueError`.
+    An origin that is not one (x, y) pair of finite real numbers and an
+    exponent that is not a finite real number raise
+    :class:`InvalidValueError`; amenities that make an invalid scene raise
+    :class:`~isobenefit.errors.SceneValidationError`.
     """
     scene = _as_scene(amenities)
     ids = scene._ids
@@ -113,7 +117,7 @@ def huff_probabilities(
         _refuse("origin", "one (x, y) pair", origin)
     _finite_value("distance exponent", distance_exponent)
     ox, oy, g = float(origin[0]), float(origin[1]), float(distance_exponent)
-    xs, ys, attractiveness = _checked_columns(scene).tolist()
+    xs, ys, attractiveness = scene._columns.tolist()
     distances: list[float] = []
     for ident, x, y, a in zip(ids, xs, ys, attractiveness):
         if not a > 0:
@@ -224,14 +228,15 @@ def numeric_breakpoint(
     columns are summed, or a sequence of amenities. Otherwise only the two
     amenities contribute. ``resolution`` must be an integer in
     [3, MAX_GRID_CELLS].
-    A coordinate or attractiveness of the pair or the context that is not a
-    finite real number raises :class:`InvalidValueError` naming the amenity.
+    A coordinate or attractiveness of the pair that is not a finite real
+    number raises :class:`InvalidValueError` naming the amenity; a context,
+    or without one the pair, that makes an invalid scene raises
+    :class:`~isobenefit.errors.SceneValidationError`.
     """
     # before the pair geometry, so that a bad value of the pair is named as such
     _refuse_bad_values((amenity1, amenity2))
     _count_value("resolution", resolution, 3)
-    columns = _checked_columns(_as_scene((amenity1, amenity2) if scene_context is None
-                                         else scene_context))
+    columns = _as_scene((amenity1, amenity2) if scene_context is None else scene_context)._columns
     d = _pair_geometry(amenity1, amenity2)
 
     def lowest_sample(lo, hi, evaluate, n):

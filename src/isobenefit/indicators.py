@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import EmptyRasterError, SumOverflowError, ZeroMeanError
 from .field import evaluate_field
-from .scene import (GridSpec, Kernel, Raster, Scene, _as_scene, _checked_columns, _real_array,
-                    _resolved_scene)
+from .scene import GridSpec, Kernel, Raster, Scene, _as_scene, _real_array, _resolved_scene
 
 __all__ = [
     "SummaryStats",
@@ -161,7 +160,7 @@ def pgg_field(
     mine, my_kernel = _resolved_scene(scene, kernel, person)
     theirs, their_kernel = _resolved_scene(scene, kernel, majority)
     if my_kernel == their_kernel:
-        my_columns, their_columns = _checked_columns(mine), _checked_columns(theirs)
+        my_columns, their_columns = mine._columns, theirs._columns
         changed = np.flatnonzero(my_columns[2] != their_columns[2])
         ids = [scene._ids[k] for k in changed]
         mine = Scene._from_columns(ids, my_columns[:, changed])

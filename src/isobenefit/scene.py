@@ -1,14 +1,18 @@
 """Domain model: amenities, decay kernels, grids, rasters, preference profiles.
 
 All types are immutable after construction and safe to share across threads.
-``Amenity``/``Profile``/``Scene`` accept whatever values they are given so
-that :func:`validate_scene` can report *every* violation in one pass; they
-refuse only a container of the wrong type, with an
-:class:`~isobenefit.errors.InvalidValueError`: amenities that are not a
-sequence of ``Amenity`` (naming the first other item by its index),
-profiles that are not a mapping of ``Profile``, and a profile's overrides
-that are not a mapping. ``Kernel``, ``GridSpec`` and ``Raster`` are
-plumbing types and reject bad values immediately.
+A ``Scene`` is valid once built: its constructor ends by running
+:func:`validate_scene`, which raises one
+:class:`~isobenefit.errors.SceneValidationError` listing *every* violation
+of the scene, its amenities and its profiles. ``Amenity`` and ``Profile``
+accept whatever values they are given, so that the scene holding them can
+report them all. A container of the wrong type is an argument problem,
+refused first with an :class:`~isobenefit.errors.InvalidValueError`:
+amenities that are not a sequence of ``Amenity`` (naming the first other
+item by its index), profiles that are not a mapping of text to
+``Profile``, a majority that is not text, and a profile's overrides that
+are not a mapping. ``Kernel``, ``GridSpec`` and ``Raster`` are plumbing
+types and reject bad values immediately.
 
 Every public entry that takes a scene (the fields, point queries, PGG,
 Huff, the breakpoint context, :func:`validate_scene` and
@@ -27,9 +31,11 @@ from the file, and build no ``Amenity`` object: a loaded scene's
 kept. That cache is filled at most once, with values computed from the
 scene's own immutable fields, so two threads that fill it at once store
 equal values. One rule decides which values a scene's columns can hold,
-that of :func:`validate_scene`: finite real numbers, bools excluded. The
-columns of a public scene are None if some coordinate or attractiveness
-breaks it; :func:`validate_scene` then reports every culprit. A scene's
+that of :func:`validate_scene`: finite real numbers, bools excluded. A
+public scene is checked when built, the loaders pass every scene they build
+to :func:`validate_scene`, and the profile resolver and PGG build theirs
+from a valid scene's columns; so every scene's columns and profile values
+keep that rule, and the other modules read them unchecked. A scene's
 ``profiles`` and a profile's ``overrides`` are read-only dicts, which
 ``dataclasses.asdict`` and ``copy.deepcopy`` can copy.
 
@@ -50,16 +56,13 @@ and the arithmetic of the other modules, under the same rule:
   ``_refuse``'s: the argument's name, the rule, and the refused value (for
   an ndarray its first non-finite value or its dtype, so that the message
   stays one line).
-- ``_checked_columns`` hands out a scene's columns, and
-  ``_refuse_bad_values`` is the one culprit-namer: the fields, point
-  queries, Huff and both breakpoints (whose pair it checks first) refuse
-  the first bad value with an :class:`~isobenefit.errors.InvalidValueError`
-  naming the amenity.
+- ``_refuse_bad_values`` checks the two ``Amenity`` arguments of both
+  breakpoints, which are arguments, not a scene: it refuses the first bad
+  value with an :class:`~isobenefit.errors.InvalidValueError` naming the
+  amenity.
 - ``_resolved_scene`` is the one profile resolver, behind the fields, PGG
-  and :func:`resolve_profile`: it applies the overrides to a copy of the
-  columns and the personal E to the kernel, and refuses a value that
-  :func:`validate_scene` would refuse, naming the profile (and the
-  amenity).
+  and :func:`resolve_profile`: it applies the overrides of a valid scene's
+  profile to a copy of the columns and the personal E to the kernel.
 """
 
 from __future__ import annotations
@@ -315,7 +318,9 @@ class Scene:
     ``majority`` optionally names the profile that stands for the baseline
     preferences of most citizens; when unset, the unmodified scene is the
     baseline. The scene holds its amenity ids and columns as the module
-    docstring describes.
+    docstring describes. Building one, or ``dataclasses.replace`` on one,
+    raises :class:`SceneValidationError` with every violation that
+    :func:`validate_scene` finds, so no invalid scene exists.
     """
 
     amenities: tuple[Amenity, ...]
@@ -334,10 +339,14 @@ class Scene:
             raise
         _type_value("profiles", self.profiles, Mapping)
         for name, profile in self.profiles.items():
+            _type_value("profile name", name, str)
             _type_value(f"profile {name!r}", profile, Profile)
+        if self.majority is not None:
+            _type_value("majority", self.majority, str)
         for name, value in (("amenities", amenities), ("profiles", _ReadOnlyDict(self.profiles)),
                             ("_ids", ids), ("_columns", columns)):
             object.__setattr__(self, name, value)
+        validate_scene(self)
 
     @classmethod
     def _from_columns(cls, ids, columns: np.ndarray,
@@ -346,7 +355,10 @@ class Scene:
         """A scene of the amenities with these ids whose x, y and
         attractiveness are the rows of ``columns``, a (3, n) float array
         that the scene makes read-only and keeps. Its ``Amenity`` objects
-        are built when ``amenities`` is first read."""
+        are built when ``amenities`` is first read. Nothing is checked: the
+        caller guarantees a valid scene, as the loaders do by passing it to
+        :func:`validate_scene`, or builds it from the ids and columns of a
+        valid one."""
         scene = object.__new__(cls)
         columns.flags.writeable = False
         for name, value in (("_ids", tuple(ids)), ("_columns", columns),
@@ -358,8 +370,7 @@ class Scene:
         # a copied or unpickled scene keeps its columns read-only
         for name, value in state.items():
             object.__setattr__(self, name, value)
-        if state.get("_columns") is not None:
-            self._columns.flags.writeable = False
+        self._columns.flags.writeable = False
 
     def __getattr__(self, name: str):
         # reached only for an attribute not set yet: a loaded scene's
@@ -421,6 +432,9 @@ def validate_scene(scene: Scene) -> Scene:
     problem found: duplicate or empty amenity ids, non-finite coordinates or
     attractiveness, profile overrides naming unknown amenities, non-positive
     profile efficiencies, and a majority name that matches no profile.
+    ``Scene`` runs this check when it is built, so a scene that exists has
+    passed it, and a sequence is refused by the ``Scene`` built from it;
+    the loaders run it on the scenes they build from their files.
     """
     scene = _as_scene(scene)
     violations: list[Violation] = []
@@ -471,7 +485,7 @@ def resolve_profile(
     """Apply a profile to ``scene``, a :class:`Scene`, or a sequence of
     :class:`Amenity` as a scene without profiles: per-amenity
     attractiveness overrides and the personal efficiency, where present, as
-    :func:`_resolved_scene` checks and applies them.
+    :func:`_resolved_scene` applies them.
 
     ``profile_name=None`` (or a profile with no overrides and no personal E)
     returns the baseline unchanged. Positions and the set of amenity ids are
@@ -482,10 +496,10 @@ def resolve_profile(
 
 
 def _refuse_bad_values(amenities) -> None:
-    """Raise :class:`InvalidValueError` naming the first amenity with an x,
-    y or attractiveness that :func:`_finite_number` refuses: non-finite, a
-    bool, text, or an integer beyond the float range; or the first item
-    that is not an :class:`Amenity`, by its index."""
+    """Raise :class:`InvalidValueError` naming the first of the amenity
+    arguments with an x, y or attractiveness that :func:`_finite_number`
+    refuses: non-finite, a bool, text, or an integer beyond the float
+    range; or the first that is not an :class:`Amenity`, by its index."""
     for k, am in enumerate(amenities):
         _type_value(f"amenity #{k}", am, Amenity)
         for name in ("x", "y", "attractiveness"):
@@ -494,31 +508,19 @@ def _refuse_bad_values(amenities) -> None:
                 _finite_value(f"amenity {am.id!r} {name}", value)
 
 
-def _checked_columns(scene: Scene) -> np.ndarray:
-    """The scene's read-only (3, n) columns of x, y and attractiveness, once
-    every value is finite; else the first culprit is refused by
-    :func:`_refuse_bad_values`."""
-    columns = scene._columns
-    if columns is not None and np.isfinite(columns).all():
-        return columns
-    _refuse_bad_values(scene.amenities)
-    raise AssertionError("a non-finite amenity column without a non-finite value")
-
-
 def _resolved_scene(scene: Scene, kernel: Kernel,
                     profile_name: str | None) -> tuple[Scene, Kernel]:
     """The amenities and the kernel of ``scene`` (through :func:`_as_scene`)
     under a profile, with the amenities as a scene of columns: each
     override replaces the attractiveness of the amenities with its id, in a
     copy of the scene's columns, and a personal E replaces the kernel's.
-    Without overrides the scene is the one ``_as_scene`` returns. A
-    personal E or an override value that :func:`validate_scene` would
-    refuse raises :class:`InvalidValueError` naming the profile (and the
-    amenity); an override of an id the scene does not hold is ignored."""
+    Without overrides the scene is the one ``_as_scene`` returns. A valid
+    scene holds valid profile values, so they are applied unchecked."""
     scene = _as_scene(scene)
     _type_value("kernel", kernel, Kernel)
     if profile_name is None:
         return scene, kernel
+    _type_value("profile name", profile_name, str)
     profile = scene.profiles.get(profile_name)
     if profile is None:
         raise UnknownProfileError(
@@ -527,16 +529,12 @@ def _resolved_scene(scene: Scene, kernel: Kernel,
         )
     efficiency = profile.efficiency
     if efficiency is not None:
-        _finite_value(f"profile {profile_name!r} efficiency", efficiency, positive=True)
         kernel = dataclasses.replace(kernel, efficiency=float(efficiency))
     overrides = profile.overrides
     if not overrides:
         return scene, kernel
-    columns = _checked_columns(scene).copy()
+    columns = scene._columns.copy()
     for k, ident in enumerate(scene._ids):
         if ident in overrides:
-            value = overrides[ident]
-            if not _finite_number(value):  # the label is formatted for a culprit only
-                _finite_value(f"profile {profile_name!r}: amenity {ident!r} attractiveness", value)
-            columns[2, k] = float(value)
+            columns[2, k] = float(overrides[ident])
     return Scene._from_columns(scene._ids, columns), kernel

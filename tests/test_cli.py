@@ -1049,6 +1049,68 @@ def test_running_out_of_memory_reading_a_raster_names_it(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "one.json"]
 
 
+# a small job set per family: a field raster and a decay curve
+SIMD_JOBS = {family: [
+    ["field", "--scene", "SCENE", "--kernel", family, "--efficiency", efficiency,
+     "--grid", "-6,-6,0.1,121,121", "--out", f"{family}.asc"],
+    ["curve", "--kernel", family, "--efficiencies", f"{efficiency},1.5", "--dmax", "8",
+     "--out", f"curve_{family}.csv"],
+] for family, efficiency in (("rational", "1"), ("gaussian", "0.25"), ("exponential", "1"))}
+
+
+def _simd_values(path):
+    if path.suffix == ".asc":
+        return read_raster(str(path)).values
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+def test_outputs_agree_across_numpy_simd_dispatch_targets(tmp_path):
+    # numpy picks its exp kernels by the CPU's dispatch target; a child with
+    # the top target disabled must write the rational files byte for byte,
+    # and the gaussian and exponential values within the documented 1e-12
+    # relative tolerance (every cell stays far above the subnormal range)
+    import subprocess
+    import sys
+
+    import isobenefit
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x names its module and targets differently
+        pytest.skip("numpy 2 dispatch targets are not available")
+    if "X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy does not dispatch to X86_V4 on this host")
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"amenities": [
+        {"id": "a", "x": 1.5, "y": 2.0, "A": 3.0}, {"id": "b", "x": -4.0, "y": -1.25, "A": 1.5},
+        {"id": "c", "x": 0.5, "y": -3.0, "A": 2.0}]}))
+    jobs = [[str(scene) if word == "SCENE" else word for word in argv]
+            for family_jobs in SIMD_JOBS.values() for argv in family_jobs]
+    here, child = tmp_path / "here", tmp_path / "child"
+    here.mkdir()
+    child.mkdir()
+    for argv in jobs:
+        assert main(argv[:-1] + [str(here / argv[-1])]) == 0
+    script = ("import sys\nfrom isobenefit.cli import main\n"
+              f"for argv in {jobs!r}:\n    assert main(argv) == 0\n")
+    src = os.path.dirname(os.path.dirname(isobenefit.__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=child)
+    assert proc.returncode == 0, proc.stderr
+    for family, family_jobs in SIMD_JOBS.items():
+        for argv in family_jobs:
+            mine, theirs = here / argv[-1], child / argv[-1]
+            if family == "rational":
+                assert theirs.read_bytes() == mine.read_bytes(), argv[-1]
+                continue
+            want, got = _simd_values(mine), _simd_values(theirs)
+            # zero (a curve's distance 0) or normal: no value in the subnormal tail
+            assert np.all((want == 0) | (np.abs(want) >= np.finfo(float).tiny)), argv[-1]
+            assert got.shape == want.shape, argv[-1]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), argv[-1]
+
+
 # -- repeated calls in one process
 
 

@@ -16,6 +16,7 @@ from isobenefit import (
     NegativeDistanceError,
     Profile,
     Scene,
+    SceneValidationError,
     SumOverflowError,
     evaluate_field,
     evaluate_field_parts,
@@ -27,7 +28,7 @@ from isobenefit.field import (
     _block_rows,
     _PointEvaluator,
 )
-from isobenefit.scene import _as_scene, _checked_columns
+from isobenefit.scene import _as_scene
 
 families = st.sampled_from(("rational", "gaussian", "exponential"))
 efficiencies = st.floats(0.05, 20)
@@ -338,18 +339,22 @@ def test_overflowing_point_sum_is_a_named_error(attractiveness, x):
     ((Amenity("a", 0.0, 0.0, 1.0),), math.nan, 0.0, "query point"),
     ((Amenity("a", 0.0, 0.0, 1.0),), np.zeros(3), np.array([0.0, math.inf, 1.0]), "query point"),
     ((Amenity("a", 0.0, 0.0, 1.0), Amenity("b", math.nan, 0.0, 1.0)), 0.0, 0.0,
-     "amenity 'b' x must be finite, got nan"),
-    ((Amenity("a", 0.0, -math.inf, 1.0),), np.zeros(2), 0.0, "amenity 'a' y must be finite"),
-    ((Amenity("a", 0.0, 0.0, math.nan),), 0.0, 0.0, "amenity 'a' attractiveness"),
-    ((Amenity("a", 10**400, 0.0, 1.0),), 0.0, 0.0, "amenity 'a' x must be finite, got 1000"),
+     r"NonFiniteValue\('b'\): x is not a finite number: nan"),
+    ((Amenity("a", 0.0, -math.inf, 1.0),), np.zeros(2), 0.0,
+     r"NonFiniteValue\('a'\): y is not a finite number"),
+    ((Amenity("a", 0.0, 0.0, math.nan),), 0.0, 0.0, r"NonFiniteValue\('a'\): attractiveness"),
+    ((Amenity("a", 10**400, 0.0, 1.0),), 0.0, 0.0,
+     r"NonFiniteValue\('a'\): x is not a finite number: 1000"),
 ])
 def test_non_finite_input_is_invalid_not_an_overflow(amenities, x, y, message):
-    with pytest.raises(InvalidValueError, match=message):
+    # a bad query point is a bad argument; a bad amenity value makes the
+    # scene built from the amenities invalid, so it never reaches a sum
+    error = InvalidValueError if message == "query point" else SceneValidationError
+    with pytest.raises(error, match=message):
         point_benefit(amenities, Kernel("rational", 1.0), x, y)
-    if message.startswith("amenity"):  # an unvalidated scene reaches the field the same way
-        with pytest.raises(InvalidValueError, match=message):
-            evaluate_field(Scene(amenities=amenities), Kernel("rational", 1.0),
-                           GridSpec(0.0, 0.0, 1.0, 2, 2))
+    if error is SceneValidationError:
+        with pytest.raises(SceneValidationError, match=message):
+            Scene(amenities=amenities)
 
 
 @settings(max_examples=25, deadline=None)
@@ -506,8 +511,8 @@ SAMPLE_COUNTS = (0, 1, 2, 103, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, _BLOCK_SAMPLE
 def test_blocked_sums_equal_one_by_one_sums_bitwise(family, far, entries, samples,
                                                     layout, split):
     scale = 2.0 ** 500 if far else 1.0
-    columns = _checked_columns(_as_scene([Amenity(f"a{k}", x * scale, y * scale, a)
-                                          for k, (x, y, a) in enumerate(entries)]))
+    columns = _as_scene([Amenity(f"a{k}", x * scale, y * scale, a)
+                         for k, (x, y, a) in enumerate(entries)])._columns
     kernel = Kernel(family, 0.7)
     if layout == "scalar":
         x, y = 0.3 * scale, -1.1 * scale
@@ -541,7 +546,7 @@ def test_evaluator_results_own_their_memory():
     x, y = rng.uniform(-5, 5, 100), rng.uniform(-5, 5, 100)
     got = point_benefit(amenities, kernel, x, y)
     assert all(part.base is None for part in (got.total, got.positive_part, got.negative_part))
-    evaluate = _PointEvaluator(_checked_columns(_as_scene(amenities)), kernel, 100)
+    evaluate = _PointEvaluator(_as_scene(amenities)._columns, kernel, 100)
     first = evaluate(x, y, split=True)
     kept = [part.copy() for part in first]
     evaluate(y, x, split=True)
@@ -554,7 +559,7 @@ def test_one_evaluator_takes_each_query_on_its_own_side_of_the_range_guard():
     # the squares of offsets near 1e200 overflow, so there the squared form
     # would give 0.0 where the hypot form gives about 2e-200
     kernel = Kernel("rational", 1.0)
-    evaluate = _PointEvaluator(_checked_columns(_as_scene(MIXED)), kernel, 1)
+    evaluate = _PointEvaluator(_as_scene(MIXED)._columns, kernel, 1)
     for x, y in ((0.25, -0.5), (1e200, 3.0), (0.25, -0.5)):
         want = point_benefit(MIXED, kernel, x, y)
         got = np.array(evaluate(x, y, split=True))

@@ -21,6 +21,7 @@ from isobenefit import (
     NonPositiveAttractivenessError,
     OriginOnAmenityError,
     Scene,
+    SceneValidationError,
     SumOverflowError,
     huff_probabilities,
     numeric_breakpoint,
@@ -220,8 +221,19 @@ def test_overflowing_profile_is_a_named_error():
 def test_non_finite_context_amenity_is_invalid_not_an_overflow():
     pair = (Amenity("a", 0.0, 0.0, 1.0), Amenity("b", 1.0, 0.0, 1.0))
     context = pair + (Amenity("c", 0.5, math.nan, 1.0),)
-    with pytest.raises(InvalidValueError, match="amenity 'c' y must be finite"):
+    message = r"^NonFiniteValue\('c'\): y is not a finite number: nan$"
+    with pytest.raises(SceneValidationError, match=message):
         numeric_breakpoint(*pair, Kernel("rational", 1.0), scene_context=context)
+    with pytest.raises(SceneValidationError, match=message):
+        Scene(context)
+
+
+def test_a_breakpoint_pair_that_shares_an_id_is_an_invalid_scene():
+    # without a context the pair is the scene that is summed; Reilly sums nothing
+    pair = (Amenity("a", 0.0, 0.0, 1.0), Amenity("a", 4.0, 0.0, 1.0))
+    with pytest.raises(SceneValidationError, match=r"^DuplicateId\('a'\)"):
+        numeric_breakpoint(*pair, Kernel("rational", 1.0))
+    assert reilly_breakpoint(*pair).distance_from_2 == 2.0
 
 
 def test_numeric_rejects_degenerate_input():

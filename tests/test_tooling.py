@@ -112,7 +112,8 @@ def test_argument_value_rules_are_spelled_only_in_the_scene_module():
 
 def test_small_writes_do_not_import_subprocess(tmp_path):
     # only a table large enough for the helper interpreter needs subprocess;
-    # importing it on every write cost point queries measurable time
+    # importing it on every write cost point queries measurable time, and
+    # hashlib and logging would add a few ms to every process's set-up
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"amenities": [
         {"id": "a", "x": 0.0, "y": 0.0, "A": 3.0}, {"id": "b", "x": 4.0, "y": 0.0, "A": 1.0}]}))
@@ -123,13 +124,14 @@ assert cli.main(["breakpoint", "--scene", {str(scene)!r}, "--pair", "a,b",
                  "--out", {str(tmp_path / "b.json")!r}]) == 0
 assert cli.main(["curve", "--efficiencies", "0.5,1", "--out", {str(tmp_path / "c.csv")!r}]) == 0
 print("subprocess" in sys.modules)
+print(sorted({{"hashlib", "logging"}} & set(sys.modules)))
 """
     # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the run must leave no
     # bytecode cache in the source tree
     done = subprocess.run([sys.executable, "-I", "-B", "-c", script], capture_output=True,
                           text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-2:] == ["False", "[]"]
     assert (tmp_path / "b.json").exists() and (tmp_path / "c.csv").exists()
 
 
@@ -210,11 +212,11 @@ def test_a_breakpoint_builds_its_amenity_columns_once(monkeypatch, family, effic
     context = [Amenity(f"a{k}", rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.5, 3.0))
                for k in range(200)]
     context[:2] = [Amenity("a0", 2.0, 5.0, 1.0), Amenity("a1", 8.0, 5.0, 1.0)]
-    calls = {"_checked_columns": 0}
-    counting(monkeypatch, gravity, "_checked_columns", calls)
+    calls = {"_as_scene": 0}
+    counting(monkeypatch, gravity, "_as_scene", calls)
     bp = numeric_breakpoint(context[0], context[1], Kernel(family, efficiency), context)
     assert 0.0 < bp.distance_from_1 < 6.0
-    assert calls == {"_checked_columns": 1}
+    assert calls == {"_as_scene": 1}
 
 
 def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkeypatch):
@@ -230,7 +232,7 @@ def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkey
     counting(monkeypatch, Amenity, "__init__", calls)
     counting(monkeypatch, scene_model, "_float_columns", calls)
     scene = scene_io.load_scene(str(path))
-    assert scene_model._checked_columns(scene) is scene._columns
+    assert "amenities" not in vars(scene)  # read from the columns when first asked for
     assert calls == {"__init__": 0, "_float_columns": 0}
     assert cli.main(["breakpoint", "--scene", str(path), "--pair", "a0,a1",
                      "--with-context", "--out", str(tmp_path / "b.json")]) == 0
@@ -239,6 +241,7 @@ def test_point_queries_build_no_amenity_objects_beyond_the_pair(tmp_path, monkey
     assert cli.main(["huff", "--scene", str(path), "--origin", "-1,-1",
                      "--out", str(tmp_path / "h.json")]) == 0
     assert calls == {"__init__": 0, "_float_columns": 0}
+    assert "amenities" not in vars(scene)
 
 
 def test_repeated_calls_on_one_scene_parse_and_validate_it_once(tmp_path, monkeypatch):
