@@ -12,9 +12,21 @@ Each RAW is a file of native float64 values, ``NCOLS`` to a row. The script
 writes each row to standard output as one line ended by ``\\n``, the tables
 in the order given. It runs without the package or numpy on its path, so
 this module imports only ``sys``.
+
+Both processes format and write a table in chunks of rows of about
+``CHUNK_VALUES`` values (:func:`chunk_rows`), and the helper reads its raw
+rows in the same chunks, so that neither holds more than a chunk of a
+table's text.
 """
 
 import sys
+
+CHUNK_VALUES = 2 ** 12
+
+
+def chunk_rows(ncols):
+    """Rows of a chunk of a table of ``ncols`` columns: at least one."""
+    return max(1, CHUNK_VALUES // max(ncols, 1))
 
 
 def format_rows(rows, sep):
@@ -30,11 +42,10 @@ def main(argv):
         raw, ncols, sep = argv[k:k + 3]
         ncols = int(ncols)
         with open(raw, "rb") as handle:
-            values = memoryview(handle.read()).cast("d")
-        rows = (values[i:i + ncols].tolist() for i in range(0, len(values), ncols))
-        text = "\n".join(format_rows(rows, sep)) + "\n"
-        sys.stdout.buffer.write(text.encode("ascii"))
-        sys.stdout.buffer.flush()  # this table's last lines, before the next is formatted
+            while chunk := handle.read(8 * ncols * chunk_rows(ncols)):
+                values = memoryview(chunk).cast("d")
+                rows = (values[i:i + ncols].tolist() for i in range(0, len(values), ncols))
+                sys.stdout.buffer.write(("\n".join(format_rows(rows, sep)) + "\n").encode("ascii"))
 
 
 if __name__ == "__main__":

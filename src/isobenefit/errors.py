@@ -20,8 +20,8 @@ class Violation:
 
     ``code`` is a stable machine-readable kind ("DuplicateId",
     "NonFiniteValue", "UnknownOverrideTarget", "NonPositiveEfficiency",
-    "EmptyId", "UnknownProfile"); ``subject`` names the offending amenity or
-    profile.
+    "EmptyId", "NonTextId", "UnknownProfile"); ``subject`` names the
+    offending amenity or profile.
     """
 
     code: str

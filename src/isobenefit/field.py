@@ -438,7 +438,7 @@ def evaluate_field(
     Every amenity contributes to every cell; there is no cutoff radius.
     """
     total, _, _ = _grid_sums(scene, kernel, grid, profile, split=False)
-    return Raster(grid, total)
+    return Raster._owning(grid, total)
 
 
 def evaluate_field_parts(
@@ -453,5 +453,5 @@ def evaluate_field_parts(
     :class:`~isobenefit.scene.Amenity` as a scene without profiles.
     """
     total, pos, neg = _grid_sums(scene, kernel, grid, profile, split=True)
-    return FieldParts(total=Raster(grid, total), positive=Raster(grid, pos),
-                      negative=Raster(grid, neg))
+    return FieldParts(total=Raster._owning(grid, total), positive=Raster._owning(grid, pos),
+                      negative=Raster._owning(grid, neg))

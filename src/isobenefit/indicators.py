@@ -173,4 +173,4 @@ def pgg_field(
         raise SumOverflowError(
             "the preference gap leaves the float range: the person's and the "
             "majority's benefit differ by more than the largest float")
-    return Raster(grid, gap)
+    return Raster._owning(grid, gap)

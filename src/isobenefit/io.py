@@ -14,21 +14,31 @@ string dtype. So :func:`write_all` puts a second CPU to work on a call's
 large tables (raster rows, decay curves). It writes the second half of the
 rows of each as raw float64 to a temp file and starts one helper
 interpreter, ``python -I -S _rows.py``, which formats them, table after
-table, into its stdout pipe while this process formats the first halves.
-Both use :func:`isobenefit._rows.format_rows`, so each file holds byte for
-byte what one process writes; this process copies each table's lines from
-the pipe to its staged file as bytes. The helper is taken only for a
-float64 table of two or more rows and at least ``_HELPER_MIN_VALUES``
-(2**17) values, when more than one CPU is usable and the interpreter's path
-is known. That floor is the break-even point with a margin: on a shared
-2-vCPU x86 host a bare ``python -I -S`` started in 7-80 ms, against about
-0.75 us to format a value. If the helper cannot start, exits non-zero, or
-sends too few or too many lines, this process formats every row the helper
+table, into its stdout while this process formats the first halves. Both
+use :func:`isobenefit._rows.format_rows`, so each file holds byte for byte
+what one process writes. The helper's stdout is an unnamed temp file, not
+a pipe, on which the helper would wait for this process to read; once the
+helper has exited, this process copies each table's lines from that file
+to its staged file as bytes. The helper is taken only for a float64 table
+of two or more rows and at least ``_HELPER_MIN_VALUES`` (2**17) values,
+when more than one CPU is usable and the interpreter's path is known.
+That floor is the break-even point with a margin: on a shared 2-vCPU x86
+host a bare ``python -I -S`` started in 7-80 ms, against about 0.75 us to
+format a value. If the helper cannot start, exits non-zero, or
+writes too few or too many lines, this process formats every row the helper
 owed and writes the same bytes. Whatever happens, a KeyboardInterrupt
 included, a helper still running is killed and reaped, and the temp files
 removed. The helper is a fresh interpreter and not a fork: numpy may have
 started threads by then, forking such a process is deprecated from Python
 3.12 and unsafe on macOS, and Windows has no fork.
+
+A write holds its tables and a bounded amount of text. Both processes
+format a table in chunks of rows of about ``_rows.CHUNK_VALUES`` (2**12)
+values, encode each chunk and write it; the raw halves are written, and
+read by the helper, in the same chunks, and a product's text is encoded in
+slices of ``_TEXT_SLICE`` characters. Chunks of 2**14 values kept the
+whole text of a 128x128 raster alive at once, and the benchmark's
+``dense_scene`` peaked 0.4 MB higher than with 2**12.
 
 Scenes are read in two steps: the parser checks structure and types (a
 bool or a numeric string is refused as a number), then
@@ -55,15 +65,21 @@ Point queries run as many short calls on one scene: on a shared 2-vCPU x86
 host, loading a 200-amenity scene took 0.63-0.92 ms, and reusing it
 0.007-0.011 ms.
 
-Rasters are read in one C pass: the data lines go to one ``np.loadtxt``
-call, whose tokenizer converts each cell as ``float()`` does, and shape
-and finiteness are checked in bulk. The per-line parser,
-:func:`_parse_cells`, runs only when numpy refuses a line or a bulk check
-fails: it reads each cell with ``float()`` and names the first culprit, so
-it also reads what ``float()`` takes and numpy does not (``1_0``, non-ASCII
-digits). Lines holding ``\\x1c``-``\\x1f``, which numpy strips from around
-a number and ``float()`` does not, skip the bulk call; so do zero lines, on
-which ``np.loadtxt`` warns.
+Rasters are read in one C pass, which holds the array and a few lines of
+text: the data lines stream from the file, through a generator that skips
+blank lines, into one ``np.loadtxt`` call, whose tokenizer converts each
+cell as ``float()`` does, and shape and finiteness are checked in bulk.
+Any refusal (a line numpy refuses, a failed bulk check, a format error,
+bytes that are not UTF-8) ends that pass, and the per-line pass reads the
+whole file again before it parses a line, so the messages and their order
+are those of reading the file whole. Its parser, :func:`_parse_cells`,
+reads each cell with ``float()`` and names the first culprit, so it also
+reads what ``float()`` takes and numpy does not (``1_0``, non-ASCII
+digits). A line holding ``\\x1c``-``\\x1f``, which numpy strips from around
+a number and ``float()`` does not, is refused by the generator; zero data
+lines are refused without the call, on which ``np.loadtxt`` warns. The
+readers and the fields hand their fresh arrays to ``Raster._owning``,
+which keeps them without a copy.
 
 Contour GeoJSON bypasses :func:`json_product`: with ``indent`` set, CPython's
 ``json`` runs its pure-Python encoder, which took longer than extracting the
@@ -147,6 +163,10 @@ def atomic_write_text(path: str, text: str) -> None:
 # rows formatted by a helper interpreter (see the module docstring)
 _HELPER_MIN_VALUES = 2 ** 17
 
+# characters of a product's text encoded at a time: about the text of a
+# chunk of table rows
+_TEXT_SLICE = 2 ** 18
+
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -162,21 +182,46 @@ def _takes_helper(table: np.ndarray) -> bool:
 
 def _start_helper(tables: list, raws: list):
     """A helper interpreter that formats each of ``tables``, ``(rows, sep)``
-    pairs, into its stdout, one table after another; None if it cannot
-    start. Its raw input files are appended to ``raws``."""
+    pairs, one table after another, into its stdout, an unnamed temp file
+    kept as its ``stdout``; None if it cannot start. Its raw input files
+    are appended to ``raws``."""
     import subprocess  # here, so that a CLI call that writes no large table skips it
-    argv = [sys.executable, "-I", "-S", _rows.__file__]
+    argv, out = [sys.executable, "-I", "-S", _rows.__file__], None
     try:
         for rows, sep in tables:
             fd, raw = tempfile.mkstemp(prefix="isobenefit-rows-", suffix=".f64")
             raws.append(raw)
-            with os.fdopen(fd, "wb") as handle:
-                np.ascontiguousarray(rows).tofile(handle)
+            with os.fdopen(fd, "wb") as handle:  # native float64, a chunk of rows at a time
+                step = _rows.chunk_rows(rows.shape[1])
+                for i in range(0, len(rows), step):
+                    handle.write(rows[i:i + step].tobytes())
             argv += [raw, str(rows.shape[1]), sep]
-        return subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL)
+        out = tempfile.TemporaryFile()
+        helper = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=out,
+                                  stderr=subprocess.DEVNULL)
     except OSError:  # no temp space, or no interpreter to start
+        if out is not None:
+            out.close()
         return None
+    helper.stdout = out  # a file and not a pipe, so the helper never waits for a reader
+    return helper
+
+
+def _copied(helper, owed: list) -> bool:
+    """Whether the helper exited 0 having written exactly the lines of each
+    owed table, ``(handle, offset, rows, sep)``. Each table's lines are
+    copied to its handle as they are read, a line at a time, as bytes, so
+    a False can leave some there."""
+    if helper is None or helper.wait():
+        return False
+    helper.stdout.seek(0)
+    for handle, _, rest, _ in owed:
+        count, line = 0, b""
+        for count, line in enumerate(itertools.islice(helper.stdout, len(rest)), 1):
+            handle.write(line)
+        if count < len(rest) or not line.endswith(b"\n"):
+            return False
+    return not helper.stdout.read(1)
 
 
 def _stop(helper) -> None:
@@ -187,9 +232,12 @@ def _stop(helper) -> None:
 
 
 def _format_into(handle, rows: np.ndarray, sep: str) -> None:
-    # one row at a time, so that only one row's Python floats are alive
-    if len(rows):
-        handle.write("\n".join(_rows.format_rows(map(np.ndarray.tolist, rows), sep)).encode())
+    # a chunk of rows at a time, so that only one chunk's text and one row's
+    # Python floats are alive
+    step = _rows.chunk_rows(rows.shape[1])
+    for i in range(0, len(rows), step):
+        lines = _rows.format_rows(map(np.ndarray.tolist, rows[i:i + step]), sep)
+        handle.write("\n".join(lines).encode())
         handle.write(b"\n")
 
 
@@ -222,24 +270,15 @@ def write_all(products: Iterable[tuple]) -> None:
         if large:
             helper = _start_helper(large, raws)
         for (_, handle), (_, text, rows, sep), half in zip(staged, products, halves):
-            handle.write(text.encode())
-            if rows is None:
-                continue
-            _format_into(handle, rows[:half], sep)  # every row if half is None
-            if half is None:
-                continue
-            rest = rows[half:]
-            owed.append((handle, handle.tell(), rest, sep))
-            count, line = 0, b""
-            if helper is not None:  # copied a line at a time, as bytes
-                for count, line in enumerate(itertools.islice(helper.stdout, len(rest)), 1):
-                    handle.write(line)
-            if count < len(rest) or not line.endswith(b"\n"):
-                _stop(helper)  # a short table: the tables before it may hold wrong lines
-                helper = None
-        # no helper, a short table, output beyond the last table, or a failure:
+            for i in range(0, len(text), _TEXT_SLICE):  # encoded a slice at a time
+                handle.write(text[i:i + _TEXT_SLICE].encode())
+            if rows is not None:
+                _format_into(handle, rows[:half], sep)  # every row if half is None
+            if half is not None:
+                owed.append((handle, handle.tell(), rows[half:], sep))
+        # no helper, a failure, a short table or output beyond the last table:
         # every owed table is formatted here, in place of the helper's lines
-        if helper is None or helper.stdout.read(1) or helper.wait():
+        if not _copied(helper, owed):
             for handle, offset, rest, sep in owed:
                 handle.seek(offset)
                 handle.truncate()
@@ -486,27 +525,59 @@ def _parse_cells(cells: list[str], path: str, line: int) -> np.ndarray:
 _NOT_STRIPPED_BY_FLOAT = "\x1c\x1d\x1e\x1f"
 
 
-def _bulk_table(lines: list[str], delimiter: str | None) -> np.ndarray | None:
-    """The data lines as a 2-D float array, parsed in one call to numpy's C
-    text reader, if they hold equally many cells and every cell is a finite
-    number that ``float()`` reads the same; else None, and the caller's
-    per-line loop names the culprit. Zero lines give None without the call:
-    ``np.loadtxt`` warns on them."""
-    if not lines or any(char in line for line in lines for char in _NOT_STRIPPED_BY_FLOAT):
-        return None
+class _Refused(Exception):
+    """The bulk pass of a raster reader cannot take the file: its per-line
+    pass reads the file again and names the culprit."""
+
+
+def _bulk_table(data, delimiter: str | None) -> np.ndarray:
+    """The data lines, an iterator of non-blank ``(number, line)`` pairs,
+    as a 2-D float array, one row a line (numpy skips only lines that
+    ``str.strip`` empties), parsed as they stream into one call to numpy's
+    C text reader; :class:`_Refused` unless they hold equally many cells
+    and every cell is a finite number that ``float()`` reads the same. Zero
+    lines are refused without the call, on which ``np.loadtxt`` warns."""
+    first = next(data, None)
+    if first is None:
+        raise _Refused
+
+    def lines():
+        for _, line in itertools.chain([first], data):
+            if any(char in line for char in _NOT_STRIPPED_BY_FLOAT):
+                raise _Refused
+            yield line
     try:
-        table = np.loadtxt(lines, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+        table = np.loadtxt(lines(), dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:  # ragged lines, or a cell that is not a number to numpy
-        return None
-    return table if np.isfinite(table).all() else None
+        raise _Refused from None
+    if not np.isfinite(table).all():
+        raise _Refused
+    return table
+
+
+def _read_raster_file(path: str, read) -> Raster:
+    """``read(path, numbered, stream)`` on the file's ``(number, line)``
+    pairs, streamed into :func:`_bulk_table`; on any refusal, again on every
+    line read first, parsed line by line: that pass names the culprit."""
+    try:
+        with _text_file(path) as handle:
+            return read(path, enumerate(handle, start=1), True)
+    except (_Refused, SceneFormatError):
+        pass
+    with _text_file(path) as handle:
+        numbered = list(enumerate(handle, start=1))
+    return read(path, iter(numbered), False)
 
 
 def read_raster_csv(path: str) -> Raster:
-    with _text_file(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or not lines[0].startswith("#"):
+    return _read_raster_file(path, _raster_csv)
+
+
+def _raster_csv(path: str, numbered, stream: bool) -> Raster:
+    first = next(numbered, (1, ""))[1].rstrip("\n")
+    if not first.startswith("#"):
         raise _format_error(path, 'missing "# ncols,nrows,origin_x,origin_y,cell_size" header', 1)
-    header = lines[0].lstrip("#").strip().split(",")
+    header = first.lstrip("#").strip().split(",")
     if len(header) != 5:
         raise _format_error(path, f"header needs 5 fields, got {len(header)}", 1)
     try:
@@ -514,33 +585,37 @@ def read_raster_csv(path: str) -> Raster:
         origin_x, origin_y, cell_size = (float(h) for h in header[2:])
     except ValueError as exc:
         raise _format_error(path, f"bad header value: {exc}", 1) from None
-    data = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    if len(data) != nrows:
-        raise _format_error(path, f"expected {nrows} data rows, got {len(data)}")
+    data = ((n, line.rstrip("\n")) for n, line in numbered if line.strip())
+    rows = _bulk_table(data, ",") if stream else list(data)  # parsed, or lines to parse
+    if len(rows) != nrows:
+        raise _format_error(path, f"expected {nrows} data rows, got {len(rows)}")
     grid = _grid_from_header(path, origin_x, origin_y, cell_size, ncols, nrows)
-    table = _bulk_table([line for _, line in data], ",")
-    if table is None or table.shape != (nrows, ncols):
-        rows = []
-        for n, line in data:  # the culprit's line, or a number numpy refuses
+    if not stream:
+        parsed = []
+        for n, line in rows:  # the culprit's line, or a number numpy refuses
             cells = line.split(",")
             if len(cells) != ncols:
                 raise _format_error(path, f"expected {ncols} values, got {len(cells)}", n)
-            rows.append(_parse_cells(cells, path, n))
-        table = np.array(rows)
-    return Raster(grid, table[::-1])  # the file lists the top row first
+            parsed.append(_parse_cells(cells, path, n))
+        rows = np.array(parsed)
+    elif rows.shape[1] != ncols:
+        raise _Refused
+    return Raster._owning(grid, rows[::-1])  # the file lists the top row first
 
 
 def read_raster_asc(path: str) -> Raster:
-    with _text_file(path) as handle:
-        lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
+    return _read_raster_file(path, _raster_asc)
+
+
+def _raster_asc(path: str, numbered, stream: bool) -> Raster:
+    lines = ((n, line.strip()) for n, line in numbered if line.strip())
     header: dict[str, float] = {}
-    k = 0
-    while k < len(lines):
-        n, line = lines[k]
+    for n, line in lines:
         parts = line.split()
         key = parts[0].upper()
         if len(parts) != 2 or key not in (
                 "NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE", "NODATA_VALUE"):
+            lines = itertools.chain([(n, line)], lines)  # the first data line
             break
         if key in header:
             raise _format_error(path, f"repeated {key} header", n)
@@ -550,7 +625,6 @@ def read_raster_asc(path: str) -> Raster:
             raise _format_error(path, f"bad header value in {line!r}", n) from None
         if key in ("NCOLS", "NROWS") and not header[key].is_integer():
             raise _format_error(path, f"{key} must be a whole number, got {parts[1]!r}", n)
-        k += 1
     for key in ("NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE"):
         if key not in header:
             raise _format_error(path, f"missing {key} header")
@@ -559,9 +633,10 @@ def read_raster_asc(path: str) -> Raster:
     nodata = header.get("NODATA_VALUE")
     grid = _grid_from_header(path, header["XLLCORNER"] + cell_size / 2.0,
                              header["YLLCORNER"] + cell_size / 2.0, cell_size, ncols, nrows)
-    flat = _bulk_table([line for _, line in lines[k:]], None)
-    if flat is None:  # the culprit's line, wrapped rows, or a number numpy refuses
-        chunks = [_parse_cells(line.split(), path, n) for n, line in lines[k:]]
+    if stream:
+        flat = _bulk_table(lines, None)
+    else:  # the culprit's line, wrapped rows, or a number numpy refuses
+        chunks = [_parse_cells(line.split(), path, n) for n, line in lines]
         flat = np.concatenate(chunks) if chunks else np.empty(0)
     if flat.size != grid.size:
         raise _format_error(path, f"expected {grid.size} values, got {flat.size}")
@@ -569,7 +644,7 @@ def read_raster_asc(path: str) -> Raster:
     if nodata is not None and (values == nodata).any():
         raise _format_error(
             path, "grid contains NODATA cells; benefit rasters must be complete")
-    return Raster(grid, values)
+    return Raster._owning(grid, values)
 
 
 def _is_asc(path: str) -> bool:

@@ -108,10 +108,13 @@ _CASES = _case_table()
 def _corner_range(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest and highest corner value of every lattice cell, as two
     ``(nrows - 1, ncols - 1)`` arrays: computed once for all levels, they
-    find the cells a level crosses with two comparisons per cell."""
-    corners = (V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1])
-    low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
-    high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    find the cells a level crosses with two comparisons per cell. Each is
+    reduced in place, so no temporary of the lattice's size is made."""
+    bl, br, tr, tl = V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1]
+    low, high = np.minimum(bl, br), np.maximum(bl, br)
+    for corner in (tr, tl):
+        np.minimum(low, corner, out=low)
+        np.maximum(high, corner, out=high)
     return low, high
 
 

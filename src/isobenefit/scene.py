@@ -10,9 +10,10 @@ report them all. A container of the wrong type is an argument problem,
 refused first with an :class:`~isobenefit.errors.InvalidValueError`:
 amenities that are not a sequence of ``Amenity`` (naming the first other
 item by its index), profiles that are not a mapping of text to
-``Profile``, a majority that is not text, and a profile's overrides that
-are not a mapping. ``Kernel``, ``GridSpec`` and ``Raster`` are plumbing
-types and reject bad values immediately.
+``Profile``, a ``Profile`` whose name is not its key, a majority that is
+not text, and a profile's overrides that are not a mapping. ``Kernel``,
+``GridSpec`` and ``Raster`` are plumbing types and reject bad values
+immediately.
 
 Every public entry that takes a scene (the fields, point queries, PGG,
 Huff, the breakpoint context, :func:`validate_scene` and
@@ -259,6 +260,9 @@ class Raster:
     ``values`` is a read-only float64 array of length ncols*nrows, row-major
     from the bottom row upward: cell (i, j) lives at index j*ncols + i.
     It is made from finite real numbers, as :func:`_real_array` takes them.
+    ``Raster(grid, values)`` checks them and keeps its own copy. The package
+    builds the rasters it computes or reads with :meth:`_owning`, which
+    neither checks nor copies.
     """
 
     grid: GridSpec
@@ -275,6 +279,21 @@ class Raster:
             v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _owning(cls, grid: GridSpec, values: np.ndarray) -> Raster:
+        """A raster that keeps ``values``, flattened as ``reshape(-1)``
+        flattens it (a view of a C-contiguous array; the readers'
+        row-reversed tables are copied there, once), and makes it read-only.
+        Nothing is checked: the caller guarantees a fresh float64 array of
+        ``grid.size`` finite values that nothing else writes, as the fields,
+        PGG and the raster readers make."""
+        raster = object.__new__(cls)
+        values = values.reshape(-1)
+        values.flags.writeable = False
+        object.__setattr__(raster, "grid", grid)
+        object.__setattr__(raster, "values", values)
+        return raster
 
     def as_grid(self) -> np.ndarray:
         """Values as a (nrows, ncols) read-only view, row 0 = bottom row."""
@@ -341,6 +360,8 @@ class Scene:
         for name, profile in self.profiles.items():
             _type_value("profile name", name, str)
             _type_value(f"profile {name!r}", profile, Profile)
+            if not (isinstance(profile.name, str) and profile.name == name):
+                _refuse(f"profile {name!r} name", repr(name), profile.name)
         if self.majority is not None:
             _type_value("majority", self.majority, str)
         for name, value in (("amenities", amenities), ("profiles", _ReadOnlyDict(self.profiles)),
@@ -429,9 +450,10 @@ def validate_scene(scene: Scene) -> Scene:
     scene (the one built from a sequence) unchanged if all hold.
 
     Raises :class:`SceneValidationError` carrying one :class:`Violation` per
-    problem found: duplicate or empty amenity ids, non-finite coordinates or
-    attractiveness, profile overrides naming unknown amenities, non-positive
-    profile efficiencies, and a majority name that matches no profile.
+    problem found: duplicate, empty or non-text amenity ids, non-finite
+    coordinates or attractiveness, profile overrides naming unknown
+    amenities, non-positive profile efficiencies, and a majority name that
+    matches no profile.
     ``Scene`` runs this check when it is built, so a scene that exists has
     passed it, and a sequence is refused by the ``Scene`` built from it;
     the loaders run it on the scenes they build from their files.
@@ -443,17 +465,18 @@ def validate_scene(scene: Scene) -> Scene:
     if seen is None:  # some amenity is at fault: name every culprit, in order
         seen = set()
         for am in scene.amenities:
-            if not isinstance(am.id, str) or not am.id:
+            if not isinstance(am.id, str):
                 violations.append(Violation(
-                    "EmptyId", str(am.id), "amenity id must be non-empty text"))
+                    "NonTextId", str(am.id), f"amenity id must be text, got {am.id!r}"))
+            elif not am.id:
+                violations.append(Violation("EmptyId", am.id, "amenity id must be non-empty text"))
             elif am.id in seen:
                 violations.append(Violation(
                     "DuplicateId", am.id, "amenity id appears more than once"))
             else:
                 seen.add(am.id)
-            subject = am.id if isinstance(am.id, str) else str(am.id)
             for what in ("attractiveness", "x", "y"):
-                _check_finite(subject, what, getattr(am, what), violations)
+                _check_finite(str(am.id), what, getattr(am, what), violations)
 
     for name, prof in scene.profiles.items():
         if prof.efficiency is not None and not _finite_number(prof.efficiency, positive=True):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,3 +594,38 @@ def test_grid_fields_never_take_the_blocked_path(monkeypatch, ncols, nrows):
     monkeypatch.setattr("isobenefit.field._PointEvaluator._blocks", refuse)
     evaluate_field_parts(Scene(MIXED), Kernel("gaussian", 0.8),
                          GridSpec(-2.0, -2.0, 0.01, ncols, nrows))
+
+
+def test_field_rasters_keep_the_evaluators_arrays_read_only(monkeypatch):
+    # a field's rasters hold the arrays that the evaluator returned, not copies
+    returned = []
+    call = _PointEvaluator.__call__
+
+    def recorded(self, *args):
+        parts = call(self, *args)
+        returned.extend(part for part in parts if part is not None)
+        return parts
+
+    monkeypatch.setattr(_PointEvaluator, "__call__", recorded)
+    grid = GridSpec(-2.0, -2.0, 0.1, 30, 20)
+    parts = evaluate_field_parts(Scene(MIXED), Kernel("rational", 1.0), grid)
+    field = evaluate_field(Scene(MIXED), Kernel("rational", 1.0), grid)
+    rasters = (parts.total, parts.positive, parts.negative, field)
+    for raster, array in zip(rasters, returned):
+        assert np.shares_memory(raster.values, array)
+        assert not raster.values.flags.writeable
+        with pytest.raises(ValueError):
+            raster.values[0] = 1.0
+
+
+def test_field_parts_peak_at_four_grid_arrays():
+    # the total, the two parts and one work array: no raster copies them
+    grid = GridSpec(-2.0, -2.0, 0.02, 256, 256)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate_field_parts(Scene(MIXED), Kernel("rational", 1.0), grid)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * grid.size

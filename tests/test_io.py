@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -420,6 +422,54 @@ def test_asc_without_data_lines_is_refused(tmp_path):
     with pytest.raises(SceneFormatError) as caught:
         read_raster_asc(path)
     assert str(caught.value) == f"{path}: expected 2 values, got 0"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "# 2,1,0.0,0.0,1.0\n", "expected 1 data rows, got 0"),
+    ("blank.csv", "# 2,1,0.0,0.0,1.0\n\n \n", "expected 1 data rows, got 0"),
+    ("empty.asc", "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n",
+     "expected 2 values, got 0")])
+def test_a_raster_header_without_data_lines_is_refused_without_a_warning(
+        tmp_path, name, text, message):
+    path = write(tmp_path / name, text)
+    with warnings.catch_warnings(record=True) as caught_warnings:
+        warnings.simplefilter("always")
+        with pytest.raises(SceneFormatError) as caught:
+            read_raster(path)
+    assert str(caught.value) == f"{path}: {message}"
+    assert caught_warnings == []
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the peak of the memory that tracemalloc
+    traced during it, above what was allocated when it began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["r.csv", "r.asc"])
+@pytest.mark.parametrize("helper", [False, True])
+def test_writing_a_raster_holds_a_chunk_of_text_and_reading_it_two_arrays(
+        tmp_path, monkeypatch, name, helper):
+    # at 256 x 256 the whole text of the file is about 2.4 arrays, and its
+    # encoded bytes as many again
+    if helper:  # the raw half goes to the helper in chunks too
+        monkeypatch.setattr(scene_io, "_HELPER_MIN_VALUES", 0)
+        monkeypatch.setattr(scene_io, "_usable_cpus", lambda: 2)
+    grid = GridSpec(0.0, 0.0, 1.0, 256, 256)
+    raster = Raster(grid, np.random.default_rng(2).normal(size=grid.size) * 1e3)
+    path = str(tmp_path / name)
+    _, written = traced_peak(lambda: write_raster(raster, path))
+    assert written < 64 * _rows.CHUNK_VALUES  # a chunk's text, not the table's
+    back, read = traced_peak(lambda: read_raster(path))
+    assert np.array_equal(back.values, raster.values)
+    # the parsed table and its row-reversed copy
+    assert read < 2.5 * raster.values.nbytes
 
 
 @pytest.mark.parametrize("repeated, value", [

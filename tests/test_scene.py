@@ -320,7 +320,7 @@ VIOLATION_CASES = {
         [("NonFiniteValue", "b", f"x is not a finite number: {10 ** 400}")]),
     "non-text-id": (
         dict(amenities=(Amenity(7, 0.0, 0.0, 1.0), _A, Amenity("a", 1.0, "2", -math.inf))),
-        [("EmptyId", "7", "amenity id must be non-empty text"),
+        [("NonTextId", "7", "amenity id must be text, got 7"),
          ("DuplicateId", "a", "amenity id appears more than once"),
          ("NonFiniteValue", "a", "attractiveness is not a finite number: -inf"),
          ("NonFiniteValue", "a", "y is not a finite number: '2'")]),
@@ -679,6 +679,11 @@ WRONG_TYPES = {
                        lambda: Scene(PAIR, majority=["p"])),
     "Scene-profile-name": ("profile name must be of type str, got 5",
                            lambda: Scene(PAIR, profiles={5: Profile("p")})),
+    "Scene-profile-other-name": ("profile 'x' name must be 'x', got 'y'",
+                                 lambda: Scene(PAIR, profiles={"x": Profile("y", 2.0)},
+                                               majority="x")),
+    "Scene-profile-non-text-name": ("profile 'p' name must be 'p', got 5",
+                                    lambda: Scene(PAIR, profiles={"p": Profile(5)})),
     "field-profile-name": ("profile name must be of type str, got ['p']",
                            lambda: evaluate_field(SCENE, RATIONAL, GRID, ["p"])),
     "pgg-majority-name": ("profile name must be of type str, got ['p']",
