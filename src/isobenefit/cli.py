@@ -73,7 +73,8 @@ from .io import (  # noqa: F401  (perfbench/tracing.py wraps the writers by name
     write_raster,
 )
 from .isolines import extract_isolines
-from .scene import KERNEL_FAMILIES, Amenity, GridSpec, Kernel, Scene, _count_value, _real_array
+from .scene import (KERNEL_FAMILIES, Amenity, GridSpec, Kernel, Scene, _count_value, _real_array,
+                    _resolved_scene)
 
 __all__ = ["main"]
 
@@ -180,8 +181,8 @@ def _as_report(result) -> dict | None:
     return doc
 
 
-def _kernel_report(args: argparse.Namespace) -> dict:
-    return {"family": args.kernel, "efficiency": args.efficiency}
+def _kernel_report(kernel: Kernel) -> dict:
+    return {"family": kernel.family, "efficiency": kernel.efficiency}
 
 
 def _summary_line(stats) -> str:
@@ -274,9 +275,11 @@ def _cmd_uniformity(args: argparse.Namespace) -> tuple[list[str], dict | None, l
         raster = read_raster(args.raster)
         results = {"all": uniformity(raster)}  # undefined U on the main input is an error
     else:
+        # the report gives the E of the field: a profile's own E replaces --efficiency
+        scene, kernel = _resolved_scene(*_scene_and_kernel(args), args.profile)
         source = {"scene": args.scene, "profile": args.profile,
-                  "kernel": _kernel_report(args), "grid": _as_report(args.grid)}
-        parts = _scene_field(args, evaluate_field_parts)
+                  "kernel": _kernel_report(kernel), "grid": _as_report(args.grid)}
+        parts = evaluate_field_parts(scene, kernel, args.grid)
         raster = parts.total
         results = {"all": uniformity(raster),
                    "positive": _uniformity_or_none(parts.positive),
@@ -305,7 +308,7 @@ def _cmd_breakpoint(args: argparse.Namespace) -> tuple[list[str], dict | None, l
     report = {
         "pair": [amenity1.id, amenity2.id],
         "distance": distance,
-        "kernel": _kernel_report(args),
+        "kernel": _kernel_report(kernel),
         "with_context": bool(args.with_context),
         "reilly": _as_report(reilly),
     }
@@ -384,6 +387,11 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
 def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], dict | None, list]:
     scene = load_scene(args.scene)
     kernels = [_checked("--efficiencies", Kernel, args.kernel, e) for e in args.efficiencies]
+    profile = scene.profiles.get(args.profile)
+    if profile is not None and profile.efficiency is not None:
+        # every row would be the field at the profile's E
+        raise IsobenefitError(f"--profile: profile {args.profile!r} sets its own E = "
+                              f"{profile.efficiency!r}, so --efficiencies cannot be swept under it")
     rows = []
     lines = ["E\tU\ttotal\tmean\tmin\tmax"]
     for e, kernel in zip(args.efficiencies, kernels):

@@ -128,6 +128,25 @@ for bit. The rational terms (1/E is rounded once) and the gaussian terms
 well inside the 1e-12 relative tolerance of the kernel forms, which the
 tests pin on points and grids. At a sample whose every term is subnormal,
 1e-12 of their sum is below one ulp, and no form meets it for certain.
+
+Reuse. A scene remembers the last grid field evaluated from its own
+columns: a private one-entry memo, keyed by the resolved kernel and the
+grid. ``_grid_sums`` resolves the profile first, so the entry sits on the
+scene whose columns were summed: the caller's scene, or for a profile with
+overrides the scene built from it, which is dropped with its entry. A call
+for the total alone whose kernel and grid equal the entry's returns the
+entry's array; any other call evaluates the field and replaces the entry
+with its total. A split call stores its total too: the amenities are added
+to the total in the same order whether or not the parts are also summed,
+so that total is the same bits as an unsplit call's. A kernel's E is a
+float, and equal grids give equal cell centers, so an equal key means the
+same arithmetic, and a hit changes no output byte. Only totals of at most
+``_MEMO_MAX_CELLS`` cells are kept, so a live scene holds at most 1 MiB
+for its memo. The entry is read-only, like every raster's values, and
+replaced whole, so threads that share a scene read either entry. A scene
+that is copied, pickled or rebuilt starts without one. The CLI keeps the
+last scene it loaded (see :func:`isobenefit.io.load_scene`), so successive
+commands on one scene file in one process share its entry.
 """
 from __future__ import annotations
 
@@ -196,6 +215,10 @@ _LOG2_E = math.log2(math.e)
 # grid) are summed one amenity at a time, smaller ones in blocks (see the
 # module docstring).
 _BLOCK_SAMPLES = 2 ** 13
+
+# Largest grid field a scene keeps as its memo, 1 MiB (see the module
+# docstring): a 362x362 grid, say, but not a 384x384 one.
+_MEMO_MAX_CELLS = 2 ** 17
 
 
 def kernel_benefit(attractiveness: float, distance, kernel: Kernel):
@@ -419,8 +442,17 @@ def _grid_sums(scene: Scene, kernel: Kernel, grid: GridSpec,
                profile: str | None, split: bool):
     _type_value("grid", grid, GridSpec)
     resolved, kern = _resolved_scene(scene, kernel, profile)
-    evaluate = _PointEvaluator(resolved._columns, kern, grid.ncols * grid.nrows)
-    return evaluate(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis], split)
+    # the scene's memo of its last field (see the module docstring)
+    memo = getattr(resolved, "_field_memo", None)
+    if not split and memo is not None and memo[0] == kern and memo[1] == grid:
+        return memo[2], None, None
+    evaluate = _PointEvaluator(resolved._columns, kern, grid.size)
+    total, pos, neg = evaluate(grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis],
+                               split)
+    if grid.size <= _MEMO_MAX_CELLS:
+        total.flags.writeable = False
+        object.__setattr__(resolved, "_field_memo", (kern, grid, total))
+    return total, pos, neg
 
 
 def evaluate_field(

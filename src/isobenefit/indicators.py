@@ -150,7 +150,9 @@ def pgg_field(
     the cost is O(changed) instead of O(all amenities), identical profiles
     give exactly 0, and the result agrees with the difference of the two
     full fields within 1e-12 of their magnitude. With different E every
-    amenity counts and both full fields are evaluated. Either way swapping
+    amenity counts and both full fields are evaluated; a full field may
+    come from the scene's memo of its last field (see
+    :mod:`isobenefit.field`), with the same bits. Either way swapping
     the person and the majority negates the raster exactly. A difference
     that leaves the float range raises :class:`SumOverflowError`.
     """

@@ -1,6 +1,8 @@
 """Domain model: amenities, decay kernels, grids, rasters, preference profiles.
 
-All types are immutable after construction and safe to share across threads.
+All types are immutable after construction and safe to share across threads;
+a scene's private caches (its amenities, built on first read, and its field
+memo) hold only values computed from its own columns.
 A ``Scene`` is valid once built: its constructor ends by running
 :func:`validate_scene`, which raises one
 :class:`~isobenefit.errors.SceneValidationError` listing *every* violation
@@ -179,7 +181,9 @@ class Kernel:
     Careful with E: the ``rational`` family decays *slower* for larger E,
     while ``gaussian`` and ``exponential`` decay *faster* for larger E. The
     three families deliberately keep these opposite conventions; see
-    :func:`isobenefit.field.kernel_benefit`.
+    :func:`isobenefit.field.kernel_benefit`. E is kept as the float it
+    equals, so equal kernels give the same arithmetic: a float32 E would
+    otherwise make the scalar steps float32 ones.
     """
 
     family: str
@@ -192,6 +196,7 @@ class Kernel:
                 f"expected one of {', '.join(KERNEL_FAMILIES)}"
             )
         _finite_value("kernel efficiency", self.efficiency, positive=True)
+        object.__setattr__(self, "efficiency", float(self.efficiency))
 
 
 @dataclass(frozen=True)
@@ -285,9 +290,10 @@ class Raster:
         """A raster that keeps ``values``, flattened as ``reshape(-1)``
         flattens it (a view of a C-contiguous array; the readers'
         row-reversed tables are copied there, once), and makes it read-only.
-        Nothing is checked: the caller guarantees a fresh float64 array of
+        Nothing is checked: the caller guarantees a float64 array of
         ``grid.size`` finite values that nothing else writes, as the fields,
-        PGG and the raster readers make."""
+        PGG and the raster readers make; a field may be a scene's remembered
+        one, which is read-only already."""
         raster = object.__new__(cls)
         values = values.reshape(-1)
         values.flags.writeable = False
@@ -340,6 +346,10 @@ class Scene:
     docstring describes. Building one, or ``dataclasses.replace`` on one,
     raises :class:`SceneValidationError` with every violation that
     :func:`validate_scene` finds, so no invalid scene exists.
+
+    A scene also keeps a private memo of the last grid field evaluated from
+    its columns (see :mod:`isobenefit.field`). Equality ignores it, and a
+    copied or unpickled scene starts without it.
     """
 
     amenities: tuple[Amenity, ...]
@@ -386,6 +396,12 @@ class Scene:
                             ("profiles", _ReadOnlyDict(profiles)), ("majority", majority)):
             object.__setattr__(scene, name, value)
         return scene
+
+    def __getstate__(self) -> dict:
+        # the field memo stays with this scene
+        state = dict(self.__dict__)
+        state.pop("_field_memo", None)
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # a copied or unpickled scene keeps its columns read-only
@@ -552,7 +568,7 @@ def _resolved_scene(scene: Scene, kernel: Kernel,
         )
     efficiency = profile.efficiency
     if efficiency is not None:
-        kernel = dataclasses.replace(kernel, efficiency=float(efficiency))
+        kernel = dataclasses.replace(kernel, efficiency=efficiency)
     overrides = profile.overrides
     if not overrides:
         return scene, kernel

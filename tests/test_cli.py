@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -622,6 +624,38 @@ def test_sweep_reports_one_row_per_e(tmp_path, profiled, capsys):
     assert out.count("\n") == 5  # header plus one line per E
 
 
+def test_sweep_under_a_profile_with_its_own_e_is_refused(tmp_path, capsys, profiled):
+    # every row would be the field at the profile's E, labelled with the swept E
+    report = tmp_path / "sweep.json"
+    assert run("sweep", "--scene", profiled, "--efficiencies", "1,5", "--grid", "-1,-1,0.5,5,5",
+               "--profile", "alice", "--out", report) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --profile: profile 'alice' sets its own E = 2.0, "
+                   "so --efficiencies cannot be swept under it\n")
+    assert not report.exists()
+    # a profile without its own E is swept
+    assert run("sweep", "--scene", profiled, "--efficiencies", "1,5", "--grid", "-1,-1,0.5,5,5",
+               "--profile", "median", "--out", report) == 0
+    assert [row["efficiency"] for row in json.loads(report.read_text())["rows"]] == [1.0, 5.0]
+
+
+def test_a_uniformity_report_gives_the_e_its_field_used(tmp_path, profiled):
+    grid = "-1,-1,0.5,5,5"
+    reports = {}
+    for profile in ("alice", "median"):
+        reports[profile] = tmp_path / f"{profile}.json"
+        assert run("uniformity", "--scene", profiled, "--efficiency", "7", "--grid", grid,
+                   "--profile", profile, "--out", reports[profile]) == 0
+    alice = json.loads(reports["alice"].read_text())
+    assert alice["source"]["kernel"] == {"family": "rational", "efficiency": 2.0}
+    median = json.loads(reports["median"].read_text())
+    assert median["source"]["kernel"] == {"family": "rational", "efficiency": 7.0}
+    want = evaluate_field(load_scene(str(profiled)), Kernel("rational", 2.0),
+                          GridSpec(-1.0, -1.0, 0.5, 5, 5), profile="alice")
+    assert alice["summary"]["total"] == float(np.sum(want.values))
+
+
 # -- plumbing
 
 
@@ -1192,6 +1226,171 @@ def test_each_subcommand_parser_is_built_once_per_process(pair):
             assert run(*argv) == 0
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
+# -- one scene's field, reused by the commands of one process
+
+
+def _write_dense_scene(path, n=600, seed=3):
+    rng = np.random.default_rng(seed)
+    ids = [f"a{k}" for k in range(n)]
+    xs, ys = rng.uniform(0.0, 3.2, n), rng.uniform(0.0, 3.2, n)
+    values = np.where(np.arange(n) < n // 10, -1.0, 1.0) * rng.uniform(0.5, 3.0, n)
+    overrides = {ids[k]: float(rng.uniform(0.5, 3.0)) for k in range(0, n, 20)}
+    path.write_text(json.dumps({
+        "amenities": [{"id": i, "x": float(x), "y": float(y), "A": float(a)}
+                      for i, x, y, a in zip(ids, xs, ys, values)],
+        "profiles": {"median": {}, "bob": {"E": 1.7, "overrides": overrides}},
+        "majority": "median",
+    }))
+    return path
+
+
+def _evaluator_sizes(monkeypatch):
+    """The amenity count of every _PointEvaluator built from now on."""
+    from isobenefit import field
+
+    sizes = []
+    build = field._PointEvaluator.__init__
+
+    def recorded(self, columns, kernel, samples):
+        sizes.append(columns.shape[1])
+        build(self, columns, kernel, samples)
+
+    monkeypatch.setattr(field._PointEvaluator, "__init__", recorded)
+    return sizes
+
+
+SESSION_GRID = "0.04,0.04,0.08,40,40"
+SESSION = {
+    "sweep": ["sweep", "--scene", "SCENE", "--efficiencies", "1", "--grid", SESSION_GRID,
+              "--out", "sweep.json"],
+    "uniformity": ["uniformity", "--scene", "SCENE", "--grid", SESSION_GRID,
+                   "--out", "uniformity.json"],
+    "pgg": ["pgg", "--scene", "SCENE", "--grid", SESSION_GRID, "--person", "bob",
+            "--out", "pgg.csv", "--report", "pgg.json"],
+}
+
+
+def test_commands_on_one_scene_share_its_field_and_write_fresh_process_bytes(
+        tmp_path, monkeypatch, capsys):
+    import subprocess
+    import sys
+
+    import isobenefit
+    scene = _write_dense_scene(tmp_path / "scene.json")
+    src = os.path.dirname(os.path.dirname(isobenefit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    fresh.mkdir()
+    shared.mkdir()
+    session = {name: [str(scene) if word == "SCENE" else word for word in argv]
+               for name, argv in SESSION.items()}
+    printed = {}
+    for name, argv in session.items():
+        proc = subprocess.run([sys.executable, "-m", "isobenefit", *argv], cwd=fresh,
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        printed[name] = proc.stdout
+    sizes = _evaluator_sizes(monkeypatch)
+    monkeypatch.chdir(shared)
+    built = {}
+    for name, argv in session.items():
+        start = len(sizes)
+        assert _call(capsys, *argv) == (0, printed[name], "")
+        built[name] = sizes[start:]
+    # bob's profile sets its own E: its field is summed, the majority's is the memo
+    assert built == {"sweep": [600], "uniformity": [600], "pgg": [600]}
+    assert sorted(os.listdir(shared)) == sorted(os.listdir(fresh))
+    for name in os.listdir(fresh):
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+    # without the loaded scene, and so without its memo, pgg sums both fields
+    from isobenefit import io as scene_io
+    monkeypatch.setattr(scene_io, "_last_scene", None)
+    start = len(sizes)
+    assert _call(capsys, *session["pgg"])[0] == 0
+    assert sizes[start:] == [600, 600]
+
+
+def test_a_sweep_of_one_e_twice_sums_the_field_once(tmp_path, monkeypatch, profiled):
+    sizes = _evaluator_sizes(monkeypatch)
+    report = tmp_path / "sweep.json"
+    assert run("sweep", "--scene", profiled, "--efficiencies", "1,1", "--grid", "-1,-1,0.5,7,7",
+               "--out", report) == 0
+    assert sizes == [2]
+    first, second = json.loads(report.read_text())["rows"]
+    assert first == second
+
+
+def _traced_now():
+    # argparse leaves reference cycles behind; they are garbage, not kept
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_a_command_above_the_memo_cap_keeps_no_field(tmp_path, monkeypatch, capsys):
+    from isobenefit.field import _MEMO_MAX_CELLS
+
+    scene = _write_dense_scene(tmp_path / "scene.json", n=8)
+    monkeypatch.chdir(tmp_path)
+    grid = GridSpec(0.0, 0.0, 0.01, 363, 362)
+    assert grid.size > _MEMO_MAX_CELLS
+    big, small = "0,0,0.01,363,362", "0,0,0.5,3,3"
+    commands = [
+        ["sweep", "--scene", scene, "--efficiencies", "1,2", "--grid", big],
+        ["uniformity", "--scene", scene, "--grid", big],
+        ["pgg", "--scene", scene, "--grid", big, "--person", "bob", "--out", "g.csv"],
+        ["field", "--scene", scene, "--grid", big, "--out", "f.csv"],
+    ]
+    for argv in commands:  # the parsers and the loaded scene exist before tracing
+        assert run(*(small if word == big else word for word in argv)) == 0
+    tracemalloc.start()
+    try:
+        for argv in commands:
+            start = _traced_now()
+            assert run(*argv) == 0
+            assert _traced_now() - start < 8 * grid.size // 8, argv[0]  # 1/8 of a field
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+
+
+def test_repeated_commands_over_mixed_inputs_keep_no_more_than_the_first_pass(
+        tmp_path, monkeypatch, capsys):
+    scenes = (_write_dense_scene(tmp_path / "first.json", n=6, seed=1),
+              _write_dense_scene(tmp_path / "second.json", n=9, seed=2))
+    monkeypatch.chdir(tmp_path)
+    # 128x128 grids: one field is 128 KiB
+    inputs = (("rational", "0,0,0.025,128,128", scenes[0]),
+              ("gaussian", "0.01,0,0.025,128,128", scenes[1]),
+              ("exponential", "0,0,0.03,128,128", scenes[0]))
+    commands = []
+    for family, grid, scene in inputs:
+        commands += [
+            ["sweep", "--scene", scene, "--kernel", family, "--efficiencies", "0.5,0.7",
+             "--grid", grid],
+            ["uniformity", "--scene", scene, "--kernel", family, "--efficiency", "0.5",
+             "--grid", grid],
+            ["pgg", "--scene", scene, "--kernel", family, "--efficiency", "0.5",
+             "--grid", grid, "--person", "bob", "--out", "g.csv"],
+            ["field", "--scene", scene, "--kernel", family, "--grid", grid,
+             "--profile", "bob", "--out", "f.csv"],
+        ]
+    tracemalloc.start()
+    try:
+        start = _traced_now()
+        kept = []
+        for _ in range(10):  # 120 calls
+            for argv in commands:
+                assert run(*argv) == 0
+            capsys.readouterr()
+            kept.append(_traced_now() - start)
+    finally:
+        tracemalloc.stop()
+    # a retained field is 128 KiB; the caches of numpy and the io layer grow
+    # by a few KiB over these passes
+    assert max(kept[1:]) <= kept[0] + 2 ** 15, kept
 
 
 # -- mutated raster input

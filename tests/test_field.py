@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +26,12 @@ from isobenefit import (
     evaluate_field,
     evaluate_field_parts,
     kernel_benefit,
+    pgg_field,
     point_benefit,
 )
 from isobenefit.field import (
     _BLOCK_SAMPLES,
+    _MEMO_MAX_CELLS,
     _block_rows,
     _PointEvaluator,
 )
@@ -611,6 +617,7 @@ def test_field_rasters_keep_the_evaluators_arrays_read_only(monkeypatch):
     parts = evaluate_field_parts(Scene(MIXED), Kernel("rational", 1.0), grid)
     field = evaluate_field(Scene(MIXED), Kernel("rational", 1.0), grid)
     rasters = (parts.total, parts.positive, parts.negative, field)
+    assert len(returned) == len(rasters)  # two scenes: the second field is no memo hit
     for raster, array in zip(rasters, returned):
         assert np.shares_memory(raster.values, array)
         assert not raster.values.flags.writeable
@@ -629,3 +636,158 @@ def test_field_parts_peak_at_four_grid_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * 8 * grid.size
+
+
+# -- the scene's memo of its last field
+
+
+FAMILIES = ("rational", "gaussian", "exponential")
+# summed in amenity blocks, and one amenity at a time
+MEMO_GRIDS = (GridSpec(-2.0, -2.0, 0.3, 9, 7), GridSpec(-2.0, -2.0, 0.05, 90, 80))
+POSITIVE = tuple(am for am in MIXED if am.attractiveness > 0)
+
+
+def fresh_bytes(kernel, grid, amenities=MIXED, profile=None, profiles=None):
+    """The field's bytes from a scene built for this call alone."""
+    scene = Scene(amenities, profiles=profiles or {})
+    return evaluate_field(scene, kernel, grid, profile).values.tobytes()
+
+
+@pytest.mark.parametrize("grid", MEMO_GRIDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_repeated_field_is_the_memo_and_the_same_bits(family, grid):
+    scene, kernel = Scene(MIXED), Kernel(family, 0.8)
+    first = evaluate_field(scene, kernel, grid)
+    second = evaluate_field(scene, kernel, grid)
+    assert np.shares_memory(first.values, second.values)  # a lookup, not a sum
+    assert second.values.tobytes() == fresh_bytes(kernel, grid)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_field_under_a_profile_that_sets_only_e_is_remembered_at_that_e(family):
+    profiles = {"fast": Profile("fast", efficiency=2.0)}
+    scene, grid = Scene(MIXED, profiles=profiles), MEMO_GRIDS[1]
+    mine = evaluate_field(scene, Kernel(family, 0.8), grid, profile="fast")
+    plain = evaluate_field(scene, Kernel(family, 2.0), grid)  # the same resolved kernel
+    assert np.shares_memory(mine.values, plain.values)
+    want = fresh_bytes(Kernel(family, 0.8), grid, profile="fast", profiles=profiles)
+    assert plain.values.tobytes() == mine.values.tobytes() == want
+    assert want == fresh_bytes(Kernel(family, 2.0), grid)
+
+
+@pytest.mark.parametrize("amenities", [MIXED, POSITIVE], ids=["mixed", "positive"])
+@pytest.mark.parametrize("grid", MEMO_GRIDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_split_call_fills_the_memo_with_the_bits_of_the_total(family, grid, amenities):
+    scene, kernel = Scene(amenities), Kernel(family, 0.8)
+    parts = evaluate_field_parts(scene, kernel, grid)
+    field = evaluate_field(scene, kernel, grid)
+    assert np.shares_memory(field.values, parts.total.values)
+    assert field.values.tobytes() == fresh_bytes(kernel, grid, amenities)
+    # a split call is never served from the memo: it needs the parts
+    again = evaluate_field_parts(scene, kernel, grid)
+    assert not np.shares_memory(again.total.values, field.values)
+    for new, old in zip((again.total, again.positive, again.negative),
+                        (parts.total, parts.positive, parts.negative)):
+        assert new.values.tobytes() == old.values.tobytes()
+
+
+MISSES = {
+    "E": (Kernel("rational", 1.6), MEMO_GRIDS[0], None),
+    "family": (Kernel("gaussian", 0.8), MEMO_GRIDS[0], None),
+    "grid-shape": (Kernel("rational", 0.8), GridSpec(-2.0, -2.0, 0.3, 9, 8), None),
+    "grid-origin": (Kernel("rational", 0.8), GridSpec(-2.0, -1.9, 0.3, 9, 7), None),
+    "grid-cell": (Kernel("rational", 0.8), GridSpec(-2.0, -2.0, 0.31, 9, 7), None),
+    "overrides": (Kernel("rational", 0.8), MEMO_GRIDS[0], "keen"),
+    "overrides-and-e": (Kernel("rational", 0.8), MEMO_GRIDS[0], "keen-fast"),
+}
+
+
+@pytest.mark.parametrize("case", MISSES)
+def test_another_kernel_grid_or_overriding_profile_misses(case):
+    profiles = {"keen": Profile("keen", overrides={"a": 5.0}),
+                "keen-fast": Profile("keen-fast", efficiency=0.8, overrides={"a": 5.0})}
+    scene = Scene(MIXED, profiles=profiles)
+    kernel, grid = Kernel("rational", 0.8), MEMO_GRIDS[0]
+    entry = evaluate_field(scene, kernel, grid)
+    other_kernel, other_grid, profile = MISSES[case]
+    other = evaluate_field(scene, other_kernel, other_grid, profile)
+    assert not np.shares_memory(other.values, entry.values)
+    assert other.values.tobytes() == fresh_bytes(other_kernel, other_grid, profile=profile,
+                                                 profiles=profiles)
+    # a profile with overrides sums a scene of its own, which keeps its own entry
+    kept = evaluate_field(scene, kernel, grid)
+    assert np.shares_memory(kept.values, entry.values) is (profile is not None)
+
+
+def test_remembered_fields_are_read_only():
+    scene, kernel, grid = Scene(MIXED), Kernel("exponential", 0.8), MEMO_GRIDS[1]
+    parts = evaluate_field_parts(scene, kernel, grid)
+    field = evaluate_field(scene, kernel, grid)
+    for values in (parts.total.values, field.values, vars(scene)["_field_memo"][-1]):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    assert field.values.tobytes() == fresh_bytes(kernel, grid)
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda scene: pickle.loads(pickle.dumps(scene)), copy.copy, copy.deepcopy,
+    dataclasses.replace,
+], ids=["pickle", "copy", "deepcopy", "replace"])
+def test_a_copied_scene_compares_equal_and_starts_without_the_memo(copy_of):
+    scene = Scene(MIXED, profiles={"fast": Profile("fast", efficiency=2.0)})
+    kernel, grid = Kernel("gaussian", 0.8), MEMO_GRIDS[1]
+    field = evaluate_field(scene, kernel, grid)
+    other = copy_of(scene)
+    assert other == scene and scene == Scene(scene.amenities, scene.profiles)
+    assert "_field_memo" not in vars(other)
+    again = evaluate_field(other, kernel, grid)
+    assert not np.shares_memory(again.values, field.values)
+    assert again.values.tobytes() == field.values.tobytes()
+    assert np.shares_memory(evaluate_field(scene, kernel, grid).values, field.values)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_numpy_efficiency_is_the_float_it_equals(family):
+    # equal kernels key the memo, so they must sum alike: a float32 E made
+    # the scalar steps float32 ones, and overflowed the range guard's limit
+    kernel = Kernel(family, np.float32(0.75))
+    assert type(kernel.efficiency) is float and kernel == Kernel(family, 0.75)
+    grid = MEMO_GRIDS[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate_field(Scene(MIXED), kernel, grid)
+    assert got.values.tobytes() == fresh_bytes(Kernel(family, 0.75), grid)
+
+
+def traced_now() -> int:
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_a_live_scene_keeps_one_field_of_at_most_the_cap():
+    at_cap = GridSpec(-2.0, -2.0, 0.01, 512, _MEMO_MAX_CELLS // 512)
+    above = GridSpec(-2.0, -2.0, 0.01, 400, 400)
+    assert at_cap.size == _MEMO_MAX_CELLS < above.size
+    field_bytes = 8 * _MEMO_MAX_CELLS
+    tracemalloc.start()
+    try:
+        start = traced_now()
+        # a plain amenity sequence is a scene built for the call, dropped with its field
+        evaluate_field(MIXED, Kernel("rational", 0.8), at_cap)
+        assert traced_now() - start < 2 ** 15
+        scene = Scene(MIXED, profiles={"keen": Profile("keen", overrides={"a": 5.0})})
+        for family in FAMILIES:
+            evaluate_field(scene, Kernel(family, 0.8), at_cap)
+            assert field_bytes <= traced_now() - start < field_bytes + 2 ** 15
+        evaluate_field_parts(scene, Kernel("rational", 0.8), at_cap)
+        evaluate_field(scene, Kernel("rational", 0.8), above)  # not kept
+        evaluate_field_parts(scene, Kernel("rational", 0.8), above)
+        # the overriding profile's scene, and PGG's scenes of the changed amenities
+        evaluate_field(scene, Kernel("rational", 0.8), at_cap, profile="keen")
+        pgg_field(scene, Kernel("rational", 0.8), at_cap, person="keen")
+        assert field_bytes <= traced_now() - start < field_bytes + 2 ** 15
+        del scene  # a dropped scene takes its field with it
+        assert traced_now() - start < 2 ** 15
+    finally:
+        tracemalloc.stop()
