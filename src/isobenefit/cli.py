@@ -108,7 +108,8 @@ def _floats_arg(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values

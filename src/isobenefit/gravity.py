@@ -15,8 +15,9 @@ sample. The first pass scans the whole segment at the caller's resolution;
 once it has found the basin, every later pass samples a bracket that is
 already local, at a fixed 16 intervals. A breakpoint builds one point
 evaluator of the field module per query size, the first pass's and the
-later passes': the block buffers are built once, and each pass asks for
-the total only. The two do not coincide in general; both are reported.
+later passes': the block buffers and their views are built once, as are
+the sample fractions of each pass size, and each pass asks for the total
+only. The two do not coincide in general; both are reported.
 
 Both the Huff probabilities and the breakpoint's context take a
 :class:`~isobenefit.scene.Scene`, or a sequence of amenities as a scene
@@ -239,26 +240,31 @@ def numeric_breakpoint(
     columns = _as_scene((amenity1, amenity2) if scene_context is None else scene_context)._columns
     d = _pair_geometry(amenity1, amenity2)
 
-    def lowest_sample(lo, hi, evaluate, n):
-        # n intervals, n + 1 samples, in one query of ``evaluate``
-        ts = lo + (hi - lo) * (np.arange(n + 1) / n)
-        x, y = _point_between(amenity1, amenity2, ts)
-        profile = evaluate(x, y)[0]
+    # a pass's points are _point_between's expression on a whole array
+    x1, y1 = amenity1.x, amenity1.y
+    dx, dy = amenity2.x - amenity1.x, amenity2.y - amenity1.y
+
+    def lowest_sample(lo, hi, evaluate, fractions):
+        # the samples lo + (hi - lo) * fractions, in one query of ``evaluate``
+        ts = lo + (hi - lo) * fractions
+        profile = evaluate(x1 + ts * dx, y1 + ts * dy)[0]
         k = int(np.argmin(profile))  # first of equal minima
         return ts, k, float(profile[k])
 
     # the first pass's evaluator is freed before the later passes' is built
-    n = resolution + 1
-    ts, k, lowest = lowest_sample(0.0, 1.0, field._PointEvaluator(columns, kernel, n + 1), n)
+    n = resolution + 1  # intervals of the first pass
+    ts, k, lowest = lowest_sample(0.0, 1.0, field._PointEvaluator(columns, kernel, n + 1),
+                                  np.arange(n + 1) / n)
     if k == 0 or k == n:
         raise NoInteriorMinimumError(
             "benefit along the segment is lowest at an amenity, not between "
             "them; no interior breaking point"
         )
     refine = field._PointEvaluator(columns, kernel, _REFINE_INTERVALS + 1)
+    fractions = np.arange(_REFINE_INTERVALS + 1) / _REFINE_INTERVALS
     while (ts[-1] - ts[0]) / (len(ts) - 1) > 5e-8:  # the spacing of the last pass
         lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-        ts, k, lowest = lowest_sample(lo, hi, refine, _REFINE_INTERVALS)
+        ts, k, lowest = lowest_sample(lo, hi, refine, fractions)
     t_star = float(ts[k])
     return BreakPoint(
         position=_point_between(amenity1, amenity2, t_star),

@@ -3,7 +3,9 @@
 A command's data products are written by one call of :func:`write_all`,
 all or none: every target is checked, each product is staged in a temp
 file beside its target, and the staged files are renamed into place only
-once all are staged; on any failure every temp file is removed. Floats are
+once all are staged; on any failure every temp file is removed. A staged
+file is made with mode 0o666 less the umask, as open() makes a new file,
+so every product has that mode, a replaced one too. Floats are
 written in shortest round-trip form, which makes every format lossless for
 double precision and byte-for-byte deterministic. JSON reports refuse
 non-finite numbers.
@@ -257,9 +259,13 @@ def write_all(products: Iterable[tuple]) -> None:
                 import errno
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, *_ in products:
+            # made new under a random name, with mode 0o666 less the umask as
+            # open() makes a file (mkstemp's 0o600 would survive the rename)
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".tmp-{os.urandom(6).hex()}~")
             try:
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                           prefix=".tmp-", suffix="~")
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                             | getattr(os, "O_BINARY", 0), 0o666)
             except OSError as exc:  # name the target, not the temp file
                 raise type(exc)(exc.errno, exc.strerror, path) from None
             staged.append((tmp, os.fdopen(fd, "wb")))
@@ -656,14 +662,14 @@ def raster_product(raster: Raster, path: str, asc: bool | None = None) -> tuple:
     ``asc`` (by default, if ``path`` ends in .asc), else raster CSV."""
     grid = raster.grid
     if not (_is_asc(path) if asc is None else asc):
-        header = "# {},{},{!r},{!r},{!r}".format(grid.ncols, grid.nrows, float(grid.origin_x),
-                                                  float(grid.origin_y), float(grid.cell_size))
+        header = "# {},{},{!r},{!r},{!r}".format(grid.ncols, grid.nrows, grid.origin_x,
+                                                  grid.origin_y, grid.cell_size)
         return rows_product(path, [header], raster.as_grid()[::-1])  # top row first
     half = grid.cell_size / 2.0
     return rows_product(path, [
         f"NCOLS {grid.ncols}", f"NROWS {grid.nrows}",
-        f"XLLCORNER {float(grid.origin_x - half)!r}", f"YLLCORNER {float(grid.origin_y - half)!r}",
-        f"CELLSIZE {float(grid.cell_size)!r}", f"NODATA_VALUE {ASC_NODATA!r}",
+        f"XLLCORNER {grid.origin_x - half!r}", f"YLLCORNER {grid.origin_y - half!r}",
+        f"CELLSIZE {grid.cell_size!r}", f"NODATA_VALUE {ASC_NODATA!r}",
     ], raster.as_grid()[::-1], " ")
 
 

@@ -203,7 +203,8 @@ class Kernel:
 class GridSpec:
     """Evaluation lattice: cell (i, j) has center
     (origin_x + i*cell_size, origin_y + j*cell_size), i counting columns
-    left to right and j counting rows bottom to top."""
+    left to right and j counting rows bottom to top. The origin and the
+    cell size are kept as the floats they equal, and the counts as ints."""
 
     origin_x: float
     origin_y: float
@@ -216,6 +217,9 @@ class GridSpec:
         # a float count would give np.arange(2.5) three centers for a size of 5.0
         _count_value("ncols", self.ncols, None)
         _count_value("nrows", self.nrows, None)
+        # numpy integers are read as the ints they equal: a uint8 size wraps
+        object.__setattr__(self, "ncols", int(self.ncols))
+        object.__setattr__(self, "nrows", int(self.nrows))
         if self.ncols < 1 or self.nrows < 1:
             raise InvalidValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         if self.ncols * self.nrows > MAX_GRID_CELLS:
@@ -223,6 +227,10 @@ class GridSpec:
                 f"grid of {self.ncols}x{self.nrows} = {self.ncols * self.nrows} cells "
                 f"exceeds the limit of {MAX_GRID_CELLS} cells")
         _real_array("grid origin", (self.origin_x, self.origin_y))
+        # numpy numbers are read as the floats they equal, as Kernel reads E:
+        # a float32 origin would otherwise make the checks below float32 ones
+        for name in ("origin_x", "origin_y", "cell_size"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # the last cell centers, computed as x_coords and y_coords compute them
         last_x = self.origin_x + (self.ncols - 1) * self.cell_size
         last_y = self.origin_y + (self.nrows - 1) * self.cell_size

@@ -791,21 +791,20 @@ def test_field_parts_writes_all_rasters_or_none(tmp_path, monkeypatch, capsys, p
     # the third raster is refused: before anything is staged (a directory
     # in its place), when its temp file cannot be made, or while its rows
     # are written; the first two must not be left behind either
-    import tempfile
-
     from isobenefit import io as scene_io
     monkeypatch.chdir(tmp_path)
     if fault == "directory":
         (tmp_path / "f_negative.csv").mkdir()
     elif fault == "no temp file":
-        mkstemp, calls = tempfile.mkstemp, []
+        os_open, calls = os.open, []
 
-        def third_refused(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise PermissionError(13, "Permission denied", kwargs["dir"])
-            return mkstemp(*args, **kwargs)
-        monkeypatch.setattr(tempfile, "mkstemp", third_refused)
+        def third_refused(path, flags, *args, **kwargs):
+            if flags & os.O_EXCL:  # a staged file is made new
+                calls.append(path)
+                if len(calls) == 3:
+                    raise PermissionError(13, "Permission denied", path)
+            return os_open(path, flags, *args, **kwargs)
+        monkeypatch.setattr(os, "open", third_refused)
     else:
         format_rows, calls = scene_io._rows.format_rows, []
 

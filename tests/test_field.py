@@ -578,6 +578,86 @@ def test_one_evaluator_takes_each_query_on_its_own_side_of_the_range_guard():
             evaluate(x, y)
 
 
+def mixed_columns(count, seed=5):
+    """The columns of ``count`` amenities of both signs around the origin."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.uniform(-5, 5, count), rng.uniform(-5, 5, count),
+                     rng.choice((-1.5, 2.0), count)])
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("samples, blocks", [(17, 1), (103, 2)])  # at 200 amenities
+def test_one_evaluator_prepares_each_query_shape_afresh(monkeypatch, family, split, samples,
+                                                        blocks):
+    # shapes A, B, A, then A once more: each call gives the bytes of a fresh
+    # evaluator, so no call runs on the views prepared for another shape,
+    # and only a change of shape prepares views
+    prepared, prepare = [], _PointEvaluator._prepare
+
+    def counted(self, shape):
+        prepared.append(shape)
+        return prepare(self, shape)
+    columns, kernel = mixed_columns(200), Kernel(family, 0.8)
+    evaluate = _PointEvaluator(columns, kernel, samples)
+    assert math.ceil(200 / evaluate.k) == blocks
+    line = np.linspace(-6.0, 6.0, samples)
+    queries = ((line, line / 3), (line[:, np.newaxis], np.array([[0.5]])),
+               (line[::-1], line / 2), (line, line / 4))
+    for x, y in queries:
+        want = _PointEvaluator(columns, kernel, samples)(x, y, split)
+        monkeypatch.setattr(_PointEvaluator, "_prepare", counted)
+        got = evaluate(x, y, split)
+        monkeypatch.undo()
+        assert [part is None for part in got] == [False, not split, not split]
+        for part, reference in zip(got, want):
+            if part is not None:
+                assert part.shape == np.broadcast_shapes(x.shape, y.shape)
+                assert part.tobytes() == reference.tobytes()
+    assert prepared == [(samples,), (samples, 1), (samples,)]
+
+
+@pytest.mark.parametrize("family", ["rational", "gaussian", "exponential"])
+def test_repeated_query_shapes_take_no_new_memory(family):
+    # once a shape is prepared, a call allocates its result and numpy's
+    # iterator buffers alone, the same for every call, and keeps nothing
+    # (but for a one-off numpy cache entry of 32 bytes, in any of them)
+    evaluate = _PointEvaluator(mixed_columns(200), Kernel(family, 0.8), 17)
+    x = np.linspace(-6.0, 6.0, 17)
+    y = x / 3
+    peaks, kept = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate(x, y)
+            end, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - start)
+            kept.append(end - start)
+    finally:
+        tracemalloc.stop()
+    assert len({peak - held for peak, held in zip(peaks[1:], kept[1:])}) == 1, peaks
+    assert sum(kept[1:]) <= 64 and max(peaks[1:]) <= 32 * 1024, (peaks, kept)
+
+
+def test_a_prepared_shape_keeps_a_few_views_whatever_the_amenity_count():
+    # 2,000 amenities at 4,096 samples are 500 blocks of 4: views kept for
+    # each block would hold about 260 KiB beside the 290 KiB of buffers
+    evaluate = _PointEvaluator(mixed_columns(2000), Kernel("rational", 0.8), 4096)
+    x = np.linspace(-6.0, 6.0, 4096)
+    y = x / 3
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate(x, y)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert math.ceil(2000 / evaluate.k) == 500
+    assert kept <= 8 * 1024
+
+
 @given(st.integers(_BLOCK_SAMPLES, MAX_GRID_CELLS))
 def test_grids_of_block_size_or_more_sum_one_amenity_at_a_time(cells):
     assert _block_rows(cells) == 1

@@ -340,6 +340,73 @@ def test_coarse_samples_come_from_one_array_query(monkeypatch):
                                            bp.distance_from_2, bp.benefit_at_point))
 
 
+# a pair and 198 amenities of both signs around it on a fixed pattern:
+# 103 samples take two blocks of that context, 17 and 5 samples one
+PIN_PAIR = (Amenity("p", 0.0, 0.0, 3.0), Amenity("q", 6.0, 1.5, 2.0))
+PIN_CONTEXT = Scene(PIN_PAIR + tuple(
+    Amenity(f"c{k}", -9.0 + (k * 7 % 41) * 0.6, -8.0 + (k * 13 % 37) * 0.45,
+            (0.1 + (k % 5) * 0.05) * (-1.0 if k % 4 == 0 else 1.0))
+    for k in range(198)))
+
+# float.hex of the position's x and y, both distances and the benefit, as
+# numpy 2.4.6 computed them on its X86_V4 (AVX-512) kernels
+PINNED_BREAKPOINTS = {
+    ("rational", 1.0, 3): ("0x1.ca1cb64000000p+1", "0x1.ca1cb64000000p-1",
+                           "0x1.d836115247027p+1", "0x1.3f6cd1eeb56edp+1",
+                           "0x1.d677eb2bc16dcp+1"),
+    ("rational", 1.0, 101): ("0x1.ca1cb69696968p+1", "0x1.ca1cb69696968p-1",
+                             "0x1.d83611ab87ce3p+1", "0x1.3f6cd19574a31p+1",
+                             "0x1.d677eb2bc16e2p+1"),
+    ("gaussian", 0.25, 3): ("0x1.a34f180000000p+1", "0x1.a34f180000000p-1",
+                            "0x1.b036ba7a412ddp+1", "0x1.676c28c6bb437p+1",
+                            "0x1.c4cfaf980efe3p-1"),
+    ("gaussian", 0.25, 101): ("0x1.a34f187878786p+1", "0x1.a34f187878786p-1",
+                              "0x1.b036baf66ecedp+1", "0x1.676c284a8da27p+1",
+                              "0x1.c4cfaf980f013p-1"),
+    ("exponential", 0.5, 3): ("0x1.c2b9370000000p+1", "0x1.c2b9370000000p-1",
+                              "0x1.d0985b6b7c2d8p+1", "0x1.470a87d58043cp+1",
+                              "0x1.ff10b7707c61ep+0"),
+    ("exponential", 0.5, 101): ("0x1.c2b936969696ap+1", "0x1.c2b936969696ap-1",
+                                "0x1.d0985afed4408p+1", "0x1.470a88422830cp+1",
+                                "0x1.ff10b7707c618p+0"),
+}
+
+
+def _on_the_pinned_exp_kernels():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return False
+    return np.__version__ == "2.4.6" and bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.parametrize("family, efficiency, resolution", sorted(PINNED_BREAKPOINTS))
+def test_pinned_breakpoints_keep_their_bits(family, efficiency, resolution):
+    bp = numeric_breakpoint(*PIN_PAIR, Kernel(family, efficiency), PIN_CONTEXT, resolution)
+    got = (*bp.position, bp.distance_from_1, bp.distance_from_2, bp.benefit_at_point)
+    want = [float.fromhex(v) for v in PINNED_BREAKPOINTS[family, efficiency, resolution]]
+    # the samples' places are plain arithmetic, bit for bit on every host
+    assert [v.hex() for v in got[:4]] == [v.hex() for v in want[:4]]
+    if family == "rational" or _on_the_pinned_exp_kernels():
+        assert got[4].hex() == want[4].hex()
+    else:  # numpy's exp and exp2 differ in the last bits between dispatch targets
+        assert abs(got[4] - want[4]) <= 1e-12 * abs(want[4])
+
+
+def test_a_breakpoint_prepares_each_evaluators_query_shape_once(monkeypatch):
+    from isobenefit.field import _PointEvaluator
+
+    shapes, prepare = [], _PointEvaluator._prepare
+
+    def counted(self, shape):
+        shapes.append(shape)
+        return prepare(self, shape)
+
+    monkeypatch.setattr(_PointEvaluator, "_prepare", counted)
+    numeric_breakpoint(*PIN_PAIR, Kernel("gaussian", 0.25), PIN_CONTEXT, resolution=101)
+    assert shapes == [(103,), (17,)]  # the first pass's, then the six later passes'
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10),
                           st.sampled_from((-2.0, -0.5, 0.5, 1.0, 3.0))),

@@ -1073,6 +1073,31 @@ def test_bytes_that_are_not_utf8_name_the_file(tmp_path, name, read):
     assert str(excinfo.value) == f"{path}: not UTF-8 text"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_products_get_the_mode_that_open_gives_a_new_file(tmp_path):
+    # a staged file is made with 0o666 less the umask, so a new product and
+    # one that replaces a 0o644 file are both 0o640 under umask 0o027, as a
+    # file made by open() is; the umask is the process's, so a child sets it
+    import stat
+
+    import isobenefit
+    new, existing, opened = tmp_path / "new.csv", tmp_path / "old.csv", tmp_path / "open.txt"
+    existing.write_text("stale")
+    existing.chmod(0o644)
+    script = ("import os, sys\nfrom isobenefit.io import write_all\nos.umask(0o027)\n"
+              "write_all([(sys.argv[1], 'a\\n', None, ','), (sys.argv[2], 'b\\n', None, ',')])\n"
+              "open(sys.argv[3], 'w').close()\n")
+    src = os.path.dirname(os.path.dirname(isobenefit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(new), str(existing), str(opened)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"new.csv": 0o640, "old.csv": 0o640, "open.txt": 0o640}
+    assert (new.read_text(), existing.read_text()) == ("a\n", "b\n")
+
+
 def test_atomic_write_replaces_existing_content(tmp_path):
     path = tmp_path / "r.csv"
     write(path, "stale")

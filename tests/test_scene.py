@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ def test_gridspec_refuses_cell_centers_beyond_the_float_range(origin, cell, n):
     assert GridSpec(-1e308, 0.0, 1e308, 2, 1).x_coords().tolist() == [-1e308, 0.0]
 
 
+def test_gridspec_checks_numpy_numbers_as_the_floats_they_equal():
+    # float32 values were checked in float32: 3e38 + 4 * 5e37 overflowed to
+    # inf with a RuntimeWarning, though the float64 centers are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = GridSpec(np.float32(3e38), 0.0, np.float32(5e37), 5, 5)
+    same = GridSpec(float(np.float32(3e38)), 0.0, float(np.float32(5e37)), 5, 5)
+    assert grid == same
+    assert all(type(v) is float for v in (grid.origin_x, grid.origin_y, grid.cell_size))
+    assert grid.x_coords().tobytes() == same.x_coords().tobytes()
+    assert grid.y_coords().tobytes() == same.y_coords().tobytes()
+
+
 def test_gridspec_refuses_neighbouring_centers_that_coincide():
     # at 4e149 one float spacing is ~5e133, so every center rounds to the origin
     big = 4.0917382598701773e+149
@@ -216,6 +230,17 @@ def test_gridspec_takes_python_and_numpy_integer_counts(count):
     grid = GridSpec(0.0, 0.0, 1.0, count, count)
     assert grid.size == 9
     assert len(grid.x_coords()) == len(grid.y_coords()) == 3
+
+
+def test_gridspec_counts_numpy_integers_as_the_ints_they_equal():
+    # a uint8 200 x 200 grid had a size of 64 after a RuntimeWarning, and
+    # evaluate_field on it raised a raw OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = GridSpec(0.0, 0.0, 1.0, np.uint8(200), np.uint8(200))
+        assert type(grid.ncols) is type(grid.nrows) is int and grid.size == 40000
+        field = evaluate_field([Amenity("a", 1.0, 1.0, 1.0)], Kernel("rational", 1.0), grid)
+    assert field.values.shape == (40000,)
 
 
 def test_gridspec_cell_centers():

@@ -10,8 +10,9 @@ amenity columns once, not once per pass; a loaded scene's point queries
 build no Amenity object beyond the pair they name; repeated calls on one
 scene file parse and validate it once; a call that writes no
 large table imports no ``subprocess``; every top-level private name of
-the package is read by its code; and the row-formatting helper
-interpreter needs nothing but the standard library."""
+the package is read by its code; every line of the package is at most
+100 characters; and the row-formatting helper interpreter needs nothing
+but the standard library."""
 
 import ast
 import importlib
@@ -303,6 +304,13 @@ def test_every_private_helper_is_read_somewhere_in_the_package():
             for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     assert private and sorted(private - read) == []
+
+
+def test_package_lines_are_at_most_100_characters():
+    long = [f"{path.name}:{number} ({len(line)} characters)"
+            for path in sorted((ROOT / "src" / "isobenefit").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == []
 
 
 def test_the_row_helper_imports_only_sys():
